@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: simulate, backtest, oracle, agents, mix, eigenrisk.  Options can
-come from --config JSON (keys named like the long flags) with explicit flags
-taking precedence.  Every command writes its artifacts plus a manifest.json
-into --outdir; outputs are byte-identical for a fixed (config, seed).
+Subcommands: simulate, backtest, eigenrisk, oracle, agents, mix.  Every option
+is one row of OPTIONS, which builds the command's flags.  A --config JSON file
+may give any option under its flag's long name with "_" in place of "-";
+flags win over the file.  The simulate keys noise_cov and trend_cov (full
+matrices) exist only in the config file.  Flag and config values go through
+the row's validator before any command runs.  Every command writes its
+artifacts plus a manifest.json into --outdir; outputs are byte-identical for a
+fixed (config, seed).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
-The TRENDLAB_THREADS environment variable caps the worker pool used for
-independent runs.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -74,15 +77,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
     for row in rows:
         lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("TRENDLAB_THREADS", "")
-    try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"TRENDLAB_THREADS must be an integer, got {cap!r}")
-    return max(1, min(n_tasks, limit))
 
 
 def _trading_dates(n: int) -> list:
@@ -171,19 +165,163 @@ def ingest_csv(path) -> ReturnsPanel:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# option validators: (name, flag text or config JSON value) -> typed value
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Number:
+    """An int or a finite float in the interval `bounds`, written like "(0, 0.5]"."""
+
+    kind: type
+    bounds: str = "(-inf, inf)"
+
+    def __call__(self, name: str, value):
+        try:
+            out = self.kind(value)
+            valid = (not isinstance(value, bool) and math.isfinite(out)
+                     and (not isinstance(value, float) or out == value))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            what = "an integer" if self.kind is int else "a finite number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        low, high = (float(x) for x in self.bounds[1:-1].split(","))
+        if not ((out > low if self.bounds[0] == "(" else out >= low)
+                and (out < high if self.bounds[-1] == ")" else out <= high)):
+            raise ConfigError(f"{name} must be in {self.bounds}, got {out}")
+        return out
+
+
+_REAL = Number(float)
+_COUNT = Number(int, "[1, inf)")
+_RATE = Number(float, "(0, 1)")
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _existing_file(name: str, value) -> str:
+    if not Path(_text(name, value)).is_file():
+        raise ConfigError(f"{name} file {value!r} does not exist")
+    return value
+
+
+def _choice(*allowed: str) -> Callable:
+    def check(name: str, value) -> str:
+        if value not in allowed:
+            raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        return value
+    return check
+
+
+def _names(name: str, value) -> tuple:
+    """Comma list; blank items are dropped."""
+    return tuple(s.strip() for s in _text(name, value).split(",") if s.strip())
+
+
+def _strategies(name: str, value) -> list:
+    names = list(_names(name, value))
+    if not names or len(set(names)) < len(names) or set(names) - set(backtest.STRATEGY_KINDS):
+        raise ConfigError(f"{name} must list distinct names from "
+                          f"{','.join(backtest.STRATEGY_KINDS)}, got {value!r}")
+    return names
+
+
+def _floats(name: str, value) -> tuple:
+    """A number, a list of numbers, or a comma list of them."""
+    if isinstance(value, str):
+        value = _names(name, value)
+    elif not isinstance(value, list):
+        value = [value]
+    return tuple(_REAL(name, x) for x in value)
+
+
+def _matrix(name: str, value) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a matrix of numbers, got {value!r}")
+
+
+def _grid(name: str, value) -> np.ndarray:
+    """start:step:stop coupling grid, inclusive of both ends."""
+    parts = _text(name, value).split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{name} must look like start:step:stop, got {value!r}")
+    start, step, stop = (_REAL(name, x) for x in parts)
+    if not 0.0 <= start <= stop or step <= 0:
+        raise ConfigError(f"{name} {value!r} needs 0 <= start <= stop and step > 0")
+    count = int(round((stop - start) / step))
+    grid = start + step * np.arange(count + 1)
+    return grid[grid <= stop + 1e-12]
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+def _build_model(opts: dict) -> ModelParams:
+    n = opts["n"]
+    drift = np.array(opts["drift"])
+    if drift.shape == (1,):
+        drift = np.full(n, drift[0])
+    if drift.shape != (n,):
+        raise ConfigError(f"drift needs 1 or {n} values")
+
+    noise_cov = opts["noise_cov"]
+    if noise_cov is None:
+        rho = opts["noise_corr"]
+        if not -1.0 / max(n - 1, 1) < rho < 1.0:
+            raise ConfigError(f"noise-corr {rho} is outside the valid equicorrelation range")
+        noise_cov = np.full((n, n), rho)
+        np.fill_diagonal(noise_cov, 1.0)
+
+    trend_cov = opts["trend_cov"]
+    if trend_cov is None:
+        structure, scale = opts["trend_structure"], opts["trend_scale"]
+        if structure == "none":
+            trend_cov = np.zeros((n, n))
+        elif structure == "identity":
+            trend_cov = scale * np.eye(n)
+        elif structure == "market":
+            trend_cov = scale * np.full((n, n), 1.0 / n)
+        else:  # proportional
+            trend_cov = scale * noise_cov
+
+    try:
+        return ModelParams(
+            n=n, drift=drift, noise_cov=noise_cov, trend_cov=trend_cov,
+            trend_amp=opts["trend_amp"], trend_decay=opts["trend_decay"],
+            asset_classes=opts["classes"] or ("stock",) * n,
+        )
+    except TrendlabError as exc:
+        raise ConfigError(str(exc))
+
+
+def _strategy_config(kind: str, opts: dict) -> backtest.StrategyConfig:
+    try:
+        return backtest.StrategyConfig(
+            kind=kind, signal_rate=opts["eta"], cov_rate=opts["eta_cov"],
+            var_rate=opts["eta_var"], cleaner=opts["cleaner"], warmup=opts["warmup"],
+        )
+    except TrendlabError as exc:
+        raise ConfigError(str(exc))
+
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     seed: int
     outdir: Path
-    options: dict
+    options: dict   # validated value of every option the command takes
+    supplied: dict  # the options as given, recorded in manifest.json
 
 
 def _manifest(cfg: RunConfig) -> dict:
-    body = {"command": cfg.command, "seed": cfg.seed, "options": _jsonify(cfg.options)}
+    body = {"command": cfg.command, "seed": cfg.seed, "options": _jsonify(cfg.supplied)}
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     return {
         **body,
@@ -196,148 +334,16 @@ def _manifest(cfg: RunConfig) -> dict:
     }
 
 
-def _positive_int(name: str, value) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if out < 1:
-        raise ConfigError(f"{name} must be >= 1, got {out}")
-    return out
-
-
-def _rate(name: str, value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not 0.0 < out < 1.0:
-        raise ConfigError(f"{name} must be in (0,1), got {out}")
-    return out
-
-
-def _float(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _parse_grid(spec: str) -> np.ndarray:
-    """start:step:stop grid, inclusive of both ends."""
-    try:
-        start, step, stop = (float(x) for x in str(spec).split(":"))
-    except ValueError:
-        raise ConfigError(f"grid must look like start:step:stop, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise ConfigError(f"bad grid {spec!r}")
-    count = int(round((stop - start) / step))
-    grid = start + step * np.arange(count + 1)
-    return grid[grid <= stop + 1e-12]
-
-
-def _strategy_list(value) -> list:
-    names = [s.strip() for s in str(value).split(",") if s.strip()]
-    if not names:
-        raise ConfigError("no strategies given")
-    for name in names:
-        if name not in backtest.STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy {name!r}")
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate strategy names")
-    return names
-
-
-def _build_model(opts: dict) -> ModelParams:
-    n = _positive_int("n", opts["n"])
-    drift = opts.get("drift", 0.0)
-    if isinstance(drift, str):
-        drift = [_float("drift", x) for x in drift.split(",") if x.strip()]
-    if isinstance(drift, (list, tuple)):
-        drift_vec = np.asarray(drift, dtype=float)
-        if drift_vec.shape == (1,):
-            drift_vec = np.full(n, drift_vec[0])
-    else:
-        drift_vec = np.full(n, _float("drift", drift))
-    if drift_vec.shape != (n,):
-        raise ConfigError(f"drift needs 1 or {n} values")
-
-    noise = opts.get("noise_cov")
-    if noise is not None:
-        noise_cov = np.asarray(noise, dtype=float)
-    else:
-        rho = _float("noise-corr", opts.get("noise_corr", 0.3))
-        if not -1.0 / max(n - 1, 1) < rho < 1.0:
-            raise ConfigError(f"noise-corr {rho} is outside the valid equicorrelation range")
-        noise_cov = np.full((n, n), rho)
-        np.fill_diagonal(noise_cov, 1.0)
-
-    trend = opts.get("trend_cov")
-    if trend is not None:
-        trend_cov = np.asarray(trend, dtype=float)
-    else:
-        structure = str(opts.get("trend_structure", "identity"))
-        scale = _float("trend-scale", opts.get("trend_scale", 1.0))
-        if structure == "none":
-            trend_cov = np.zeros((n, n))
-        elif structure == "identity":
-            trend_cov = scale * np.eye(n)
-        elif structure == "market":
-            trend_cov = scale * np.full((n, n), 1.0 / n)
-        elif structure == "proportional":
-            trend_cov = scale * noise_cov
-        else:
-            raise ConfigError(f"unknown trend-structure {structure!r}")
-
-    classes = opts.get("classes")
-    if classes:
-        class_list = tuple(s.strip() for s in str(classes).split(","))
-    else:
-        class_list = ("stock",) * n
-    try:
-        return ModelParams(
-            n=n, drift=drift_vec, noise_cov=noise_cov, trend_cov=trend_cov,
-            trend_amp=_float("trend-amp", opts.get("trend_amp", 0.05)),
-            trend_decay=_rate("trend-decay", opts.get("trend_decay", 0.02)),
-            asset_classes=class_list,
-        )
-    except TrendlabError as exc:
-        raise ConfigError(str(exc))
-
-
-def _strategy_config(kind: str, opts: dict) -> backtest.StrategyConfig:
-    warmup = opts.get("warmup")
-    try:
-        return backtest.StrategyConfig(
-            kind=kind,
-            signal_rate=_rate("eta", opts.get("eta", 0.01)),
-            cov_rate=_rate("eta-cov", opts.get("eta_cov", estimation.DEFAULT_COV_RATE)),
-            var_rate=_rate("eta-var", opts.get("eta_var", estimation.DEFAULT_VAR_RATE)),
-            cleaner=str(opts.get("cleaner", "rie")),
-            warmup=None if warmup is None else _positive_int("warmup", warmup),
-        )
-    except TrendlabError as exc:
-        raise ConfigError(str(exc))
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
 def _cmd_simulate(cfg: RunConfig) -> None:
-    model = _build_model(cfg.options)
-    n_days = _positive_int("T", cfg.options.get("T", 1000))
-    panel = market_model.simulate(model, n_days, cfg.seed)
+    panel = market_model.simulate(_build_model(cfg.options), cfg.options["T"], cfg.seed)
     export_panel(panel, cfg.outdir / "panel.csv")
 
 
-def _run_strategies(panel: ReturnsPanel, names: list, opts: dict) -> list:
-    configs = [_strategy_config(name, opts) for name in names]
-    workers = _max_workers(len(configs))
-    if workers == 1:
-        return [backtest.run(panel, c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: backtest.run(panel, c), configs))
+def _run_strategies(cfg: RunConfig) -> tuple:
+    """The panel, the book names and one backtest per book, run in order."""
+    panel = ingest_csv(cfg.options["panel"])
+    names = cfg.options["strategy"]
+    return panel, names, [backtest.run(panel, _strategy_config(name, cfg.options)) for name in names]
 
 
 def _pnl_rows(names: list, results: list) -> tuple:
@@ -362,9 +368,7 @@ def _write_positions(cfg: RunConfig, name: str, result) -> None:
 
 
 def _cmd_backtest(cfg: RunConfig) -> None:
-    panel = ingest_csv(cfg.options["panel"])
-    names = _strategy_list(cfg.options.get("strategy", "arp,nm,ew,rp,torp"))
-    results = _run_strategies(panel, names, cfg.options)
+    panel, names, results = _run_strategies(cfg)
 
     header, rows = _pnl_rows(names, results)
     _write_csv(cfg.outdir / "pnl.csv", header, rows)
@@ -403,25 +407,14 @@ def _write_eigenrisk(cfg: RunConfig, panel, names, results) -> None:
 
 
 def _cmd_eigenrisk(cfg: RunConfig) -> None:
-    panel = ingest_csv(cfg.options["panel"])
-    names = _strategy_list(cfg.options.get("strategy", "arp,nm,ew"))
-    results = _run_strategies(panel, names, cfg.options)
-    _write_eigenrisk(cfg, panel, names, results)
+    _write_eigenrisk(cfg, *_run_strategies(cfg))
 
 
 def _cmd_oracle(cfg: RunConfig) -> None:
-    n = _positive_int("n", cfg.options.get("n", 2))
-    if n > sharpe_oracle.EXACT_MAX_ASSETS:
-        raise ConfigError(f"oracle needs n <= {sharpe_oracle.EXACT_MAX_ASSETS}")
-    t = _positive_int("t", cfg.options.get("t", 500))
-    if t < 2:
-        raise ConfigError("t must be >= 2")
-    rate = _rate("eta", cfg.options.get("eta", 0.01))
-    n_models = _positive_int("models", cfg.options.get("models", 20))
-
+    n, t, rate = cfg.options["n"], cfg.options["t"], cfg.options["eta"]
     rng = np.random.default_rng(cfg.seed)
     reports = []
-    for _ in range(n_models):
+    for _ in range(cfg.options["models"]):
         model = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t)
         exact = sharpe_oracle.brute_force_optimal(model, rate, t)
         s2_exact = sharpe_oracle.squared_sharpe(model, rate, exact, t)
@@ -443,17 +436,9 @@ def _cmd_oracle(cfg: RunConfig) -> None:
 
 
 def _cmd_agents(cfg: RunConfig) -> None:
-    params = herding.AgentSimParams(
-        agents=_positive_int("A", cfg.options.get("A", 1000)),
-        strategies=_positive_int("N", cfg.options.get("N", 50)),
-        coupling=_float("j", cfg.options.get("j", 1.5)),
-        steps=_positive_int("T", cfg.options.get("T", 50)),
-        reps=_positive_int("M", cfg.options.get("M", 100)),
-        seed=cfg.seed,
-    )
-    if params.coupling < 0:
-        raise ConfigError("j must be non-negative")
-
+    opts = cfg.options
+    params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
+                                    steps=opts["T"], reps=opts["M"], seed=cfg.seed)
     result = herding.run(params)
     fractions = result.fractions[0]  # one representative repetition
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
@@ -463,7 +448,7 @@ def _cmd_agents(cfg: RunConfig) -> None:
     )
     _write_csv(cfg.outdir / "trajectory.csv", header, rows)
 
-    grid = _parse_grid(cfg.options.get("jgrid", "0:0.5:4"))
+    grid = opts["jgrid"]
     curve = herding.transition_curve(params, grid)
     rows = (
         [f"{curve.couplings[i]:.12g}", f"{curve.max_fraction[i]:.12g}", f"{curve.stderr[i]:.12g}"]
@@ -497,21 +482,18 @@ def _read_pnl(path) -> tuple:
 
 def _cmd_mix(cfg: RunConfig) -> None:
     names, data = _read_pnl(cfg.options["pnl"])
-    pair = [s.strip() for s in str(cfg.options.get("pair", ",".join(names[:2]))).split(",")]
+    pair = cfg.options["pair"] or names[:2]
     if len(pair) != 2:
         raise ConfigError("pair must name exactly two strategies")
     for name in pair:
         if name not in names:
             raise ConfigError(f"strategy {name!r} not present in pnl file")
-    step = _float("grid", cfg.options.get("grid", 0.01))
-    if not 0.0 < step <= 0.5:
-        raise ConfigError(f"grid step must be in (0, 0.5], got {step}")
     results = [
         backtest.BacktestResult(pnl=data[:, names.index(name)], positions=None,
                                 warmup=0, strategy=name)
         for name in pair
     ]
-    grid, sharpes = backtest.sweep_mix_curve(results, step=step)
+    grid, sharpes = backtest.sweep_mix_curve(results, step=cfg.options["grid"])
     rows = (
         [f"{grid[i]:.12g}", f"{sharpes[i]:.12g}"] for i in range(len(grid))
     )
@@ -519,127 +501,143 @@ def _cmd_mix(cfg: RunConfig) -> None:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "backtest": _cmd_backtest,
-    "oracle": _cmd_oracle,
-    "agents": _cmd_agents,
-    "mix": _cmd_mix,
-    "eigenrisk": _cmd_eigenrisk,
+    "simulate": (_cmd_simulate, "generate a synthetic returns panel"),
+    "backtest": (_cmd_backtest, "run strategies over a panel"),
+    "eigenrisk": (_cmd_eigenrisk, "per-eigenmode realized risk of strategies"),
+    "oracle": (_cmd_oracle, "analytic optimality report on random models"),
+    "agents": (_cmd_agents, "interacting-agents herding simulation"),
+    "mix": (_cmd_mix, "two-strategy Sharpe mixing curve from a pnl.csv"),
 }
 
 
 def run_command(cfg: RunConfig) -> None:
-    """Validate minimally, run the command, and write the manifest."""
+    """Run the command on validated options and write the manifest."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _COMMANDS[cfg.command](cfg)
+    _COMMANDS[cfg.command][0](cfg)
     _write_json(cfg.outdir / "manifest.json", _manifest(cfg))
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# option table and argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
-    sub.add_argument("--outdir", help="output directory (default out/<command>)")
+REQUIRED = object()  # default of an option that must be given
+
+
+@dataclass(frozen=True)
+class Option:
+    """A --name flag (unless config-only) and config key; the default is written as a
+    user would give it and goes through `check`, None leaves the option unset."""
+
+    name: str
+    commands: tuple
+    check: Callable
+    default: object
+    help: str
+    flag: bool = True
+
+    @property
+    def key(self) -> str:
+        return self.name.replace("-", "_")
+
+
+_BOOKS = ("backtest", "eigenrisk")
+_STRATEGY_HELP = "comma list from " + ",".join(backtest.STRATEGY_KINDS)
+
+OPTIONS = (
+    Option("n", ("simulate",), _COUNT, REQUIRED, "asset count"),
+    Option("T", ("simulate",), _COUNT, 1000, "number of days"),
+    Option("drift", ("simulate",), _floats, 0.0, "per-day drift, scalar or comma list"),
+    Option("noise-corr", ("simulate",), _REAL, 0.3, "equicorrelation of the noise"),
+    Option("noise_cov", ("simulate",), _matrix, None, "noise covariance matrix", flag=False),
+    Option("trend-structure", ("simulate",), _choice("none", "identity", "market", "proportional"),
+           "identity", "trend covariance: none, identity, market or proportional"),
+    Option("trend-scale", ("simulate",), _REAL, 1.0, "scale of the trend covariance"),
+    Option("trend_cov", ("simulate",), _matrix, None, "trend covariance matrix", flag=False),
+    Option("trend-amp", ("simulate",), _REAL, 0.05, "trend amplitude"),
+    Option("trend-decay", ("simulate",), _RATE, 0.02, "trend decay rate per day"),
+    Option("classes", ("simulate",), _names, None, "comma list of stock/bond/fx labels"),
+    Option("panel", _BOOKS, _existing_file, REQUIRED, "panel CSV (with .meta.json sidecar)"),
+    Option("strategy", ("backtest",), _strategies, "arp,nm,ew,rp,torp", _STRATEGY_HELP),
+    Option("strategy", ("eigenrisk",), _strategies, "arp,nm,ew", _STRATEGY_HELP),
+    Option("eta", _BOOKS + ("oracle",), _RATE, 0.01, "signal EMA rate"),
+    Option("eta-cov", _BOOKS, _RATE, estimation.DEFAULT_COV_RATE, "weekly covariance EMA rate"),
+    Option("eta-var", _BOOKS, _RATE, estimation.DEFAULT_VAR_RATE, "daily variance EMA rate"),
+    Option("cleaner", _BOOKS, _choice(*estimation.CLEANERS), "rie",
+           "correlation cleaner: " + ", ".join(estimation.CLEANERS)),
+    Option("warmup", _BOOKS, _COUNT, None, "override the warm-up day count"),
+    Option("n", ("oracle",), Number(int, f"[1, {sharpe_oracle.EXACT_MAX_ASSETS}]"), 2,
+           f"asset count (<= {sharpe_oracle.EXACT_MAX_ASSETS})"),
+    Option("t", ("oracle",), Number(int, "[2, inf)"), 500, "evaluation time"),
+    Option("models", ("oracle",), _COUNT, 20, "number of random models"),
+    Option("A", ("agents",), _COUNT, 1000, "agent count"),
+    Option("N", ("agents",), _COUNT, 50, "strategy count"),
+    Option("T", ("agents",), _COUNT, 50, "steps per run"),
+    Option("M", ("agents",), _COUNT, 100, "repetitions"),
+    Option("j", ("agents",), Number(float, "[0, inf)"), 1.5, "coupling for trajectory.csv"),
+    Option("jgrid", ("agents",), _grid, "0:0.5:4", "start:step:stop coupling grid for transition.csv"),
+    Option("pnl", ("mix",), _existing_file, REQUIRED, "pnl.csv produced by the backtest command"),
+    Option("pair", ("mix",), _names, None, "two strategy names, comma separated (default: the first two)"),
+    Option("grid", ("mix",), Number(float, "(0, 0.5]"), 0.01, "mixing weight grid step"),
+    Option("seed", tuple(_COMMANDS), Number(int, "[0, inf)"), 0, "random seed (default 0)"),
+    Option("outdir", tuple(_COMMANDS), _text, None, "output directory (default out/<command>)"),
+)
+
+
+def _options(command: str) -> list:
+    return [opt for opt in OPTIONS if command in opt.commands]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trendlab",
                                      description="Trend-following portfolio lab")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("simulate", help="generate a synthetic returns panel")
-    p.add_argument("--n", type=int, help="asset count")
-    p.add_argument("--T", type=int, help="number of days")
-    p.add_argument("--drift", help="per-day drift, scalar or comma list")
-    p.add_argument("--noise-corr", dest="noise_corr", type=float, help="equicorrelation of the noise")
-    p.add_argument("--trend-structure", dest="trend_structure",
-                   choices=["none", "identity", "market", "proportional"])
-    p.add_argument("--trend-scale", dest="trend_scale", type=float)
-    p.add_argument("--trend-amp", dest="trend_amp", type=float)
-    p.add_argument("--trend-decay", dest="trend_decay", type=float)
-    p.add_argument("--classes", help="comma list of stock/bond/fx labels")
-    _add_common(p)
-
-    p = subs.add_parser("backtest", help="run strategies over a panel")
-    p.add_argument("--panel", help="panel CSV (with .meta.json sidecar)")
-    p.add_argument("--strategy", help="comma list from rp,nm,arp,torp,ew,zero")
-    p.add_argument("--eta", type=float, help="signal EMA rate")
-    p.add_argument("--eta-cov", dest="eta_cov", type=float, help="weekly covariance EMA rate")
-    p.add_argument("--eta-var", dest="eta_var", type=float, help="daily variance EMA rate")
-    p.add_argument("--cleaner", choices=list(estimation.CLEANERS))
-    p.add_argument("--warmup", type=int, help="override the warm-up day count")
-    _add_common(p)
-
-    p = subs.add_parser("eigenrisk", help="per-eigenmode realized risk of strategies")
-    p.add_argument("--panel")
-    p.add_argument("--strategy")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--eta-cov", dest="eta_cov", type=float)
-    p.add_argument("--eta-var", dest="eta_var", type=float)
-    p.add_argument("--cleaner", choices=list(estimation.CLEANERS))
-    p.add_argument("--warmup", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("oracle", help="analytic optimality report on random models")
-    p.add_argument("--n", type=int, help="asset count (<= 3)")
-    p.add_argument("--t", type=int, help="evaluation time")
-    p.add_argument("--eta", type=float, help="signal EMA rate")
-    p.add_argument("--models", type=int, help="number of random models")
-    _add_common(p)
-
-    p = subs.add_parser("agents", help="interacting-agents herding simulation")
-    p.add_argument("--A", type=int, help="agent count")
-    p.add_argument("--N", type=int, help="strategy count")
-    p.add_argument("--T", type=int, help="steps per run")
-    p.add_argument("--M", type=int, help="repetitions")
-    p.add_argument("--j", type=float, help="coupling for trajectory.csv")
-    p.add_argument("--jgrid", help="start:step:stop coupling grid for transition.csv")
-    _add_common(p)
-
-    p = subs.add_parser("mix", help="two-strategy Sharpe mixing curve from a pnl.csv")
-    p.add_argument("--pnl", help="pnl.csv produced by the backtest command")
-    p.add_argument("--pair", help="two strategy names, comma separated")
-    p.add_argument("--grid", type=float, help="mixing weight grid step")
-    _add_common(p)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for opt in _options(command):
+            if opt.flag:
+                sub.add_argument(f"--{opt.name}", dest=opt.key, help=opt.help)
+        sub.add_argument("--config", help="JSON file of option values, keyed like the long flags")
     return parser
 
 
-_REQUIRED = {"backtest": ["panel"], "eigenrisk": ["panel"], "mix": ["pnl"]}
+_RUN_KEYS = ("seed", "outdir")  # recorded beside the options in the manifest, not in them
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    options = {}
+    """Validate every option of the command; a flag wins over the config file."""
+    config = {}
     if args.config:
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise ConfigError(f"config file {config_path} does not exist")
         try:
-            loaded = json.loads(config_path.read_text())
+            config = json.loads(Path(_existing_file("config", args.config)).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
+        if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
-        options.update(loaded)
-
-    for key, value in vars(args).items():
-        if key in ("command", "config", "seed", "outdir") or value is None:
-            continue
-        options[key] = value
-
-    seed = args.seed if args.seed is not None else int(options.pop("seed", 0))
-    outdir = args.outdir or options.pop("outdir", None) or f"out/{args.command}"
-    for key in _REQUIRED.get(args.command, []):
-        if key not in options or options[key] in (None, ""):
-            raise ConfigError(f"--{key} is required for {args.command}")
-        if not Path(str(options[key])).exists():
-            raise ConfigError(f"{key} file {options[key]} does not exist")
-    return RunConfig(command=args.command, seed=seed, outdir=Path(outdir), options=options)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
+    values = {}
+    supplied = dict(config)
+    for opt in _options(args.command):
+        if opt.key in flags:
+            raw = flags[opt.key]
+        elif config.get(opt.key) is not None:
+            raw = config[opt.key]
+        elif opt.default is REQUIRED:
+            raise ConfigError(f"--{opt.name} is required for {args.command}")
+        else:
+            raw = opt.default
+        values[opt.key] = None if raw is None else opt.check(opt.name, raw)
+        if opt.key in flags and opt.key not in _RUN_KEYS:
+            # numeric flags are recorded as numbers, the others as the text given
+            supplied[opt.key] = values[opt.key] if isinstance(opt.check, Number) else raw
+    for key in _RUN_KEYS:
+        if key not in flags:  # a config value that a flag overrode stays, as supplied
+            supplied.pop(key, None)
+    return RunConfig(command=args.command, seed=values.pop("seed"),
+                     outdir=Path(values.pop("outdir") or f"out/{args.command}"),
+                     options=values, supplied=supplied)
 
 
 def main(argv=None) -> int:

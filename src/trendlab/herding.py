@@ -36,54 +36,14 @@ class AgentSimParams:
         return self.coupling * np.sqrt(self.strategies) / self.agents
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """One-hot adoption matrix (A x N, one strategy per agent) and fixed preferences."""
+def step(preferences: np.ndarray, counts: np.ndarray, coupling: float) -> np.ndarray:
+    """Synchronous re-evaluation: each agent's new choice given the current adopter counts.
 
-    adoption: np.ndarray
-    preferences: np.ndarray
-
-    def __post_init__(self):
-        adoption = np.asarray(self.adoption)
-        prefs = np.asarray(self.preferences, dtype=float)
-        if adoption.shape != prefs.shape or adoption.ndim != 2:
-            raise InvalidInput("adoption and preferences must share an A x N shape")
-        if not ((adoption == 0) | (adoption == 1)).all() or (adoption.sum(axis=1) != 1).any():
-            raise InvalidInput("each adoption row must be one-hot")
-        object.__setattr__(self, "adoption", adoption.astype(np.int8))
-        object.__setattr__(self, "preferences", prefs)
-
-    @property
-    def choices(self) -> np.ndarray:
-        return self.adoption.argmax(axis=1)
-
-
-def _one_hot(choices: np.ndarray, n_strategies: int) -> np.ndarray:
-    out = np.zeros((len(choices), n_strategies), dtype=np.int8)
-    out[np.arange(len(choices)), choices] = 1
-    return out
-
-
-def _next_choices(preferences: np.ndarray, counts: np.ndarray, coupling: float) -> np.ndarray:
+    preferences is A x N, counts has one entry per strategy, and coupling is
+    the per-adopter coupling; argmax breaks ties toward the lowest index.
+    """
     scores = preferences + coupling * counts[None, :]
-    return scores.argmax(axis=1)  # argmax breaks ties toward the lowest index
-
-
-def step(state: AgentState, coupling: float) -> AgentState:
-    """Synchronous re-evaluation of every agent at the given per-adopter coupling."""
-    counts = state.adoption.sum(axis=0).astype(float)
-    choices = _next_choices(state.preferences, counts, coupling)
-    return AgentState(
-        adoption=_one_hot(choices, state.adoption.shape[1]),
-        preferences=state.preferences,
-    )
-
-
-def initial_state(rng: np.random.Generator, agents: int, strategies: int) -> AgentState:
-    """Fresh Gaussian preferences and a uniformly random strategy per agent."""
-    prefs = rng.standard_normal((agents, strategies))
-    choices = rng.integers(0, strategies, size=agents)
-    return AgentState(adoption=_one_hot(choices, strategies), preferences=prefs)
+    return scores.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -115,12 +75,11 @@ def run(params: AgentSimParams) -> SimResult:
     counts = np.zeros((params.reps, params.steps + 1, params.strategies), dtype=np.int64)
     for rep, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        state_prefs = rng.standard_normal((params.agents, params.strategies))
+        prefs = rng.standard_normal((params.agents, params.strategies))
         choices = rng.integers(0, params.strategies, size=params.agents)
         counts[rep, 0] = np.bincount(choices, minlength=params.strategies)
         for t in range(1, params.steps + 1):
-            step_counts = counts[rep, t - 1].astype(float)
-            choices = _next_choices(state_prefs, step_counts, coupling)
+            choices = step(prefs, counts[rep, t - 1], coupling)
             counts[rep, t] = np.bincount(choices, minlength=params.strategies)
     return SimResult(counts=counts, agents=params.agents)
 

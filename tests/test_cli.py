@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -212,3 +213,76 @@ def test_twelve_digit_report_floats(tmp_path):
         if "." in token and token.replace(".", "").replace("-", "").replace("e", "").isdigit():
             mantissa = token.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 12
+
+
+def config_file(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def names_option(line, option):
+    return line.startswith((f"error: config: {option} ", f"error: config: --{option} "))
+
+
+@pytest.mark.parametrize("argv,config,option", [
+    (["simulate"], None, "n"),
+    (["simulate", "--n", "2"], {"seed": "abc"}, "seed"),
+    (["simulate", "--n", "2", "--seed", "-1"], None, "seed"),
+    (["oracle", "--seed", "-1"], None, "seed"),
+    (["agents", "--seed", "-1"], None, "seed"),
+    (["simulate", "--n", "2"], {"noise_cov": "x"}, "noise_cov"),
+    (["simulate", "--n", "2"], {"drift": [1, "a"]}, "drift"),
+    (["simulate", "--n", "2"], {"outdir": 5}, "outdir"),
+    (["agents", "--j", "-1"], None, "j"),
+    (["agents", "--jgrid=-1:1:1"], None, "jgrid"),
+], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
+        "drift", "outdir", "j", "jgrid"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, config, option):
+    if config is not None:
+        argv = argv + ["--config", config_file(tmp_path, config)]
+    if option != "outdir":
+        argv = argv + ["--outdir", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert names_option(err.strip().splitlines()[-1], option)
+    assert not (tmp_path / "out").exists()
+
+
+NUMERIC_OPTIONS = [(command, opt) for opt in cli.OPTIONS if isinstance(opt.check, cli.Number)
+                   for command in opt.commands]
+
+
+@pytest.mark.parametrize("command,opt", NUMERIC_OPTIONS,
+                         ids=[f"{command}-{opt.name}" for command, opt in NUMERIC_OPTIONS])
+def test_flag_and_config_share_the_validator(tmp_path, capsys, command, opt):
+    existing = str(write_panel(tmp_path, ["2020-01-01,0.1,-0.2"]))
+    required = {"simulate": ["n", "2"], "backtest": ["panel", existing],
+                "eigenrisk": ["panel", existing], "mix": ["pnl", existing]}.get(command)
+    base = [command] if required is None or required[0] == opt.key else [command, f"--{required[0]}", required[1]]
+    base += ["--outdir", str(tmp_path / "out")]
+    number = opt.check
+    low, high = (float(x) for x in number.bounds[1:-1].split(","))
+    bad_values = ["abc"] + [number.kind(edge) for edge in (low - 1, high + 1) if np.isfinite(edge)]
+    for bad in bad_values:
+        assert run_cli(*base, f"--{opt.name}={bad}") == 2
+        assert names_option(last_error(capsys), opt.name)
+        assert run_cli(*base, "--config", config_file(tmp_path, {opt.key: bad})) == 2
+        assert names_option(last_error(capsys), opt.name)
+
+
+def test_manifest_records_flag_options_as_supplied(tmp_path):
+    src = tmp_path / "sim"
+    assert run_cli("simulate", "--n", "2", "--T", "120", "--outdir", str(src)) == 0
+    panel = str(src / "panel.csv")
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--panel", panel, "--strategy", "ew,nm", *FAST_BT,
+                   "--outdir", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    options = {"panel": panel, "strategy": "ew,nm", "eta": 0.05, "eta_cov": 0.05,
+               "eta_var": 0.05, "warmup": 60}
+    assert manifest["options"] == options
+    body = {"command": "backtest", "seed": 0, "options": options}
+    assert manifest["config_hash"] == hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode()).hexdigest()

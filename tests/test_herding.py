@@ -5,20 +5,13 @@ from trendlab import herding
 from trendlab.errors import InvalidInput
 
 
-def one_hot(choices, n):
-    out = np.zeros((len(choices), n), dtype=np.int8)
-    out[np.arange(len(choices)), choices] = 1
-    return out
-
-
 def test_no_interaction_fixed_point():
     rng = np.random.default_rng(0)
     prefs = rng.standard_normal((20, 5))
-    state = herding.AgentState(adoption=one_hot(rng.integers(0, 5, 20), 5), preferences=prefs)
-    stepped = herding.step(state, 0.0)
-    assert np.array_equal(stepped.choices, prefs.argmax(axis=1))
-    again = herding.step(stepped, 0.0)
-    assert np.array_equal(again.adoption, stepped.adoption)
+    stepped = herding.step(prefs, np.bincount(rng.integers(0, 5, 20), minlength=5), 0.0)
+    assert np.array_equal(stepped, prefs.argmax(axis=1))
+    again = herding.step(prefs, np.bincount(stepped, minlength=5), 0.0)
+    assert np.array_equal(again, stepped)
 
 
 def test_strong_coupling_takeover():
@@ -26,29 +19,26 @@ def test_strong_coupling_takeover():
     prefs = rng.standard_normal((30, 4))
     choices = np.zeros(30, dtype=int)
     choices[:17] = 2  # strategy 2 holds the plurality
-    state = herding.AgentState(adoption=one_hot(choices, 4), preferences=prefs)
-    stepped = herding.step(state, 1e6)
-    assert (stepped.choices == 2).all()
+    stepped = herding.step(prefs, np.bincount(choices, minlength=4), 1e6)
+    assert (stepped == 2).all()
 
 
 def test_three_agents_two_strategies_by_hand():
     prefs = np.array([[0.5, 0.0],
                       [0.0, 0.4],
                       [-0.2, -0.1]])
-    adoption = one_hot(np.array([1, 1, 0]), 2)  # counts: strategy0=1, strategy1=2
-    state = herding.AgentState(adoption=adoption, preferences=prefs)
+    counts = np.bincount([1, 1, 0], minlength=2)  # strategy0=1, strategy1=2
     j = 0.3
     scores = prefs + j * np.array([1.0, 2.0])[None, :]
     # agent 0: 0.8 vs 0.6 -> 0; agent 1: 0.3 vs 1.0 -> 1; agent 2: 0.1 vs 0.5 -> 1
     want = scores.argmax(axis=1)
-    assert np.array_equal(herding.step(state, j).choices, want)
+    assert np.array_equal(herding.step(prefs, counts, j), want)
     assert np.array_equal(want, [0, 1, 1])
 
 
 def test_argmax_ties_take_lowest_index():
     prefs = np.zeros((2, 3))
-    state = herding.AgentState(adoption=one_hot(np.array([2, 1]), 3), preferences=prefs)
-    assert np.array_equal(herding.step(state, 0.0).choices, [0, 0])
+    assert np.array_equal(herding.step(prefs, np.bincount([2, 1], minlength=3), 0.0), [0, 0])
 
 
 def test_run_initial_interest_is_uniform():
@@ -80,12 +70,9 @@ def test_label_permutation_symmetry():
     prefs = rng.standard_normal((40, n))
     choices = rng.integers(0, n, 40)
     perm = rng.permutation(n)
-    state = herding.AgentState(adoption=one_hot(choices, n), preferences=prefs)
-    permuted = herding.AgentState(adoption=one_hot(perm[choices], n),
-                                  preferences=prefs[:, np.argsort(perm)])
-    a = herding.step(state, 0.7)
-    b = herding.step(permuted, 0.7)
-    assert np.array_equal(perm[a.choices], b.choices)
+    a = herding.step(prefs, np.bincount(choices, minlength=n), 0.7)
+    b = herding.step(prefs[:, np.argsort(perm)], np.bincount(perm[choices], minlength=n), 0.7)
+    assert np.array_equal(perm[a], b)
 
 
 def test_intermediate_coupling_mixes_outcomes():
@@ -109,8 +96,6 @@ def test_transition_curve_limits():
 
 
 def test_state_validation():
-    with pytest.raises(InvalidInput):
-        herding.AgentState(adoption=np.ones((3, 2)), preferences=np.zeros((3, 2)))
     with pytest.raises(InvalidInput):
         herding.AgentSimParams(agents=0, strategies=5, coupling=1.0, steps=5, reps=1)
     with pytest.raises(InvalidInput):
