@@ -5,6 +5,10 @@ that has only seen returns up to the previous day, then realizes the P&L
 against the current day's returns, and only then folds the day into the
 estimators.  Weekly return sums feed the correlation estimate every
 week_len days; per-asset vols come from the daily variance EMA.
+
+The estimators run once per panel and estimator setting, and every book of
+that setting is built from the pass one block at a time: a block is the
+days between two weekly rolls, over which one cleaned correlation holds.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimation, portfolios, signals
-from .errors import DegenerateResult, InsufficientData, InvalidInput
+from . import estimation, portfolios, signals, symmat
+from .errors import (CannotScale, DegenerateResult, DegenerateVolatility, InsufficientData,
+                     InvalidInput, InvalidMatrix, NotPositiveDefinite, ZeroTargetVector)
 from .market_model import ReturnsPanel
 from .symmat import eigendecompose
 
@@ -84,70 +89,163 @@ class BacktestResult:
         return float(pnl.mean()) / std * math.sqrt(TRADING_DAYS)
 
 
-def _positions(cfg: StrategyConfig, corr, vols, sig, classes) -> np.ndarray:
-    if cfg.kind == "zero":
-        return np.zeros(len(vols))
-    cov = corr * np.outer(vols, vols)
-    if cfg.kind == "ew":
-        book = portfolios.equally_weighted(vols)
-    elif cfg.kind == "rp":
-        book = portfolios.risk_parity(cov, vols, classes, cfg.ridge)
-    elif cfg.kind == "nm":
-        book = portfolios.naive_markowitz(cov, sig, cfg.ridge)
-    elif cfg.kind == "arp":
-        book = portfolios.agnostic_risk_parity(corr, vols, sig, cfg.ridge)
+def _solve(corr, sig, vols, target, ridge) -> np.ndarray:
+    """inv(C*vv' + ridge*I) applied to each day's signal and vol-weighted target.
+
+    ridge=None picks 1e-8 * trace/n per day: symmat's default ridge, since the
+    trace equals the sum of |eigenvalues| of these PSD covariances, so the
+    shifted matrix is the one the portfolio constructors invert.  Returns an
+    (m, n, 2) array of [signal, target] solutions.
+    """
+    n = vols.shape[1]
+    cov = corr * (vols[:, :, None] * vols[:, None, :])
+    if ridge is None:
+        ridge = symmat.DEFAULT_RIDGE_SCALE * np.einsum("tii->t", cov) / n
+    elif ridge < 0.0:
+        raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
+    cov[:, range(n), range(n)] += np.reshape(ridge, (-1, 1))
+    try:
+        return np.linalg.solve(cov, np.stack([sig, vols * target], axis=2))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"covariance is singular after ridge {np.min(ridge):.3e}")
+
+
+def _positions(cfg: StrategyConfig, corr, sig, vols, target, shared: dict) -> np.ndarray:
+    """One book's positions on consecutive days that share one cleaned correlation.
+
+    sig and vols hold one row per day; `shared` keeps the solves that the
+    books of the same days reuse.
+    """
+    kind = cfg.kind
+    if kind == "zero":
+        return np.zeros_like(vols)
+    if kind in ("ew", "arp") and vols.min() <= 0.0:
+        raise DegenerateVolatility(f"non-positive volatility {vols.min():.3e}")
+    if kind in ("rp", "torp") and not target.any():
+        raise ZeroTargetVector("all-FX universe has no risk-parity target")
+    if kind == "ew":
+        raw = 1.0 / vols
+    elif kind == "arp":
+        raw = ((sig / vols) @ symmat.inv_sqrt(corr, cfg.ridge)) / vols
     else:
-        book = portfolios.trend_on_risk_parity(cov, vols, sig, classes, cfg.ridge)
-    if cfg.vol_scale is not None and book.gross > 0.0:
-        book = portfolios.vol_target(book, cov, cfg.vol_scale)
-    return book.positions
+        if cfg.ridge not in shared:
+            shared[cfg.ridge] = _solve(corr, sig, vols, target, cfg.ridge)
+        solved = shared[cfg.ridge]
+        if kind == "nm":
+            raw = solved[:, :, 0]
+        elif kind == "rp":
+            raw = solved[:, :, 1]
+        else:  # the risk-parity book traded by the signal projected on it
+            raw = np.einsum("ti,ti->t", solved[:, :, 1], sig)[:, None] * solved[:, :, 1]
+    gross = np.abs(raw).sum(axis=1, keepdims=True)
+    pos = raw / np.where(gross > 0.0, gross, 1.0)
+    if not np.isfinite(pos).all():
+        raise InvalidInput("positions contain non-finite entries")
+    if cfg.vol_scale is not None:
+        if cfg.vol_scale <= 0.0:
+            raise InvalidInput(f"target must be positive, got {cfg.vol_scale}")
+        live = gross[:, 0] > 0.0
+        q = pos[live] * vols[live]
+        variance = np.einsum("ti,ij,tj->t", q, corr, q)
+        if (variance <= 0.0).any():
+            raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled")
+        pos[live] *= (cfg.vol_scale / np.sqrt(variance))[:, None]
+    return pos
+
+
+def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tuple:
+    """Run the setting's estimators over the panel once and build the books from them.
+
+    A block is the days between two weekly rolls; each book's day t sees the
+    signal and vols of days < t and the correlation cleaned at the block's
+    opening roll.  A roll is cleaned only if it is the last one or if a book
+    that reads the correlation trades in the block it opens.  Returns each
+    book's positions and the final (correlation, vols).
+    """
+    returns = panel.returns
+    n_days, n = returns.shape
+    ratio = setting.sample_ratio
+    if ratio is None:
+        ratio = estimation.default_sample_ratio(n, setting.cov_rate)
+    clean = estimation.CLEANERS[setting.cleaner]
+    target = portfolios.class_target(panel.asset_classes)
+    warmups = [cfg.warmup_days() for cfg in books]
+    positions = [np.zeros((n_days, n)) for _ in books]
+    first_read = min([w for cfg, w in zip(books, warmups)
+                      if cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None] + [n_days])
+
+    sig = signals.SignalState.initial(setting.signal_rate, n)
+    state = estimation.CovarianceState(n=n, cov_rate=setting.cov_rate, var_rate=setting.var_rate)
+    sigs, variances = np.zeros((n_days, n)), np.zeros((n_days, n))
+    corr, start = None, 0
+    for t in range(n_days):
+        sigs[t] = sig.values
+        if t:
+            variances[t] = state.variances
+        sig = signals.update(sig, returns[t])
+        state = estimation.update_daily(state, returns[t])
+        day = t + 1
+        rolls = day % setting.week_len == 0
+        if not rolls and day < n_days:
+            continue
+        shared = {}  # solves that books trading the same days share
+        for cfg, warmup, pos in zip(books, warmups, positions):
+            lo = max(start, warmup)
+            if lo < day:
+                pos[lo:day] = _positions(cfg, corr, sigs[lo:day], np.sqrt(variances[lo:day]),
+                                         target, shared.setdefault(lo, {}))
+        if rolls:
+            state = estimation.roll_week(state)
+            needed = day + setting.week_len > first_read
+            corr = clean(estimation.correlation(state), ratio) if needed else None
+            start = day
+    if corr is None:
+        estimation.correlation(state)  # raises: no weekly roll yet
+    return positions, corr, estimation.volatilities(state)
 
 
 def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:
     """Run one strategy over the panel; pre-warmup days carry zero positions."""
-    n_days, n = panel.returns.shape
-    warmup = cfg.warmup_days()
-    if n_days <= warmup:
-        raise InsufficientData(f"panel of {n_days} days does not clear warm-up {warmup}")
+    return run_many(panel, [cfg])[0]
 
-    sig_state = signals.SignalState.initial(cfg.signal_rate, n)
-    cov_state = estimation.CovarianceState(n=n, cov_rate=cfg.cov_rate, var_rate=cfg.var_rate)
-    sample_ratio = cfg.sample_ratio
-    if sample_ratio is None:
-        sample_ratio = estimation.default_sample_ratio(n, cfg.cov_rate)
-    clean = estimation.CLEANERS[cfg.cleaner]
 
-    pnl = np.zeros(n_days)
-    positions = np.zeros((n_days, n))
-    corr = None
-    for t in range(1, n_days + 1):
-        r = panel.returns[t - 1]
-        if t > warmup:
-            pos = _positions(cfg, corr, estimation.volatilities(cov_state),
-                             sig_state.values, panel.asset_classes)
-            positions[t - 1] = pos
-            pnl[t - 1] = float(r @ pos)
-        sig_state = signals.update(sig_state, r)
-        cov_state = estimation.update_daily(cov_state, r)
-        if t % cfg.week_len == 0:
-            cov_state = estimation.roll_week(cov_state)
-            corr = clean(estimation.correlation(cov_state), sample_ratio)
-    return BacktestResult(pnl=pnl, positions=positions, warmup=warmup, strategy=cfg.kind)
+def run_many(panel: ReturnsPanel, configs) -> list[BacktestResult]:
+    """Run every strategy over the panel with one estimator pass per estimator setting."""
+    return run_with_estimates(panel, configs)[0]
+
+
+def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, np.ndarray]:
+    """run_many's results plus the final (correlation, vols) of configs[0]'s pass.
+
+    Configs with equal signal/cov/var rates, cleaner, sample ratio and
+    week_len share one pass; the first error of any book aborts the call.
+    """
+    if not configs:
+        raise InvalidInput("need at least one strategy")
+    groups: dict[tuple, list] = {}
+    for i, cfg in enumerate(configs):
+        if panel.n_days <= cfg.warmup_days():
+            raise InsufficientData(f"panel of {panel.n_days} days does not clear warm-up "
+                                   f"{cfg.warmup_days()}")
+        key = (cfg.signal_rate, cfg.cov_rate, cfg.var_rate, cfg.cleaner, cfg.sample_ratio,
+               cfg.week_len)
+        groups.setdefault(key, []).append(i)
+    results, finals = [None] * len(configs), []
+    for members in groups.values():
+        books = [configs[i] for i in members]
+        positions, corr, vols = _estimator_pass(panel, books[0], books)
+        finals.append((corr, vols))
+        for i, cfg, pos in zip(members, books, positions):
+            warmup = cfg.warmup_days()
+            pnl = np.zeros(panel.n_days)
+            pnl[warmup:] = np.einsum("ti,ti->t", panel.returns[warmup:], pos[warmup:])
+            results[i] = BacktestResult(pnl=pnl, positions=pos, warmup=warmup, strategy=cfg.kind)
+    return results, *finals[0]
 
 
 def pipeline_estimates(panel: ReturnsPanel, cfg: StrategyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cleaned correlation and daily vols the pipeline holds after the whole panel."""
-    cov_state = estimation.CovarianceState(n=panel.n_assets, cov_rate=cfg.cov_rate,
-                                           var_rate=cfg.var_rate)
-    sample_ratio = cfg.sample_ratio
-    if sample_ratio is None:
-        sample_ratio = estimation.default_sample_ratio(panel.n_assets, cfg.cov_rate)
-    for t in range(1, panel.n_days + 1):
-        cov_state = estimation.update_daily(cov_state, panel.returns[t - 1])
-        if t % cfg.week_len == 0:
-            cov_state = estimation.roll_week(cov_state)
-    corr = estimation.CLEANERS[cfg.cleaner](estimation.correlation(cov_state), sample_ratio)
-    return corr, estimation.volatilities(cov_state)
+    return _estimator_pass(panel, cfg, [])[1:]
 
 
 def estimate_correlation(panel: ReturnsPanel, cfg: StrategyConfig) -> np.ndarray:

@@ -9,7 +9,8 @@ the row's validator before any command runs.  Every command writes its
 artifacts plus a manifest.json into --outdir; outputs are byte-identical for a
 fixed (config, seed).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 data error (a malformed panel, or one
+shorter than the warm-up), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, backtest, estimation, herding, market_model, portfolios, sharpe_oracle
-from .errors import IngestError, TrendlabError
+from .errors import DegenerateResult, IngestError, InsufficientData, TrendlabError
 from .market_model import ModelParams, ReturnsPanel
 
 EXIT_OK = 0
@@ -340,10 +341,12 @@ def _cmd_simulate(cfg: RunConfig) -> None:
 
 
 def _run_strategies(cfg: RunConfig) -> tuple:
-    """The panel, the book names and one backtest per book, run in order."""
+    """The panel, the book names, one backtest per book and the final (corr, vols),
+    all from one estimator pass."""
     panel = ingest_csv(cfg.options["panel"])
     names = cfg.options["strategy"]
-    return panel, names, [backtest.run(panel, _strategy_config(name, cfg.options)) for name in names]
+    configs = [_strategy_config(name, cfg.options) for name in names]
+    return panel, names, *backtest.run_with_estimates(panel, configs)
 
 
 def _pnl_rows(names: list, results: list) -> tuple:
@@ -368,28 +371,33 @@ def _write_positions(cfg: RunConfig, name: str, result) -> None:
 
 
 def _cmd_backtest(cfg: RunConfig) -> None:
-    panel, names, results = _run_strategies(cfg)
+    panel, names, results, corr, vols = _run_strategies(cfg)
 
     header, rows = _pnl_rows(names, results)
     _write_csv(cfg.outdir / "pnl.csv", header, rows)
     for name, result in zip(names, results):
         _write_positions(cfg, name, result)
 
-    summary = {"sharpes": {}, "correlations": None, "mix": None}
+    sharpes = {}
     for name, result in zip(names, results):
-        summary["sharpes"][name] = result.sharpe
-    if len(results) >= 2:
-        corr = backtest.strategy_correlations(results)
-        summary["correlations"] = {"labels": list(names), "matrix": corr}
-        mix = backtest.optimal_mix(results, seed=cfg.seed)
-        summary["mix"] = {"weights": dict(zip(names, mix.weights)), "sharpe": mix.sharpe}
+        try:
+            sharpes[name] = result.sharpe
+        except DegenerateResult:  # zero-variance P&L: no Sharpe ratio, left out of the mix
+            sharpes[name] = None
+    live = [name for name in names if sharpes[name] is not None]
+    live_results = [results[names.index(name)] for name in live]
+    summary = {"sharpes": sharpes, "correlations": None, "mix": None}
+    if len(live) >= 2:
+        summary["correlations"] = {"labels": live,
+                                   "matrix": backtest.strategy_correlations(live_results)}
+        mix = backtest.optimal_mix(live_results, seed=cfg.seed)
+        summary["mix"] = {"weights": dict(zip(live, mix.weights)), "sharpe": mix.sharpe}
     _write_json(cfg.outdir / "summary.json", summary)
 
-    _write_eigenrisk(cfg, panel, names, results)
+    _write_eigenrisk(cfg, panel, names, results, corr, vols)
 
 
-def _write_eigenrisk(cfg: RunConfig, panel, names, results) -> None:
-    corr, vols = backtest.pipeline_estimates(panel, _strategy_config(names[0], cfg.options))
+def _write_eigenrisk(cfg: RunConfig, panel, names, results, corr, vols) -> None:
     profiles = [backtest.realized_risk(r, corr, panel) for r in results]
     header = ["eigenvalue"] + list(names)
     rows = (
@@ -570,7 +578,7 @@ OPTIONS = (
     Option("warmup", _BOOKS, _COUNT, None, "override the warm-up day count"),
     Option("n", ("oracle",), Number(int, f"[1, {sharpe_oracle.EXACT_MAX_ASSETS}]"), 2,
            f"asset count (<= {sharpe_oracle.EXACT_MAX_ASSETS})"),
-    Option("t", ("oracle",), Number(int, "[2, inf)"), 500, "evaluation time"),
+    Option("t", ("oracle",), Number(int, "[3, inf)"), 500, "evaluation time"),
     Option("models", ("oracle",), _COUNT, 20, "number of random models"),
     Option("A", ("agents",), _COUNT, 1000, "agent count"),
     Option("N", ("agents",), _COUNT, 50, "strategy count"),
@@ -651,7 +659,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IngestError as exc:
+    except (IngestError, InsufficientData) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrendlabError as exc:

@@ -59,11 +59,10 @@ def eigendecompose(m: np.ndarray) -> EigenPairs:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, k] = -col
+    sizable = np.abs(vecs) > 1e-12
+    lead = vecs[sizable.argmax(axis=0), np.arange(vecs.shape[1])]
+    flip = sizable.any(axis=0) & (lead < 0.0)
+    vecs[:, flip] = -vecs[:, flip]
     return EigenPairs(eigenvalues=vals, eigenvectors=vecs)
 
 

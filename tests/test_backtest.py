@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import market_trend_model, rand_spd
 from trendlab import backtest as bt
-from trendlab import estimation, portfolios, signals
-from trendlab.errors import DegenerateResult, InsufficientData, InvalidInput
+from trendlab import estimation, portfolios, signals, symmat
+from trendlab.errors import DegenerateResult, InsufficientData, InvalidInput, TrendlabError
 from trendlab.market_model import ModelParams, ReturnsPanel, simulate
 
 FAST = dict(signal_rate=0.05, cov_rate=0.05, var_rate=0.05)
@@ -266,3 +268,138 @@ def test_strategy_config_validation():
         bt.StrategyConfig(kind="ew", warmup=2, week_len=5)
     assert bt.StrategyConfig(kind="ew").warmup_days() == 7500
     assert bt.StrategyConfig(kind="ew", signal_rate=0.01, cov_rate=0.01).warmup_days() == 1000
+
+
+def reference_book(cfg, corr, vols, sig, classes):
+    """One day's positions from the public constructors."""
+    if cfg.kind == "zero":
+        return np.zeros(len(vols))
+    cov = corr * np.outer(vols, vols)
+    if cfg.kind == "ew":
+        book = portfolios.equally_weighted(vols)
+    elif cfg.kind == "rp":
+        book = portfolios.risk_parity(cov, vols, classes, cfg.ridge)
+    elif cfg.kind == "nm":
+        book = portfolios.naive_markowitz(cov, sig, cfg.ridge)
+    elif cfg.kind == "arp":
+        book = portfolios.agnostic_risk_parity(corr, vols, sig, cfg.ridge)
+    else:
+        book = portfolios.trend_on_risk_parity(cov, vols, sig, classes, cfg.ridge)
+    if cfg.vol_scale is not None and book.gross > 0.0:
+        book = portfolios.vol_target(book, cov, cfg.vol_scale)
+    return book.positions
+
+
+def listed_book(cfg, corr, vols, sig, classes):
+    """reference_book, exact on days when some assets are flat (zero vol).
+
+    A flat asset's covariance row is exactly zero, so the ridge-shifted inverse
+    holds it at zero and trades the listed assets at the full universe's
+    ridge.  The per-day eigen-inverse misses that book by about 1e-8.
+    """
+    listed = vols > 0.0
+    if cfg.kind not in ("nm", "rp", "torp") or listed.all() or not listed.any():
+        return reference_book(cfg, corr, vols, sig, classes)
+    ridge = symmat.DEFAULT_RIDGE_SCALE * float(vols @ vols) / len(vols)
+    positions = np.zeros(len(vols))
+    positions[listed] = reference_book(
+        dataclasses.replace(cfg, ridge=ridge), corr[np.ix_(listed, listed)], vols[listed],
+        sig[listed], tuple(c for c, keep in zip(classes, listed) if keep))
+    return positions
+
+
+def reference_run(panel, cfg, book=reference_book):
+    """Per-day engine: positions, P&L and the final (corr, vols) of the estimators."""
+    n_days, n = panel.returns.shape
+    warmup = cfg.warmup_days()
+    sig = signals.SignalState.initial(cfg.signal_rate, n)
+    cov = estimation.CovarianceState(n=n, cov_rate=cfg.cov_rate, var_rate=cfg.var_rate)
+    ratio = cfg.sample_ratio or estimation.default_sample_ratio(n, cfg.cov_rate)
+    clean = estimation.CLEANERS[cfg.cleaner]
+    positions, pnl, corr = np.zeros((n_days, n)), np.zeros(n_days), None
+    for t in range(1, n_days + 1):
+        r = panel.returns[t - 1]
+        if t > warmup:
+            positions[t - 1] = book(cfg, corr, estimation.volatilities(cov), sig.values,
+                                    panel.asset_classes)
+            pnl[t - 1] = r @ positions[t - 1]
+        sig = signals.update(sig, r)
+        cov = estimation.update_daily(cov, r)
+        if t % cfg.week_len == 0:
+            cov = estimation.roll_week(cov)
+            corr = clean(estimation.correlation(cov), ratio)
+    return positions, pnl, (clean(estimation.correlation(cov), ratio),
+                            estimation.volatilities(cov))
+
+
+def factor_panel(seed, days, classes):
+    """Correlated returns: one common factor plus idiosyncratic noise."""
+    rng = np.random.default_rng(seed)
+    n = len(classes)
+    returns = 0.6 * rng.standard_normal((days, 1)) + rng.standard_normal((days, n))
+    returns *= np.linspace(0.5, 2.0, n)
+    return ReturnsPanel(returns=returns + 0.02, asset_classes=classes, seed=seed)
+
+
+EQUIVALENCE_BOUND = 1e-10  # times max |position| of the per-day engine
+ENGINE_CLASSES = ("stock", "stock", "bond", "fx")
+
+
+@pytest.mark.parametrize("cleaner", ["rie", "clip", "none"])
+@pytest.mark.parametrize("week_len", [1, 5])
+@pytest.mark.parametrize("vol_scale", [None, 0.02])
+def test_blocked_engine_matches_per_day_constructors(cleaner, week_len, vol_scale):
+    panel = factor_panel(16, 240, ENGINE_CLASSES)
+    configs = [bt.StrategyConfig(kind=kind, cleaner=cleaner, week_len=week_len,
+                                 vol_scale=vol_scale, warmup=63, **FAST)
+               for kind in bt.STRATEGY_KINDS]
+    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+        positions, pnl, _ = reference_run(panel, cfg)
+        bound = EQUIVALENCE_BOUND * np.abs(positions).max()
+        assert np.abs(res.positions - positions).max() <= bound, cfg.kind
+        assert np.abs(res.pnl - pnl).max() <= bound, cfg.kind
+        assert res.warmup == 63 and res.strategy == cfg.kind
+    corr, vols = bt.pipeline_estimates(panel, configs[0])
+    _, _, (want_corr, want_vols) = reference_run(panel, configs[0])
+    assert np.array_equal(corr, want_corr) and np.array_equal(vols, want_vols)
+
+
+def late_listing_panel():
+    panel = factor_panel(17, 240, ENGINE_CLASSES)
+    panel.returns[:100, 1] = 0.0
+    return panel
+
+
+@pytest.mark.parametrize("panel", [
+    late_listing_panel(),
+    ReturnsPanel(returns=np.zeros((120, 3)), asset_classes=("stock",) * 3),
+    factor_panel(18, 120, ("fx",) * 3),
+], ids=["late-listing", "all-zero", "all-fx"])
+@pytest.mark.parametrize("kind", bt.STRATEGY_KINDS)
+def test_blocked_engine_fails_like_per_day_constructors(panel, kind):
+    cfg = bt.StrategyConfig(kind=kind, warmup=63, **FAST)
+    try:
+        positions, pnl, _ = reference_run(panel, cfg, listed_book)
+    except TrendlabError as exc:
+        with pytest.raises(type(exc)):
+            bt.run(panel, cfg)
+        return
+    res = bt.run(panel, cfg)
+    bound = EQUIVALENCE_BOUND * np.abs(positions).max()
+    assert np.abs(res.positions - positions).max() <= bound
+    assert np.abs(res.pnl - pnl).max() <= bound
+
+
+def test_run_many_equals_one_run_per_config():
+    panel = factor_panel(19, 300, ENGINE_CLASSES)
+    slow = dict(signal_rate=0.02, cov_rate=0.02, var_rate=0.02)
+    configs = [bt.StrategyConfig(kind="nm", warmup=63, **FAST),
+               bt.StrategyConfig(kind="ew", warmup=80, **slow),
+               bt.StrategyConfig(kind="arp", warmup=70, **FAST),
+               bt.StrategyConfig(kind="torp", warmup=80, **slow),
+               bt.StrategyConfig(kind="rp", warmup=63, vol_scale=0.02, **FAST)]
+    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+        one = bt.run(panel, cfg)
+        assert np.array_equal(res.positions, one.positions)
+        assert np.array_equal(res.pnl, one.pnl)
+        assert (res.warmup, res.strategy) == (one.warmup, one.strategy)

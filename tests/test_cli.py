@@ -236,8 +236,9 @@ def names_option(line, option):
     (["simulate", "--n", "2"], {"outdir": 5}, "outdir"),
     (["agents", "--j", "-1"], None, "j"),
     (["agents", "--jgrid=-1:1:1"], None, "jgrid"),
+    (["oracle", "--t", "2"], None, "t"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
-        "drift", "outdir", "j", "jgrid"])
+        "drift", "outdir", "j", "jgrid", "oracle-t"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, config, option):
     if config is not None:
         argv = argv + ["--config", config_file(tmp_path, config)]
@@ -286,3 +287,39 @@ def test_manifest_records_flag_options_as_supplied(tmp_path):
     body = {"command": "backtest", "seed": 0, "options": options}
     assert manifest["config_hash"] == hashlib.sha256(
         json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def test_oracle_runs_at_the_smallest_t(tmp_path):
+    # at t=2 the trend amplitude of a random model cannot be sized, so t starts at 3
+    assert run_cli("oracle", "--n", "2", "--t", "3", "--models", "2",
+                   "--outdir", str(tmp_path / "oracle")) == 0
+
+
+def test_backtest_reports_zero_variance_books_as_null(tmp_path):
+    src = tmp_path / "sim"
+    assert run_cli("simulate", "--n", "3", "--T", "300", "--seed", "1",
+                   "--outdir", str(src)) == 0
+    panel = str(src / "panel.csv")
+    for books, live in (("zero,ew,nm", ["ew", "nm"]), ("zero,ew", ["ew"]), ("zero", [])):
+        out = tmp_path / books
+        assert run_cli("backtest", "--panel", panel, "--strategy", books, *FAST_BT,
+                       "--outdir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sharpes"]["zero"] is None
+        assert sorted(k for k, v in summary["sharpes"].items() if v is not None) == live
+        if len(live) < 2:
+            assert summary["correlations"] is None and summary["mix"] is None
+        else:
+            assert summary["correlations"]["labels"] == live
+            assert len(summary["correlations"]["matrix"]) == len(live)
+            assert sorted(summary["mix"]["weights"]) == live
+        assert read_rows(out / "pnl.csv")[0] == "date," + books
+
+
+def test_panel_shorter_than_warmup_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "sim"
+    assert run_cli("simulate", "--n", "2", "--T", "1", "--outdir", str(src)) == 0
+    for command in ("backtest", "eigenrisk"):
+        assert run_cli(command, "--panel", str(src / "panel.csv"),
+                       "--outdir", str(tmp_path / command)) == 3
+        assert last_error(capsys).startswith("error: data: panel of 1 days")

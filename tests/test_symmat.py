@@ -107,3 +107,43 @@ def test_default_ridge_rescues_near_singular():
 def test_indefinite_matrix_rejected():
     with pytest.raises(NotPositiveDefinite):
         symmat.inv_sqrt(np.diag([1.0, -0.2]), 0.0)
+
+
+def loop_eigendecompose(m):
+    """Reference: eigh, descending order, then the per-column sign-fix loop."""
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0.0:
+            vecs[:, k] = -col
+    return vals, vecs
+
+
+def tiny_leading_matrix(rng, n):
+    """Eigenvectors whose first components sit below 1e-12, with both signs."""
+    q = np.eye(n)
+    q[1:, 1:], _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+    angle = 3e-13
+    tilt = np.eye(n)
+    tilt[0, 0] = tilt[1, 1] = np.cos(angle)
+    tilt[0, 1], tilt[1, 0] = -np.sin(angle), np.sin(angle)
+    q = tilt @ q
+    return symmat.symmetrize((q * np.linspace(3.0, 0.5, n)) @ q.T)
+
+
+def test_vectorized_sign_fix_matches_the_loop():
+    rng = np.random.default_rng(6)
+    cases = [rand_spd(rng, n) for n in (1, 2, 5, 16, 40) for _ in range(4)]
+    cases += [np.eye(n) for n in (1, 3, 10)]
+    cases += [tiny_leading_matrix(rng, n) for n in (3, 6, 12) for _ in range(4)]
+    tiny = 0
+    for m in cases:
+        pairs = symmat.eigendecompose(m)
+        vals, vecs = loop_eigendecompose(m)
+        assert np.array_equal(pairs.eigenvalues, vals)
+        assert np.array_equal(pairs.eigenvectors, vecs)
+        tiny += int(((np.abs(vecs[0]) < 1e-12) & (vecs[0] != 0.0)).sum())
+    assert tiny > 0  # the sub-1e-12 leading components were exercised
