@@ -13,6 +13,7 @@ days between two weekly rolls, over which one cleaned correlation holds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -314,70 +315,50 @@ def _mix_sharpe(x: np.ndarray, w: np.ndarray) -> float:
     return float(series.mean() / std * math.sqrt(TRADING_DAYS))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto {w >= 0, sum w = 1}
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
-def optimal_mix(results, seed: int = 0, starts: int = 16, iters: int = 400) -> MixResult:
-    """In-sample Sharpe-optimal convex combination of unit-vol P&L series.
-
-    Projected gradient ascent on the simplex from multiple starts (every
-    vertex, the uniform point, and random draws); ties at the optimum are
-    broken toward the uniform split.
-    """
-    if len(results) < 2:
-        raise InvalidInput("need at least two strategies to mix")
+def _unit_vol_active(results) -> np.ndarray:
+    """Aligned active P&L with each series divided by its standard deviation."""
     x = _aligned_active(results)
     stds = x.std(axis=0, ddof=1)
     if stds.min() <= 0.0:
         raise DegenerateResult("cannot mix a zero-variance P&L series")
-    x = x / stds
+    return x / stds
+
+
+def optimal_mix(results) -> MixResult:
+    """In-sample Sharpe-optimal convex combination of unit-vol P&L series.
+
+    Exact and seed-free.  The Sharpe ratio is scale-free, so off the vertices
+    its maximum over w >= 0 sits at w_S proportional to inv(cov_S) mean_S on
+    the support S where those components are all positive (the opposite sign
+    is the minimum over span S).  The candidates are every vertex, that point
+    of every support of two or more series where it is positive, and the
+    uniform split; all are feasible and scored on the mixed series, and ties
+    at the optimum are broken toward the uniform split.
+    """
+    if len(results) < 2:
+        raise InvalidInput("need at least two strategies to mix")
+    x = _unit_vol_active(results)
     m = x.shape[1]
-
-    rng = np.random.default_rng(seed)
-    candidates = [np.full(m, 1.0 / m)]
-    candidates += [np.eye(m)[i] for i in range(m)]
-    candidates += [rng.dirichlet(np.ones(m)) for _ in range(starts)]
-
     mu = x.mean(axis=0)
     cov = np.cov(x, rowvar=False, ddof=1).reshape(m, m)
-    best_w, best_s = None, -np.inf
-    for w0 in candidates:
-        w = w0.copy()
-        step = 0.5
-        s_prev = _mix_sharpe(x, w)
-        for _ in range(iters):
-            denom = float(w @ cov @ w)
-            if denom <= 0.0:
-                break
-            sigma = math.sqrt(denom)
-            grad = mu / sigma - float(mu @ w) * (cov @ w) / denom**1.5
-            w_new = _project_simplex(w + step * grad)
-            s_new = _mix_sharpe(x, w_new)
-            if s_new < s_prev:
-                step *= 0.5
-                if step < 1e-12:
-                    break
+    candidates = list(np.eye(m))
+    for size in range(2, m + 1):
+        for support in itertools.combinations(range(m), size):
+            idx = list(support)
+            try:
+                solved = np.linalg.solve(cov[np.ix_(idx, idx)], mu[idx])
+            except np.linalg.LinAlgError:  # a singular support's optimum lies on a smaller one
                 continue
-            if s_new - s_prev < 1e-14:
-                w = w_new
-                break
-            w, s_prev = w_new, s_new
-        s_final = _mix_sharpe(x, w)
-        if s_final > best_s:
-            best_w, best_s = w, s_final
-
-    uniform = np.full(m, 1.0 / m)
-    if _mix_sharpe(x, uniform) >= best_s - 1e-12:
-        best_w, best_s = uniform, _mix_sharpe(x, uniform)
+            if (solved > 0.0).all():
+                candidates.append(np.zeros(m))
+                candidates[-1][idx] = solved / solved.sum()
+    candidates.append(np.full(m, 1.0 / m))
+    sharpes = [_mix_sharpe(x, w) for w in candidates]
+    best = int(np.argmax(sharpes))
+    if sharpes[-1] >= sharpes[best] - 1e-12:
+        best = -1
     labels = tuple(getattr(r, "strategy", "") or str(i) for i, r in enumerate(results))
-    return MixResult(weights=best_w, sharpe=best_s, labels=labels)
+    return MixResult(weights=candidates[best], sharpe=sharpes[best], labels=labels)
 
 
 def sweep_mix_curve(results, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
@@ -386,11 +367,7 @@ def sweep_mix_curve(results, step: float = 0.01) -> tuple[np.ndarray, np.ndarray
         raise InvalidInput("sweep needs exactly two strategies")
     if not 0.0 < step <= 0.5:
         raise InvalidInput(f"grid step must be in (0, 0.5], got {step}")
-    x = _aligned_active(results)
-    stds = x.std(axis=0, ddof=1)
-    if stds.min() <= 0.0:
-        raise DegenerateResult("cannot mix a zero-variance P&L series")
-    x = x / stds
+    x = _unit_vol_active(results)
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
     sharpes = np.array([_mix_sharpe(x, np.array([1.0 - w, w])) for w in grid])

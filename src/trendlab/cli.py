@@ -37,8 +37,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_EPOCH = datetime.date(2000, 1, 3)  # a Monday; synthetic panels get weekday dates
-
 
 class ConfigError(TrendlabError):
     """Bad command-line or config-file value."""
@@ -80,15 +78,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _trading_dates(n: int) -> list:
-    dates, day = [], _EPOCH
-    while len(dates) < n:
-        if day.weekday() < 5:
-            dates.append(day.isoformat())
-        day += datetime.timedelta(days=1)
-    return dates
-
-
 # ---------------------------------------------------------------------------
 # panel io
 # ---------------------------------------------------------------------------
@@ -101,7 +90,7 @@ def export_panel(panel: ReturnsPanel, path: Path) -> None:
     """Panel to CSV (full float precision, so re-ingestion is bit-exact)."""
     path = Path(path)
     header = ["date"] + [f"asset_{j + 1}" for j in range(panel.n_assets)]
-    dates = _trading_dates(panel.n_days)
+    dates = panel.calendar()
     rows = (
         [dates[t]] + [repr(float(x)) for x in panel.returns[t]]
         for t in range(panel.n_days)
@@ -135,7 +124,7 @@ def ingest_csv(path) -> ReturnsPanel:
     if len(classes) != n:
         raise IngestError(f"sidecar lists {len(classes)} classes for {n} assets")
 
-    rows, prev_date = [], None
+    rows, dates = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != n + 1:
@@ -144,9 +133,9 @@ def ingest_csv(path) -> ReturnsPanel:
             date = datetime.date.fromisoformat(cells[0])
         except ValueError:
             raise IngestError(f"unparseable date {cells[0]!r}", line=lineno)
-        if prev_date is not None and date <= prev_date:
+        if dates and date.isoformat() <= dates[-1]:
             raise IngestError(f"dates must be strictly increasing at {date}", line=lineno)
-        prev_date = date
+        dates.append(date.isoformat())
         values = []
         for cell in cells[1:]:
             cell = cell.strip()
@@ -162,7 +151,7 @@ def ingest_csv(path) -> ReturnsPanel:
         rows.append(values)
     if not rows:
         raise IngestError("panel has no data rows", line=2)
-    return ReturnsPanel(returns=np.array(rows), asset_classes=classes, seed=seed)
+    return ReturnsPanel(returns=np.array(rows), asset_classes=classes, seed=seed, dates=dates)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +338,9 @@ def _run_strategies(cfg: RunConfig) -> tuple:
     return panel, names, *backtest.run_with_estimates(panel, configs)
 
 
-def _pnl_rows(names: list, results: list) -> tuple:
+def _pnl_rows(names: list, results: list, dates: tuple) -> tuple:
     warmup = max(r.warmup for r in results)
     n_days = len(results[0].pnl)
-    dates = _trading_dates(n_days)
     rows = (
         [dates[t]] + [f"{float(r.pnl[t]):.12g}" for r in results]
         for t in range(warmup, n_days)
@@ -360,8 +348,7 @@ def _pnl_rows(names: list, results: list) -> tuple:
     return ["date"] + list(names), rows
 
 
-def _write_positions(cfg: RunConfig, name: str, result) -> None:
-    dates = _trading_dates(len(result.pnl))
+def _write_positions(cfg: RunConfig, name: str, result, dates: tuple) -> None:
     rows = (
         [dates[t], f"asset_{j + 1}", f"{float(result.positions[t, j]):.12g}"]
         for t in range(result.warmup, len(result.pnl))
@@ -373,10 +360,11 @@ def _write_positions(cfg: RunConfig, name: str, result) -> None:
 def _cmd_backtest(cfg: RunConfig) -> None:
     panel, names, results, corr, vols = _run_strategies(cfg)
 
-    header, rows = _pnl_rows(names, results)
+    dates = panel.calendar()
+    header, rows = _pnl_rows(names, results, dates)
     _write_csv(cfg.outdir / "pnl.csv", header, rows)
     for name, result in zip(names, results):
-        _write_positions(cfg, name, result)
+        _write_positions(cfg, name, result, dates)
 
     sharpes = {}
     for name, result in zip(names, results):
@@ -390,7 +378,7 @@ def _cmd_backtest(cfg: RunConfig) -> None:
     if len(live) >= 2:
         summary["correlations"] = {"labels": live,
                                    "matrix": backtest.strategy_correlations(live_results)}
-        mix = backtest.optimal_mix(live_results, seed=cfg.seed)
+        mix = backtest.optimal_mix(live_results)
         summary["mix"] = {"weights": dict(zip(live, mix.weights)), "sharpe": mix.sharpe}
     _write_json(cfg.outdir / "summary.json", summary)
 

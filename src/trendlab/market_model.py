@@ -14,6 +14,7 @@ implemented; the analytic machinery downstream assumes a common kernel).
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import InvalidIndex, InvalidInput, InvalidModel
 
 ASSET_CLASSES = ("stock", "bond", "fx")
+
+_EPOCH = datetime.date(2000, 1, 3)  # a Monday; panels without dates get weekday dates
 
 
 def _as_psd(name: str, m: np.ndarray, n: int) -> np.ndarray:
@@ -84,11 +87,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """T x n matrix of daily returns with asset-class labels and the seed used."""
+    """T x n matrix of daily returns with asset-class labels, the seed used and,
+    for ingested panels, the ISO date of each row."""
 
     returns: np.ndarray
     asset_classes: tuple[str, ...]
     seed: int = 0
+    dates: tuple[str, ...] | None = None
 
     def __post_init__(self):
         r = np.asarray(self.returns, dtype=float)
@@ -100,6 +105,10 @@ class ReturnsPanel:
         object.__setattr__(self, "asset_classes", tuple(self.asset_classes))
         if len(self.asset_classes) != r.shape[1]:
             raise InvalidInput("one asset-class label is required per column")
+        if self.dates is not None:
+            object.__setattr__(self, "dates", tuple(self.dates))
+            if len(self.dates) != r.shape[0]:
+                raise InvalidInput("one date is required per row")
 
     @property
     def n_days(self) -> int:
@@ -108,6 +117,17 @@ class ReturnsPanel:
     @property
     def n_assets(self) -> int:
         return self.returns.shape[1]
+
+    def calendar(self) -> tuple[str, ...]:
+        """ISO date of each row: the panel's own dates, else weekdays from 2000-01-03."""
+        if self.dates is not None:
+            return self.dates
+        dates, day = [], _EPOCH
+        while len(dates) < self.n_days:
+            if day.weekday() < 5:
+                dates.append(day.isoformat())
+            day += datetime.timedelta(days=1)
+        return tuple(dates)
 
 
 def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 
@@ -64,6 +65,24 @@ def test_export_ingest_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(back.returns, panel.returns)
     assert back.asset_classes == panel.asset_classes
     assert back.seed == 9
+
+
+def test_backtest_keeps_the_panel_dates(tmp_path):
+    rng = np.random.default_rng(3)
+    start = datetime.date(2015, 6, 1)
+    dates = [(start + datetime.timedelta(days=t)).isoformat() for t in range(150)]
+    path = write_panel(tmp_path, [f"{d},{float(a)!r},{float(b)!r}"
+                                  for d, (a, b) in zip(dates, 0.01 * rng.standard_normal((150, 2)))])
+    assert cli.ingest_csv(path).dates == tuple(dates)
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--panel", str(path), "--strategy", "ew,nm", *FAST_BT,
+                   "--outdir", str(out)) == 0
+    assert [row.split(",")[0] for row in read_rows(out / "pnl.csv")[1:]] == dates[60:]
+    for book in ("ew", "nm"):
+        rows = read_rows(out / f"positions_{book}.csv")[1:]
+        assert [row.split(",")[0] for row in rows[::2]] == dates[60:]
+    cli.export_panel(cli.ingest_csv(path), tmp_path / "again.csv")
+    assert read_rows(tmp_path / "again.csv")[1:] == read_rows(path)[1:]
 
 
 def run_cli(*argv):
