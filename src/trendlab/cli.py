@@ -124,6 +124,14 @@ def ingest_csv(path) -> ReturnsPanel:
     if len(classes) != n:
         raise IngestError(f"sidecar lists {len(classes)} classes for {n} assets")
 
+    dates, returns = _parse_rows(lines, n)
+    if not dates:
+        raise IngestError("panel has no data rows", line=2)
+    return ReturnsPanel(returns=returns, asset_classes=classes, seed=seed, dates=dates)
+
+
+def _parse_rows(lines: list, n: int) -> tuple:
+    """Data rows after the header: an ISO date, strictly increasing, then n finite numbers."""
     rows, dates = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -149,9 +157,7 @@ def ingest_csv(path) -> ReturnsPanel:
                 raise IngestError(f"non-finite value {cell!r}", line=lineno)
             values.append(value)
         rows.append(values)
-    if not rows:
-        raise IngestError("panel has no data rows", line=2)
-    return ReturnsPanel(returns=np.array(rows), asset_classes=classes, seed=seed, dates=dates)
+    return dates, np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +460,7 @@ def _cmd_agents(cfg: RunConfig) -> None:
 
 
 def _read_pnl(path) -> tuple:
+    """Read a pnl.csv under ingest_csv's row rules: (strategy names, days x strategies)."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"pnl file {path} does not exist")
@@ -464,16 +471,8 @@ def _read_pnl(path) -> tuple:
     if header[0] != "date" or len(header) < 2:
         raise IngestError("pnl header must be 'date,<strategy>...'", line=1)
     names = header[1:]
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise IngestError(f"expected {len(header)} cells, found {len(cells)}", line=lineno)
-        try:
-            data.append([float(c) for c in cells[1:]])
-        except ValueError:
-            raise IngestError("unparseable pnl value", line=lineno)
-    return names, np.array(data)
+    _, data = _parse_rows(lines, len(names))
+    return names, data
 
 
 def _cmd_mix(cfg: RunConfig) -> None:

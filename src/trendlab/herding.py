@@ -5,6 +5,10 @@ strategy by its own fixed Gaussian preference plus a constant coupling times
 the number of current adopters, then switches to the argmax; all agents
 update synchronously and an agent's own adoption counts toward the total.
 Above a critical coupling a single dominant strategy emerges.
+
+A step depends only on the previous adopter counts, so once a repetition's
+counts repeat they stay fixed: `run` stops each repetition there and fills
+its remaining steps with those counts, which is exact.
 """
 
 from __future__ import annotations
@@ -69,7 +73,11 @@ class SimResult:
 
 
 def run(params: AgentSimParams) -> SimResult:
-    """Monte-Carlo runs with fresh preferences and initial adoption each rep."""
+    """Monte-Carlo runs with fresh preferences and initial adoption each rep.
+
+    Each rep draws from its own SeedSequence child, all before its first
+    step, and stops at the first step whose counts equal the step before.
+    """
     coupling = params.per_adopter_coupling
     seeds = np.random.SeedSequence(params.seed).spawn(params.reps)
     counts = np.zeros((params.reps, params.steps + 1, params.strategies), dtype=np.int64)
@@ -81,6 +89,9 @@ def run(params: AgentSimParams) -> SimResult:
         for t in range(1, params.steps + 1):
             choices = step(prefs, counts[rep, t - 1], coupling)
             counts[rep, t] = np.bincount(choices, minlength=params.strategies)
+            if np.array_equal(counts[rep, t], counts[rep, t - 1]):
+                counts[rep, t + 1:] = counts[rep, t]
+                break
     return SimResult(counts=counts, agents=params.agents)
 
 
@@ -98,6 +109,9 @@ def transition_curve(params: AgentSimParams, coupling_grid) -> TransitionCurve:
     spontaneously), so dominance is measured per run: each repetition
     contributes max_k of its own final adopted fractions, and the curve
     reports the mean and standard error of that maximum over repetitions.
+
+    Grid point i runs with seed `params.seed + i`, so the streams of nearby
+    base seeds overlap: (seed=7, i=1) reuses the stream of (seed=8, i=0).
     """
     grid = np.asarray(coupling_grid, dtype=float)
     if grid.size == 0:

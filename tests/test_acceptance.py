@@ -5,6 +5,7 @@ report.  Monte-Carlo checks use frozen seeds; stated runtime budgets are
 asserted alongside the numerical tolerances.
 """
 
+import datetime
 import json
 import time
 
@@ -247,8 +248,9 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
     rng = np.random.default_rng(1)
     pnl_path = tmp_path / "pnl_src.csv"
+    day = datetime.date(2000, 1, 3)
     rows = ["date,a,b"] + [
-        f"{2000 + i // 360}-{i % 360 // 30 + 1:02d}-{i % 30 + 1:02d},{float(x)!r},{float(y)!r}"
+        f"{day + datetime.timedelta(days=i)},{float(x)!r},{float(y)!r}"
         for i, (x, y) in enumerate(rng.standard_normal((250, 2)) + 0.03)
     ]
     pnl_path.write_text("\n".join(rows) + "\n")

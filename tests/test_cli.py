@@ -166,7 +166,8 @@ def test_agents_command_grid_rows(tmp_path):
 def test_mix_command(tmp_path):
     rng = np.random.default_rng(4)
     pnl = tmp_path / "pnl.csv"
-    rows = ["date,a,b"] + [f"{2000 + i // 360}-{i % 360 // 30 + 1:02d}-{i % 30 + 1:02d},{x},{y}"
+    day = datetime.date(2000, 1, 3)
+    rows = ["date,a,b"] + [f"{day + datetime.timedelta(days=i)},{x},{y}"
                            for i, (x, y) in enumerate(rng.standard_normal((300, 2)) + 0.02)]
     pnl.write_text("\n".join(rows) + "\n")
     out = tmp_path / "mix"
@@ -342,3 +343,37 @@ def test_panel_shorter_than_warmup_is_a_data_error(tmp_path, capsys):
         assert run_cli(command, "--panel", str(src / "panel.csv"),
                        "--outdir", str(tmp_path / command)) == 3
         assert last_error(capsys).startswith("error: data: panel of 1 days")
+
+
+def write_pnl(path, rows):
+    path.write_text("\n".join(["date,a,b"] + rows) + "\n")
+    return path
+
+
+MALFORMED_PNL_ROWS = {
+    "not-a-date": (4, "not-a-date,0.1,0.2", "unparseable date"),
+    "impossible-date": (4, "2000-02-30,0.1,0.2", "unparseable date"),
+    "out-of-order": (4, "2000-01-01,0.1,0.2", "strictly increasing"),
+    "nan": (4, "2000-02-11,nan,0.2", "non-finite"),
+    "inf": (4, "2000-02-11,0.1,-inf", "non-finite"),
+    "blank": (4, "2000-02-11,,0.2", "missing value"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PNL_ROWS)
+def test_mix_rejects_malformed_pnl_rows(tmp_path, capsys, case):
+    rng = np.random.default_rng(9)
+    day = datetime.date(2000, 2, 7)
+    rows = [f"{day + datetime.timedelta(days=i)},{x},{y}"
+            for i, (x, y) in enumerate(rng.standard_normal((8, 2)))]
+    args = ("--pair", "a,b", "--grid", "0.5")
+    good = write_pnl(tmp_path / "good.csv", rows)
+    assert run_cli("mix", "--pnl", str(good), *args, "--outdir", str(tmp_path / "good")) == 0
+    index, row, message = MALFORMED_PNL_ROWS[case]
+    rows[index] = row
+    bad = write_pnl(tmp_path / "bad.csv", rows)
+    out = tmp_path / "bad"
+    assert run_cli("mix", "--pnl", str(bad), *args, "--outdir", str(out)) == 3
+    error = last_error(capsys)
+    assert error.startswith(f"error: data: line {index + 2}:") and message in error
+    assert not (out / "mixcurve.csv").exists()

@@ -100,3 +100,76 @@ def test_state_validation():
         herding.AgentSimParams(agents=0, strategies=5, coupling=1.0, steps=5, reps=1)
     with pytest.raises(InvalidInput):
         herding.AgentSimParams(agents=5, strategies=5, coupling=-1.0, steps=5, reps=1)
+
+
+def reference_run(params):
+    """The full loop `run` used before its early stop: every rep steps all `steps`."""
+    coupling = params.per_adopter_coupling
+    seeds = np.random.SeedSequence(params.seed).spawn(params.reps)
+    counts = np.zeros((params.reps, params.steps + 1, params.strategies), dtype=np.int64)
+    for rep, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        prefs = rng.standard_normal((params.agents, params.strategies))
+        choices = rng.integers(0, params.strategies, size=params.agents)
+        counts[rep, 0] = np.bincount(choices, minlength=params.strategies)
+        for t in range(1, params.steps + 1):
+            choices = herding.step(prefs, counts[rep, t - 1], coupling)
+            counts[rep, t] = np.bincount(choices, minlength=params.strategies)
+    return herding.SimResult(counts=counts, agents=params.agents)
+
+
+def first_repeat(counts):
+    """Per rep, the first step whose counts equal the step before, else the last step."""
+    steps = counts.shape[1] - 1
+    same = (counts[:, 1:] == counts[:, :-1]).all(axis=2)
+    return np.where(same.any(axis=1), same.argmax(axis=1) + 1, steps)
+
+
+EARLY_STOP_CASES = {
+    "j0": dict(agents=200, strategies=10, coupling=0.0, steps=30, reps=12, seed=11),
+    "j1.5": dict(agents=300, strategies=20, coupling=1.5, steps=40, reps=12, seed=12),
+    "j8": dict(agents=200, strategies=10, coupling=8.0, steps=30, reps=12, seed=13),
+    "one-step": dict(agents=100, strategies=8, coupling=1.5, steps=1, reps=6, seed=14),
+    "no-repeat": dict(agents=1000, strategies=50, coupling=1.5, steps=3, reps=10, seed=15),
+    "one-agent": dict(agents=1, strategies=5, coupling=1.5, steps=10, reps=6, seed=16),
+    "one-strategy": dict(agents=50, strategies=1, coupling=1.5, steps=10, reps=6, seed=17),
+    "one-rep": dict(agents=300, strategies=20, coupling=1.5, steps=40, reps=1, seed=18),
+}
+
+
+@pytest.mark.parametrize("case", EARLY_STOP_CASES)
+def test_early_stop_matches_the_full_loop(case):
+    params = herding.AgentSimParams(**EARLY_STOP_CASES[case])
+    want = reference_run(params).counts
+    assert np.array_equal(herding.run(params).counts, want)
+    if case == "no-repeat":  # no rep settles by step 3: the path without a stop
+        assert not (want[:, 1:] == want[:, :-1]).all(axis=2).any()
+
+
+def test_transition_curve_matches_the_full_loop(monkeypatch):
+    base = herding.AgentSimParams(agents=300, strategies=20, coupling=0.0,
+                                  steps=40, reps=12, seed=19)
+    grid = [0.0, 1.5, 4.0]
+    got = herding.transition_curve(base, grid)
+    monkeypatch.setattr(herding, "run", reference_run)
+    want = herding.transition_curve(base, grid)
+    assert np.array_equal(got.couplings, want.couplings)
+    assert np.array_equal(got.max_fraction, want.max_fraction)
+    assert np.array_equal(got.stderr, want.stderr)
+
+
+def test_each_rep_stops_at_its_fixed_point(monkeypatch):
+    calls = []
+    real_step = herding.step
+
+    def counting_step(*args):
+        calls.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(herding, "step", counting_step)
+    params = herding.AgentSimParams(agents=300, strategies=20, coupling=1.5,
+                                    steps=60, reps=12, seed=20)
+    counts = herding.run(params).counts
+    stops = first_repeat(counts)
+    assert len(calls) == stops.sum()
+    assert len(calls) < params.reps * params.steps  # some rep settled before the last step
