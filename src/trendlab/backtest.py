@@ -9,6 +9,8 @@ week_len days; per-asset vols come from the daily variance EMA.
 The estimators run once per panel and estimator setting, and every book of
 that setting is built from the pass one block at a time: a block is the
 days between two weekly rolls, over which one cleaned correlation holds.
+A block's book is the portfolio constructor of its kind called on the whole
+block, then portfolios.vol_target if vol_scale is set.
 """
 
 from __future__ import annotations
@@ -19,15 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimation, portfolios, signals, symmat
-from .errors import (CannotScale, DegenerateResult, DegenerateVolatility, InsufficientData,
-                     InvalidInput, InvalidMatrix, NotPositiveDefinite, ZeroTargetVector)
+from . import estimation, portfolios, signals
+from .errors import DegenerateResult, InsufficientData, InvalidInput
 from .market_model import ReturnsPanel
 from .symmat import eigendecompose
 
 TRADING_DAYS = 252.0
 
-STRATEGY_KINDS = ("rp", "nm", "arp", "torp", "ew", "zero")
+_BOOKS = {  # kind -> its book on a block of days, from (corr, cov, signals, vols, classes, ridge)
+    "rp": lambda c, cov, s, v, cls, r: portfolios.risk_parity(cov, v, cls, r),
+    "nm": lambda c, cov, s, v, cls, r: portfolios.naive_markowitz(cov, s, r),
+    "arp": lambda c, cov, s, v, cls, r: portfolios.agnostic_risk_parity(c, v, s, r),
+    "torp": lambda c, cov, s, v, cls, r: portfolios.trend_on_risk_parity(cov, v, s, cls, r),
+    "ew": lambda c, cov, s, v, cls, r: portfolios.equally_weighted(v),
+    "zero": lambda c, cov, s, v, cls, r: portfolios.PortfolioWeights(np.zeros_like(v), "zero"),
+}
+STRATEGY_KINDS = tuple(_BOOKS)
 
 
 @dataclass(frozen=True)
@@ -90,67 +99,16 @@ class BacktestResult:
         return float(pnl.mean()) / std * math.sqrt(TRADING_DAYS)
 
 
-def _solve(corr, sig, vols, target, ridge) -> np.ndarray:
-    """inv(C*vv' + ridge*I) applied to each day's signal and vol-weighted target.
-
-    ridge=None picks 1e-8 * trace/n per day: symmat's default ridge, since the
-    trace equals the sum of |eigenvalues| of these PSD covariances, so the
-    shifted matrix is the one the portfolio constructors invert.  Returns an
-    (m, n, 2) array of [signal, target] solutions.
-    """
-    n = vols.shape[1]
-    cov = corr * (vols[:, :, None] * vols[:, None, :])
-    if ridge is None:
-        ridge = symmat.DEFAULT_RIDGE_SCALE * np.einsum("tii->t", cov) / n
-    elif ridge < 0.0:
-        raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
-    cov[:, range(n), range(n)] += np.reshape(ridge, (-1, 1))
-    try:
-        return np.linalg.solve(cov, np.stack([sig, vols * target], axis=2))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"covariance is singular after ridge {np.min(ridge):.3e}")
-
-
-def _positions(cfg: StrategyConfig, corr, sig, vols, target, shared: dict) -> np.ndarray:
-    """One book's positions on consecutive days that share one cleaned correlation.
-
-    sig and vols hold one row per day; `shared` keeps the solves that the
-    books of the same days reuse.
-    """
-    kind = cfg.kind
-    if kind == "zero":
-        return np.zeros_like(vols)
-    if kind in ("ew", "arp") and vols.min() <= 0.0:
-        raise DegenerateVolatility(f"non-positive volatility {vols.min():.3e}")
-    if kind in ("rp", "torp") and not target.any():
-        raise ZeroTargetVector("all-FX universe has no risk-parity target")
-    if kind == "ew":
-        raw = 1.0 / vols
-    elif kind == "arp":
-        raw = ((sig / vols) @ symmat.inv_sqrt(corr, cfg.ridge)) / vols
-    else:
-        if cfg.ridge not in shared:
-            shared[cfg.ridge] = _solve(corr, sig, vols, target, cfg.ridge)
-        solved = shared[cfg.ridge]
-        if kind == "nm":
-            raw = solved[:, :, 0]
-        elif kind == "rp":
-            raw = solved[:, :, 1]
-        else:  # the risk-parity book traded by the signal projected on it
-            raw = np.einsum("ti,ti->t", solved[:, :, 1], sig)[:, None] * solved[:, :, 1]
-    gross = np.abs(raw).sum(axis=1, keepdims=True)
-    pos = raw / np.where(gross > 0.0, gross, 1.0)
-    if not np.isfinite(pos).all():
-        raise InvalidInput("positions contain non-finite entries")
-    if cfg.vol_scale is not None:
-        if cfg.vol_scale <= 0.0:
-            raise InvalidInput(f"target must be positive, got {cfg.vol_scale}")
-        live = gross[:, 0] > 0.0
-        q = pos[live] * vols[live]
-        variance = np.einsum("ti,ij,tj->t", q, corr, q)
-        if (variance <= 0.0).any():
-            raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled")
-        pos[live] *= (cfg.vol_scale / np.sqrt(variance))[:, None]
+def _positions(cfg: StrategyConfig, corr, sig, vols, classes) -> np.ndarray:
+    """One book's positions on consecutive days (rows) that share one cleaned correlation;
+    vol_scale rescales each day that holds a position to that volatility."""
+    cov = None if corr is None else corr * (vols[:, :, None] * vols[:, None, :])
+    book = _BOOKS[cfg.kind](corr, cov, sig, vols, classes, cfg.ridge)
+    if cfg.vol_scale is None:
+        return book.positions
+    pos, live = book.positions.copy(), book.gross > 0.0
+    pos[live] = portfolios.vol_target(portfolios.PortfolioWeights(pos[live], cfg.kind),
+                                      cov[live], cfg.vol_scale).positions
     return pos
 
 
@@ -169,7 +127,6 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     if ratio is None:
         ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
-    target = portfolios.class_target(panel.asset_classes)
     warmups = [cfg.warmup_days() for cfg in books]
     positions = [np.zeros((n_days, n)) for _ in books]
     first_read = min([w for cfg, w in zip(books, warmups)
@@ -189,12 +146,11 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         rolls = day % setting.week_len == 0
         if not rolls and day < n_days:
             continue
-        shared = {}  # solves that books trading the same days share
         for cfg, warmup, pos in zip(books, warmups, positions):
             lo = max(start, warmup)
             if lo < day:
                 pos[lo:day] = _positions(cfg, corr, sigs[lo:day], np.sqrt(variances[lo:day]),
-                                         target, shared.setdefault(lo, {}))
+                                         panel.asset_classes)
         if rolls:
             state = estimation.roll_week(state)
             needed = day + setting.week_len > first_read
@@ -247,10 +203,6 @@ def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, 
 def pipeline_estimates(panel: ReturnsPanel, cfg: StrategyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cleaned correlation and daily vols the pipeline holds after the whole panel."""
     return _estimator_pass(panel, cfg, [])[1:]
-
-
-def estimate_correlation(panel: ReturnsPanel, cfg: StrategyConfig) -> np.ndarray:
-    return pipeline_estimates(panel, cfg)[0]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, backtest, estimation, herding, market_model, portfolios, sharpe_oracle
+from . import __version__, backtest, estimation, herding, market_model, sharpe_oracle
 from .errors import DegenerateResult, IngestError, InsufficientData, TrendlabError
 from .market_model import ModelParams, ReturnsPanel
 

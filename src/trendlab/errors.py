@@ -10,7 +10,7 @@ class InvalidMatrix(TrendlabError):
 
 
 class NotPositiveDefinite(TrendlabError):
-    """A (ridge-shifted) eigenvalue is not strictly positive."""
+    """A (ridge-shifted) matrix is not positive definite."""
 
 
 class InvalidModel(TrendlabError):

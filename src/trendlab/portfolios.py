@@ -2,9 +2,12 @@
 
 Five basic books (risk parity, naive Markowitz, agnostic risk parity,
 trend-on-risk-parity, equally weighted), the generalized signal-weight
-matrix, volatility targeting and convex mixing.  Constructors return
-unit-gross positions by default; pass normalize=False for the raw linear
-form (linear in the signal), and use vol_target to set the actual size.
+matrix and volatility targeting.  Constructors return unit-gross positions
+by default; pass normalize=False for the raw linear form (linear in the
+signal), and use vol_target to set the actual size.  Each takes one day or
+an (m, n) block of days, row by row equal to the one-day calls: signals
+and vols (m, n), covariances (m, n, n), one correlation for ARP.  NM, RP,
+ToRP and the weight matrix all go through the one solve, symmat.solve.
 
 Cross-asset conventions: cov is the asset covariance, corr its unit-diagonal
 rescaling, vols the per-asset volatility vector, classes the asset-class
@@ -29,16 +32,19 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PortfolioWeights:
+    """Positions of one day, or of a block of days with one row per day."""
+
     positions: np.ndarray
     kind: str
-    gross: float = field(init=False)
+    gross: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
         if not np.isfinite(p).all():
             raise InvalidInput("positions contain non-finite entries")
+        gross = np.abs(p).sum(axis=-1)
         object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "gross", float(np.abs(p).sum()))
+        object.__setattr__(self, "gross", float(gross) if p.ndim == 1 else gross)
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,9 @@ class WeightMatrix:
 
 
 def _finish(raw: np.ndarray, kind: str, normalize: bool) -> PortfolioWeights:
-    raw = np.asarray(raw, dtype=float)
     if normalize:
-        gross = np.abs(raw).sum()
-        if gross > 0.0:
-            raw = raw / gross
+        gross = np.abs(raw).sum(axis=-1, keepdims=True)
+        raw = raw / np.where(gross > 0.0, gross, 1.0)
     return PortfolioWeights(positions=raw, kind=kind)
 
 
@@ -72,28 +76,28 @@ def class_target(classes) -> np.ndarray:
 
 def _vols_vector(vols, n: int) -> np.ndarray:
     v = np.asarray(vols, dtype=float)
-    if v.ndim == 2:
-        v = np.diag(v)
-    if v.shape != (n,):
-        raise InvalidInput(f"expected {n} volatilities, got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise InvalidInput(f"expected {n} volatilities per day, got shape {v.shape}")
     return v
+
+
+def _risk_parity_book(cov, vols, classes, ridge) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    v = _vols_vector(vols, cov.shape[-1])
+    target = class_target(classes)
+    if not target.any():
+        raise ZeroTargetVector("all-FX universe has no risk-parity target")
+    return symmat.solve(cov, v * target, ridge)
 
 
 def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> PortfolioWeights:
     """Static book: inverse covariance applied to the vol-weighted class target."""
-    cov = np.asarray(cov, dtype=float)
-    v = _vols_vector(vols, cov.shape[0])
-    target = class_target(classes)
-    if not target.any():
-        raise ZeroTargetVector("all-FX universe has no risk-parity target")
-    raw = symmat.inverse(cov, ridge) @ (v * target)
-    return _finish(raw, "rp", normalize)
+    return _finish(_risk_parity_book(cov, vols, classes, ridge), "rp", normalize)
 
 
 def naive_markowitz(cov, signal, ridge=None, normalize=True) -> PortfolioWeights:
     """Inverse covariance applied to the trend signal."""
-    raw = symmat.inverse(np.asarray(cov, dtype=float), ridge) @ np.asarray(signal, dtype=float)
-    return _finish(raw, "nm", normalize)
+    return _finish(symmat.solve(cov, signal, ridge), "nm", normalize)
 
 
 def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> PortfolioWeights:
@@ -102,29 +106,21 @@ def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> Port
     v = _vols_vector(vols, corr.shape[0])
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
-    s = np.asarray(signal, dtype=float)
-    raw = (symmat.inv_sqrt(corr, ridge) @ (s / v)) / v
+    scaled = (np.asarray(signal, dtype=float) / v)[..., None]
+    raw = (symmat.inv_sqrt(corr, ridge) @ scaled)[..., 0] / v
     return _finish(raw, "arp", normalize)
 
 
 def trend_on_risk_parity(cov, vols, signal, classes, ridge=None, normalize=True) -> PortfolioWeights:
     """Risk-parity book traded long or short by the signal projected on it."""
-    cov = np.asarray(cov, dtype=float)
-    v = _vols_vector(vols, cov.shape[0])
-    target = class_target(classes)
-    if not target.any():
-        raise ZeroTargetVector("all-FX universe has no risk-parity target")
-    inv = symmat.inverse(cov, ridge)
-    book = inv @ (v * target)
-    projection = float((v * target) @ inv @ np.asarray(signal, dtype=float))
+    book = _risk_parity_book(cov, vols, classes, ridge)
+    projection = (book * np.asarray(signal, dtype=float)).sum(axis=-1, keepdims=True)
     return _finish(projection * book, "torp", normalize)
 
 
-def equally_weighted(vols, classes=None, normalize=True) -> PortfolioWeights:
+def equally_weighted(vols, normalize=True) -> PortfolioWeights:
     """Equal volatility-adjusted exposure on every asset, FX included."""
     v = np.asarray(vols, dtype=float)
-    if v.ndim == 2:
-        v = np.diag(v)
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
     return _finish(1.0 / v, "ew", normalize)
@@ -137,9 +133,10 @@ def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, r
     drift_outer = np.asarray(drift_outer, dtype=float)
     if trend_cov.shape != cov.shape or drift_outer.shape != cov.shape:
         raise InvalidInput("cov, trend_cov and drift_outer must share one shape")
-    inv = symmat.inverse(cov, ridge)
     core = trend_gain * trend_cov + drift_gain * drift_outer
-    return WeightMatrix(weights=inv @ core @ inv, trend_gain=trend_gain, drift_gain=drift_gain)
+    # solve takes right-hand sides as rows: solve(cov, core) is core inv(cov)
+    weights = symmat.solve(cov, symmat.solve(cov, core, ridge).T, ridge).T
+    return WeightMatrix(weights=weights, trend_gain=trend_gain, drift_gain=drift_gain)
 
 
 def positions_from_matrix(matrix: WeightMatrix, signal) -> PortfolioWeights:
@@ -151,26 +148,12 @@ def positions_from_matrix(matrix: WeightMatrix, signal) -> PortfolioWeights:
 
 
 def vol_target(weights: PortfolioWeights, cov, target: float) -> PortfolioWeights:
-    """Rescale positions so the portfolio volatility under cov equals target."""
+    """Rescale positions so the portfolio volatility under cov equals target, day by day."""
     if target <= 0.0:
         raise InvalidInput(f"target must be positive, got {target}")
     p = weights.positions
-    variance = float(p @ np.asarray(cov, dtype=float) @ p)
-    if variance <= 0.0:
-        raise CannotScale(f"portfolio variance {variance:.3e} cannot be scaled to {target}")
+    exposure = (np.asarray(cov, dtype=float) @ p[..., None])[..., 0]
+    variance = (p * exposure).sum(axis=-1, keepdims=True)
+    if (variance <= 0.0).any():
+        raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled to {target}")
     return PortfolioWeights(positions=p * (target / np.sqrt(variance)), kind=weights.kind)
-
-
-def mix(portfolios, coefficients, cov, allow_short=False) -> PortfolioWeights:
-    """Convex combination of books, each volatility-targeted to 1 first."""
-    if len(portfolios) != len(coefficients) or not portfolios:
-        raise InvalidInput("need one coefficient per portfolio")
-    w = np.asarray(coefficients, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise InvalidInput(f"coefficients must sum to 1, got {w.sum()}")
-    if not allow_short and w.min() < 0.0:
-        raise InvalidInput("negative strategy weights require allow_short=True")
-    combined = sum(
-        c * vol_target(p, cov, 1.0).positions for c, p in zip(w, portfolios)
-    )
-    return PortfolioWeights(positions=combined, kind="mix")

@@ -1,7 +1,8 @@
 """Symmetric-matrix numerics shared by the whole library.
 
 Eigendecomposition with a fixed sign convention, ridge-regularized inverse
-and inverse square root.  All functions are pure and operate on plain
+and inverse square root, and the ridge-shifted linear solve that every
+portfolio book goes through.  All functions are pure and operate on plain
 numpy arrays.
 """
 
@@ -30,22 +31,23 @@ class EigenPairs:
 
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate a dense symmetric matrix; returns it as a float array."""
+    """Validate a dense symmetric matrix or a stack of them; returns it as a float array."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    if not np.array_equal(a, a.T):
+    at = np.swapaxes(a, -1, -2)
+    if not np.array_equal(a, at):
         # tolerate round-off asymmetry, reject anything structural
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        if not np.allclose(a, at, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
             raise InvalidMatrix("matrix is not symmetric")
-        a = 0.5 * (a + a.T)
+        a = symmetrize(a)
     return a
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def eigendecompose(m: np.ndarray) -> EigenPairs:
@@ -55,6 +57,8 @@ def eigendecompose(m: np.ndarray) -> EigenPairs:
     that its first component of non-negligible size is positive.
     """
     a = check_symmetric(m)
+    if a.ndim != 2:
+        raise InvalidMatrix(f"expected one square matrix, got shape {a.shape}")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -94,3 +98,24 @@ def inv_sqrt(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
     """Inverse square root P of (m + ridge*I), so that P (m+ridge*I) P = I."""
     vals, vecs = _shifted_spectrum(m, ridge)
     return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
+
+
+def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
+    """x with (m + ridge*I) x = b for an (n, n) matrix or a (k, n, n) stack.
+
+    b's last axis holds the right-hand sides, broadcast over the stack: (n,) or
+    (k, n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
+    inverse's default on PSD input; NotPositiveDefinite if m + ridge*I is not.
+    """
+    a = check_symmetric(m)
+    n = a.shape[-1]
+    if ridge is None:
+        ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
+    elif ridge < 0.0:
+        raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
+    shifted = a + np.multiply.outer(ridge, np.eye(n))
+    try:
+        np.linalg.cholesky(shifted)  # np.linalg.solve passes indefinite, non-singular input
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"not positive definite at ridge {np.min(ridge):.3e}") from None
+    return np.linalg.solve(shifted, np.asarray(b, dtype=float)[..., None])[..., 0]

@@ -7,7 +7,8 @@ import pytest
 from helpers import market_trend_model, rand_spd
 from trendlab import backtest as bt
 from trendlab import estimation, portfolios, signals, symmat
-from trendlab.errors import DegenerateResult, InsufficientData, InvalidInput, TrendlabError
+from trendlab.errors import (DegenerateResult, DegenerateVolatility, InsufficientData,
+                             InvalidInput, TrendlabError, ZeroTargetVector)
 from trendlab.market_model import ModelParams, ReturnsPanel, simulate
 
 FAST = dict(signal_rate=0.05, cov_rate=0.05, var_rate=0.05)
@@ -329,7 +330,7 @@ def test_sweep_mix_curve():
 
 def test_estimate_correlation_shape():
     panel = white_panel(14, 300, 3)
-    corr = bt.estimate_correlation(panel, bt.StrategyConfig(kind="ew", **FAST))
+    corr = bt.pipeline_estimates(panel, bt.StrategyConfig(kind="ew", **FAST))[0]
     assert np.abs(np.diag(corr) - 1.0).max() < 1e-10
     assert np.array_equal(corr, corr.T)
 
@@ -346,23 +347,30 @@ def test_strategy_config_validation():
 
 
 def reference_book(cfg, corr, vols, sig, classes):
-    """One day's positions from the public constructors."""
+    """One day's positions by the eigen-inverse formulas the constructors used
+    before they moved to symmat.solve, so the engine is not compared with itself."""
     if cfg.kind == "zero":
         return np.zeros(len(vols))
+    if cfg.kind in ("ew", "arp") and vols.min() <= 0.0:
+        raise DegenerateVolatility(f"non-positive volatility {vols.min():.3e}")
+    held = portfolios.class_target(classes)
+    if cfg.kind in ("rp", "torp") and not held.any():
+        raise ZeroTargetVector("all-FX universe has no risk-parity target")
+    target = vols * held
     cov = corr * np.outer(vols, vols)
     if cfg.kind == "ew":
-        book = portfolios.equally_weighted(vols)
-    elif cfg.kind == "rp":
-        book = portfolios.risk_parity(cov, vols, classes, cfg.ridge)
-    elif cfg.kind == "nm":
-        book = portfolios.naive_markowitz(cov, sig, cfg.ridge)
+        raw = 1.0 / vols
     elif cfg.kind == "arp":
-        book = portfolios.agnostic_risk_parity(corr, vols, sig, cfg.ridge)
+        raw = (symmat.inv_sqrt(corr, cfg.ridge) @ (sig / vols)) / vols
     else:
-        book = portfolios.trend_on_risk_parity(cov, vols, sig, classes, cfg.ridge)
-    if cfg.vol_scale is not None and book.gross > 0.0:
-        book = portfolios.vol_target(book, cov, cfg.vol_scale)
-    return book.positions
+        inv = symmat.inverse(cov, cfg.ridge)
+        raw = {"nm": inv @ sig, "rp": inv @ target,
+               "torp": float(target @ inv @ sig) * (inv @ target)}[cfg.kind]
+    gross = np.abs(raw).sum()
+    positions = raw / gross if gross > 0.0 else raw
+    if cfg.vol_scale is not None and gross > 0.0:
+        positions = positions * (cfg.vol_scale / np.sqrt(float(positions @ cov @ positions)))
+    return positions
 
 
 def listed_book(cfg, corr, vols, sig, classes):

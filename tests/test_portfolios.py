@@ -8,6 +8,7 @@ from trendlab.errors import (
     CannotScale,
     DegenerateVolatility,
     InvalidInput,
+    NotPositiveDefinite,
     ZeroTargetVector,
 )
 
@@ -256,49 +257,6 @@ def test_vol_target():
         pf.vol_target(w, cov, 0.0)
 
 
-def test_mix_identity_and_idempotence():
-    rng = np.random.default_rng(15)
-    cov = rand_spd(rng, 3)
-    w = pf.PortfolioWeights(positions=rng.standard_normal(3), kind="nm")
-    single = pf.mix([w], [1.0], cov)
-    assert np.abs(single.positions - pf.vol_target(w, cov, 1.0).positions).max() < 1e-12
-    both = pf.mix([w, w], [0.3, 0.7], cov)
-    assert np.abs(both.positions - single.positions).max() < 1e-12
-    assert both.kind == "mix"
-
-
-def test_mix_with_reported_optimal_split():
-    rng = np.random.default_rng(16)
-    cov = rand_spd(rng, 4)
-    d = 1 / np.sqrt(np.diag(cov))
-    corr = cov * np.outer(d, d)
-    np.fill_diagonal(corr, 1.0)
-    vols = np.sqrt(np.diag(cov))
-    classes = ("stock", "stock", "bond", "fx")
-    s = rng.standard_normal(4)
-    books = [
-        pf.agnostic_risk_parity(corr, vols, s),
-        pf.risk_parity(cov, vols, classes),
-        pf.trend_on_risk_parity(cov, vols, s, classes),
-    ]
-    split = np.array([0.195, 0.51, 0.30])
-    out = pf.mix(books, split / split.sum(), cov)
-    assert np.isfinite(out.positions).all() and out.gross > 0.0
-
-
-def test_mix_validation():
-    cov = np.eye(2)
-    w = pf.PortfolioWeights(positions=np.array([1.0, 0.0]), kind="ew")
-    with pytest.raises(InvalidInput):
-        pf.mix([w, w], [0.6, 0.6], cov)
-    with pytest.raises(InvalidInput):
-        pf.mix([w, w], [1.5, -0.5], cov)
-    out = pf.mix([w, w], [1.5, -0.5], cov, allow_short=True)
-    assert np.isfinite(out.positions).all()
-    with pytest.raises(InvalidInput):
-        pf.mix([w], [0.5, 0.5], cov)
-
-
 def test_signal_scaling_properties():
     rng = np.random.default_rng(17)
     cov = rand_spd(rng, 4)
@@ -326,3 +284,78 @@ def test_zero_signal_keeps_zero_positions():
     w = pf.naive_markowitz(np.eye(3), np.zeros(3), ridge=0.0)
     assert w.gross == 0.0
     assert np.array_equal(w.positions, np.zeros(3))
+
+
+def test_flat_asset_books_equal_the_listed_solve():
+    """A zero-vol asset has a zero covariance row: the shifted solve holds it at 0
+    and trades the other assets at the full universe's ridge."""
+    rng = np.random.default_rng(18)
+    classes = ("stock", "stock", "bond", "fx")
+    for case in range(50):
+        corr = rand_spd(rng, 4)
+        d = 1 / np.sqrt(np.diag(corr))
+        corr = corr * np.outer(d, d)
+        vols = rng.uniform(0.5, 2.0, size=4)
+        flat = case % 4
+        vols[flat] = 0.0
+        s = rng.standard_normal(4)
+        s[flat] = 0.0
+        cov = corr * np.outer(vols, vols)
+        listed = vols > 0.0
+        shifted = cov[np.ix_(listed, listed)] + 1e-8 * np.trace(cov) / 4 * np.eye(3)
+        rp = np.zeros(4)
+        rp[listed] = np.linalg.solve(shifted, (vols * pf.class_target(classes))[listed])
+        nm = np.zeros(4)
+        nm[listed] = np.linalg.solve(shifted, s[listed])
+        wants = {"nm": nm, "rp": rp, "torp": (rp @ s) * rp}
+        gots = {"nm": pf.naive_markowitz(cov, s, normalize=False),
+                "rp": pf.risk_parity(cov, vols, classes, normalize=False),
+                "torp": pf.trend_on_risk_parity(cov, vols, s, classes, normalize=False)}
+        for kind, want in wants.items():
+            got = gots[kind].positions
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, kind)
+
+
+def test_block_equals_one_day_calls():
+    rng = np.random.default_rng(19)
+    m, n = 6, 5
+    classes = ("stock", "bond", "stock", "fx", "bond")
+    corr = rand_spd(rng, n)
+    d = 1 / np.sqrt(np.diag(corr))
+    corr = corr * np.outer(d, d)
+    vols = rng.uniform(0.5, 2.0, size=(m, n))
+    sig = rng.standard_normal((m, n))
+    sig[2] = 0.0  # a flat day inside the block
+    cov = corr * (vols[:, :, None] * vols[:, None, :])
+    for normalize in (True, False):
+        builds = {
+            "rp": lambda c, v, s, r: pf.risk_parity(c, v, classes, r, normalize),
+            "nm": lambda c, v, s, r: pf.naive_markowitz(c, s, r, normalize),
+            "arp": lambda c, v, s, r: pf.agnostic_risk_parity(corr, v, s, r, normalize),
+            "torp": lambda c, v, s, r: pf.trend_on_risk_parity(c, v, s, classes, r, normalize),
+            "ew": lambda c, v, s, r: pf.equally_weighted(v, normalize),
+        }
+        for kind, build in builds.items():
+            for ridge in (None, 0.0, 1e-3):
+                block = build(cov, vols, sig, ridge)
+                days = [build(cov[t], vols[t], sig[t], ridge) for t in range(m)]
+                assert block.positions.shape == (m, n) and block.kind == kind
+                assert np.array_equal(block.positions, np.stack([b.positions for b in days]))
+                assert np.array_equal(block.gross, [b.gross for b in days])
+            live = block.gross > 0.0
+            scaled = pf.vol_target(pf.PortfolioWeights(block.positions[live], kind),
+                                   cov[live], 0.3)
+            one_day = [pf.vol_target(b, cov[t], 0.3).positions
+                       for t, b in enumerate(days) if b.gross > 0.0]
+            assert np.array_equal(scaled.positions, np.stack(one_day))
+
+
+def test_indefinite_covariance_is_not_positive_definite():
+    cov = np.diag([1.0, -0.5, 2.0])  # non-singular, so a bare solve would pass it
+    s, vols = np.ones(3), np.ones(3)
+    for build in (lambda: pf.naive_markowitz(cov, s),
+                  lambda: pf.risk_parity(cov, vols, STOCKS3),
+                  lambda: pf.trend_on_risk_parity(cov, vols, s, STOCKS3),
+                  lambda: pf.optimal_weight_matrix(cov, np.eye(3), np.zeros((3, 3)), 1.0, 0.0)):
+        with pytest.raises(NotPositiveDefinite):
+            build()

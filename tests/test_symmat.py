@@ -48,6 +48,8 @@ def test_eigendecompose_rejects_bad_input():
         symmat.eigendecompose(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(InvalidMatrix):
         symmat.eigendecompose(np.ones((2, 3)))
+    with pytest.raises(InvalidMatrix):
+        symmat.eigendecompose(np.stack([np.eye(2)] * 3))
 
 
 def test_inv_sqrt_identity_and_diagonal():
@@ -107,6 +109,35 @@ def test_default_ridge_rescues_near_singular():
 def test_indefinite_matrix_rejected():
     with pytest.raises(NotPositiveDefinite):
         symmat.inv_sqrt(np.diag([1.0, -0.2]), 0.0)
+
+
+def test_solve_matches_the_shifted_inverse():
+    rng = np.random.default_rng(7)
+    stack = np.stack([rand_spd(rng, 5, scale=k + 1.0) for k in range(4)])
+    b = rng.standard_normal((4, 5))
+    got = symmat.solve(stack, b)  # default ridge, one per matrix
+    for k in range(4):
+        want = symmat.inverse(stack[k]) @ b[k]
+        assert np.abs(got[k] - want).max() < 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[k], symmat.solve(stack[k], b[k]))
+    rows = symmat.solve(stack[0], b, ridge=0.3)  # one matrix, one right-hand side per row
+    assert np.abs(rows - b @ symmat.inverse(stack[0], 0.3)).max() < 1e-12
+
+
+def test_solve_error_contract():
+    stack = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])])
+    with pytest.raises(NotPositiveDefinite):
+        symmat.solve(stack, np.ones((2, 3)), ridge=0.0)
+    assert np.allclose(symmat.solve(stack, np.ones((2, 3)), ridge=0.5)[1], [1 / 1.5, 2.0, 0.4])
+    with pytest.raises(NotPositiveDefinite):  # indefinite but not singular
+        symmat.solve(np.diag([1.0, -0.5, 2.0]), np.ones(3))
+    with pytest.raises(InvalidMatrix):
+        symmat.solve(np.eye(2), np.ones(2), ridge=-1.0)
+    asymmetric = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.2, 1.0]])])
+    with pytest.raises(InvalidMatrix):
+        symmat.solve(asymmetric, np.ones((2, 2)))
+    with pytest.raises(InvalidMatrix):
+        symmat.solve(np.ones((2, 3)), np.ones(2))
 
 
 def loop_eigendecompose(m):
