@@ -216,7 +216,8 @@ def realized_risk(result: BacktestResult, corr: np.ndarray, panel: ReturnsPanel)
 
     Positions and returns are projected on the correlation eigenvectors in
     vol-rescaled units; the per-mode P&L contributions sum to the total P&L
-    exactly, and their standard deviations form the risk profile.
+    exactly (an asset with zero realized vol stays in raw units, vol 1), and
+    their standard deviations form the risk profile.
     """
     if result.positions is None:
         raise InvalidInput("result carries no positions history")
@@ -225,6 +226,7 @@ def realized_risk(result: BacktestResult, corr: np.ndarray, panel: ReturnsPanel)
     rets = panel.returns[active]
     pos = result.positions[active]
     vols = rets.std(axis=0, ddof=1)
+    vols = np.where(vols > 0.0, vols, 1.0)
     mode_returns = (rets / vols) @ pairs.eigenvectors
     mode_exposures = (pos * vols) @ pairs.eigenvectors
     per_mode = mode_exposures * mode_returns

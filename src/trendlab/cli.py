@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, backtest, estimation, herding, market_model, sharpe_oracle
 from .errors import DegenerateResult, IngestError, InsufficientData, TrendlabError
-from .market_model import ModelParams, ReturnsPanel
+from .market_model import ASSET_CLASSES, ModelParams, ReturnsPanel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,7 +109,9 @@ def ingest_csv(path) -> ReturnsPanel:
         raise IngestError(f"missing sidecar {meta_path.name} with asset classes")
     try:
         meta = json.loads(meta_path.read_text())
-        classes = tuple(meta["asset_classes"])
+        classes = meta["asset_classes"]
+        if not isinstance(classes, list) or any(c not in ASSET_CLASSES for c in classes):
+            raise ValueError(f"asset_classes {classes!r} is not a list of {ASSET_CLASSES}")
         seed = int(meta.get("seed", 0))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"bad sidecar {meta_path.name}: {exc}")
@@ -418,19 +420,19 @@ def _cmd_oracle(cfg: RunConfig) -> None:
     reports = []
     for _ in range(cfg.options["models"]):
         model = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t)
-        exact = sharpe_oracle.brute_force_optimal(model, rate, t)
-        s2_exact = sharpe_oracle.squared_sharpe(model, rate, exact, t)
+        mm = sharpe_oracle.pnl_moment_tensors(model, rate, t)
+        exact = sharpe_oracle.brute_force_optimal(mm)
+        s2_exact = sharpe_oracle.squared_sharpe(mm, exact)
         entry = {
-            "model_hash": hashlib.sha256(np.ascontiguousarray(model.noise_cov).tobytes()
-                                         + np.ascontiguousarray(model.trend_cov).tobytes()
-                                         + np.ascontiguousarray(model.drift).tobytes()).hexdigest()[:16],
+            "model_hash": hashlib.sha256(model.noise_cov.tobytes() + model.trend_cov.tobytes()
+                                         + model.drift.tobytes()).hexdigest()[:16],
             "sharpe2_exact": s2_exact,
-            "residual_exact": sharpe_oracle.stationarity_residual(model, rate, exact, t),
+            "residual_exact": sharpe_oracle.stationarity_residual(mm, exact),
         }
         for form in ("simple", "sandwich"):
-            w = sharpe_oracle.approx_optimal(model, rate, t, form=form)
-            s2 = sharpe_oracle.squared_sharpe(model, rate, w, t)
-            entry[f"residual_{form}"] = sharpe_oracle.stationarity_residual(model, rate, w, t)
+            w = sharpe_oracle.approx_optimal(mm, form=form)
+            s2 = sharpe_oracle.squared_sharpe(mm, w)
+            entry[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
             entry[f"sharpe2_{form}"] = s2
             entry[f"ratio_{form}"] = s2 / s2_exact if s2_exact > 0 else float("nan")
         reports.append(entry)

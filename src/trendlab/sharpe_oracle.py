@@ -2,10 +2,10 @@
 
 For the generative model with a common EMA signal kernel and a common
 exponential trend kernel, the one-day P&L of a weight matrix w is a Gaussian
-quadratic form whose mean and variance are exactly computable.  This module
-builds those moments (an n x n mean matrix and an n^2 x n^2 variance form),
-solves the squared-Sharpe stationarity condition exactly for n <= 3, and
-evaluates the closed-form approximate weights so the two can be compared.
+quadratic form whose mean and variance are exactly computable.  One
+`PnlMoments` per (model, rate, t) holds them, and every function below reads
+one to evaluate weights, to solve the squared-Sharpe stationarity condition
+exactly for n <= 3, or to give the closed-form approximate weights.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -29,10 +29,10 @@ class KernelValues:
 
     The first five weight the covariance pairings in the P&L variance
     (noise/trend on the return leg x noise/trend on the signal leg, plus the
-    cross pairing); the g values sit in the sandwich factors of the
-    approximate solution; trend_gain/drift_gain are the relative weights of
-    the trend covariance and the drift outer product in the optimal matrix,
-    quoted with the free overall constant fixed to 1.
+    cross pairing); trend_mean/signal_mass weight the trend covariance and the
+    drift outer product in the P&L mean, trend_gain/drift_gain in the optimal
+    matrix (overall constant fixed to 1); the g values sit in the sandwich
+    factors of the approximate solution.
     """
 
     noise_noise: float
@@ -40,6 +40,7 @@ class KernelValues:
     trend_noise: float
     trend_trend: float
     trend_cross: float
+    trend_mean: float
     g_trend_left: float
     g_trend_right: float
     g_drift_right: float
@@ -84,6 +85,7 @@ def compute_kernels(rate: float, amp: float, decay: float, t: int) -> KernelValu
         trend_noise=ss * k["trend_trend"],
         trend_trend=k["sig_trend_sq"] * k["trend_trend"],
         trend_cross=k["sig_trend_trend"] ** 2,
+        trend_mean=k["sig_trend_trend"],
         g_trend_left=k["trend_trend"],
         g_trend_right=k["sig_trend_sq"] / ss,
         g_drift_right=k["signal_mass"] ** 2 / ss,
@@ -95,34 +97,31 @@ def compute_kernels(rate: float, amp: float, decay: float, t: int) -> KernelValu
 
 @dataclass(frozen=True)
 class PnlMoments:
-    """Mean matrix and flattened variance form of the one-day P&L at time t."""
+    """One-day P&L moments at time t, with the model and kernels they come from."""
 
     mean_matrix: np.ndarray
     var_tensor: np.ndarray
     t: int
-
-    @property
-    def n(self) -> int:
-        return self.mean_matrix.shape[0]
+    model: ModelParams
+    kernels: KernelValues
 
     def var_form(self) -> np.ndarray:
-        n = self.n
+        n = self.model.n
         return self.var_tensor.reshape(n * n, n * n)
 
 
 def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
-    """Exact mean matrix and variance tensor of the day-t P&L.
+    """Exact day-t P&L moments of the model: the input of every other oracle function.
 
     Index order of var_tensor is (j1, k1, j2, k2): j indexes the traded
     asset, k the signal asset, so the variance of sum_jk w[j,k] r_t[j] s_t[k]
     is einsum('jk,jklm,lm', w, var_tensor, w).
     """
-    k = _kernel_products(rate, model.trend_amp, model.trend_decay, t)
-    ss, tt = k["sig_sig"], k["trend_trend"]
-    stq, stt = k["sig_trend_sq"], k["sig_trend_trend"]
-    mass = k["signal_mass"]
-    ce = model.noise_cov
-    cx = model.trend_cov
+    kv = compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    ss, tt = kv.noise_noise, kv.g_trend_left
+    stq, stt = kv.noise_trend, kv.trend_mean
+    mass = kv.signal_mass
+    ce, cx = model.noise_cov, model.trend_cov
     m = np.outer(model.drift, model.drift)
 
     mean = stt * cx + mass * m
@@ -137,46 +136,45 @@ def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
         + mass * stt * (np.einsum("ad,bc->abcd", m, cx) + np.einsum("bc,ad->abcd", m, cx))
         + mass**2 * np.einsum("bd,ac->abcd", m, ce + tt * cx)
     )
-    return PnlMoments(mean_matrix=mean, var_tensor=var, t=t)
+    return PnlMoments(mean_matrix=mean, var_tensor=var, t=t, model=model, kernels=kv)
 
 
-def moments(model: ModelParams, rate: float, weights: np.ndarray, t: int) -> tuple[float, float]:
-    """Mean and variance of the day-t P&L under the given weight matrix."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (model.n, model.n):
-        raise InvalidInput(f"weights must have shape ({model.n},{model.n}), got {w.shape}")
-    mm = pnl_moment_tensors(model, rate, t)
+def _weights(mm: PnlMoments, weights: np.ndarray) -> np.ndarray:
+    w, n = np.asarray(weights, dtype=float), mm.model.n
+    if w.shape != (n, n):
+        raise InvalidInput(f"weights must have shape ({n},{n}), got {w.shape}")
+    return w
+
+
+def moments(mm: PnlMoments, weights: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the day-t P&L of mm under the given weight matrix."""
+    w = _weights(mm, weights)
     mean = float(np.sum(w * mm.mean_matrix))
     wf = w.reshape(-1)
-    variance = float(wf @ mm.var_form() @ wf)
-    return mean, variance
+    return mean, float(wf @ mm.var_form() @ wf)
 
 
-def squared_sharpe(model: ModelParams, rate: float, weights: np.ndarray, t: int) -> float:
-    mean, variance = moments(model, rate, weights, t)
+def squared_sharpe(mm: PnlMoments, weights: np.ndarray) -> float:
+    """Squared Sharpe ratio mean^2 / variance of the day-t P&L of mm."""
+    mean, variance = moments(mm, weights)
     if variance <= 0.0:
         raise DegenerateForm(f"P&L variance {variance:.3e} is not positive")
     return mean * mean / variance
 
 
-def stationarity_residual(model: ModelParams, rate: float, weights: np.ndarray, t: int) -> float:
-    """Max-norm violation of the squared-Sharpe stationarity condition.
+def stationarity_residual(mm: PnlMoments, weights: np.ndarray) -> float:
+    """Max-norm violation of the squared-Sharpe stationarity condition of mm.
 
     Zero exactly at a stationary weight matrix.  The objective only sees the
     ray of the weights, so they are normalized to unit Frobenius norm before
     the residual is formed; the value is then comparable across models.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (model.n, model.n):
-        raise InvalidInput(f"weights must have shape ({model.n},{model.n}), got {w.shape}")
+    w = _weights(mm, weights)
     norm = np.linalg.norm(w)
     if norm == 0.0:
         raise DegenerateForm("weights are identically zero")
-    w = w / norm
-    mm = pnl_moment_tensors(model, rate, t)
-    wf = w.reshape(-1)
-    vf = mm.var_form()
-    vw = vf @ wf
+    wf = (w / norm).reshape(-1)
+    vw = mm.var_form() @ wf
     quad = float(wf @ vw)
     mw = float(mm.mean_matrix.reshape(-1) @ wf)
     if quad <= 0.0 or mw == 0.0:
@@ -185,17 +183,17 @@ def stationarity_residual(model: ModelParams, rate: float, weights: np.ndarray, 
     return float(np.abs(residual).max() / (abs(mw) * quad))
 
 
-def brute_force_optimal(model: ModelParams, rate: float, t: int) -> np.ndarray:
-    """Exact maximizer of the squared Sharpe ratio over weight matrices.
+def brute_force_optimal(mm: PnlMoments) -> np.ndarray:
+    """Exact maximizer of the squared Sharpe ratio of mm over weight matrices.
 
     The objective is a ratio of a rank-one quadratic to a PSD quadratic, so
     every stationary ray solves the flattened linear system V w = mean;
     we solve it directly (tiny ridge if singular) and return the unit-norm
     solution with a positive mean.  Only supported for n <= 3.
     """
-    if model.n > EXACT_MAX_ASSETS:
-        raise InvalidInput(f"exact solve supports n <= {EXACT_MAX_ASSETS}, got {model.n}")
-    mm = pnl_moment_tensors(model, rate, t)
+    n = mm.model.n
+    if n > EXACT_MAX_ASSETS:
+        raise InvalidInput(f"exact solve supports n <= {EXACT_MAX_ASSETS}, got {n}")
     vf = mm.var_form()
     target = mm.mean_matrix.reshape(-1)
     try:
@@ -209,7 +207,7 @@ def brute_force_optimal(model: ModelParams, rate: float, t: int) -> np.ndarray:
     wf = wf / norm
     if float(target @ wf) < 0.0:
         wf = -wf
-    return wf.reshape(model.n, model.n)
+    return wf.reshape(n, n)
 
 
 def random_correlation(rng: np.random.Generator, n: int, samples: int | None = None) -> np.ndarray:
@@ -248,21 +246,19 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
                        trend_amp=amp, trend_decay=decay)
 
 
-def approx_optimal(model: ModelParams, rate: float, t: int, form: str = "simple") -> np.ndarray:
-    """Closed-form approximate weights for the weak-trend, weak-drift regime.
+def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
+    """Closed-form approximate weights of mm's model in the weak-trend, weak-drift regime.
 
-    form="simple": inv(noise_cov) core inv(noise_cov) with the steady kernel
-    gains.  form="sandwich": keeps the first-order trend/drift corrections
+    form="simple": inv(noise_cov) core inv(noise_cov) with the kernel gains of
+    mm.  form="sandwich": keeps the first-order trend/drift corrections
     inside the two inverted factors.
     """
-    kv = compute_kernels(rate, model.trend_amp, model.trend_decay, t)
-    ce = model.noise_cov
-    cx = model.trend_cov
+    model, kv = mm.model, mm.kernels
+    ce, cx = model.noise_cov, model.trend_cov
     m = np.outer(model.drift, model.drift)
     core = kv.trend_gain * cx + kv.drift_gain * m
     if form == "simple":
-        left = np.linalg.inv(ce)
-        right = left
+        left = right = np.linalg.inv(ce)
     elif form == "sandwich":
         left = np.linalg.inv(ce + kv.g_trend_left * cx + m)
         right = np.linalg.inv(ce + kv.g_trend_right * cx + kv.g_drift_right * m)

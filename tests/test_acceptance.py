@@ -38,12 +38,11 @@ def test_criterion_1_oracle_consistency():
     for n in (1, 2, 3):
         for _ in range(7):
             model = so.sample_weak_trend_model(rng, n, rate=rate, t=t)
-            closed = so.approx_optimal(model, rate, t, form="simple")
-            exact = so.brute_force_optimal(model, rate, t)
-            worst_residual = max(worst_residual,
-                                 so.stationarity_residual(model, rate, closed, t))
-            ratio = (so.squared_sharpe(model, rate, closed, t)
-                     / so.squared_sharpe(model, rate, exact, t))
+            mm = so.pnl_moment_tensors(model, rate, t)
+            closed = so.approx_optimal(mm, form="simple")
+            exact = so.brute_force_optimal(mm)
+            worst_residual = max(worst_residual, so.stationarity_residual(mm, closed))
+            ratio = so.squared_sharpe(mm, closed) / so.squared_sharpe(mm, exact)
             worst_ratio = min(worst_ratio, ratio)
             models += 1
     elapsed = time.time() - start
@@ -63,7 +62,7 @@ def test_criterion_2_moment_correctness():
                             noise_cov=rand_spd(rng, 2), trend_cov=rand_spd(rng, 2, 0.5),
                             trend_amp=rng.uniform(0.3, 0.6), trend_decay=rng.uniform(0.05, 0.2))
         w = rng.standard_normal((2, 2))
-        mean, var = so.moments(model, rate, w, t)
+        mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
 
         noise_chol = np.linalg.cholesky(model.noise_cov)
         shock_chol = np.linalg.cholesky(model.trend_cov)

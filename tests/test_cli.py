@@ -8,6 +8,7 @@ import pytest
 from trendlab import cli
 from trendlab.errors import IngestError
 from trendlab.market_model import ReturnsPanel
+from trendlab.symmat import eigendecompose
 
 FAST_BT = ["--eta", "0.05", "--eta-cov", "0.05", "--eta-var", "0.05", "--warmup", "60"]
 
@@ -377,3 +378,61 @@ def test_mix_rejects_malformed_pnl_rows(tmp_path, capsys, case):
     error = last_error(capsys)
     assert error.startswith(f"error: data: line {index + 2}:") and message in error
     assert not (out / "mixcurve.csv").exists()
+
+
+BAD_SIDECAR_CLASSES = {
+    "unknown-label": ["stock", "bond", "FX"],
+    "string": "sbf",
+    "non-string": ["stock", "bond", 5],
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIDECAR_CLASSES)
+def test_ingest_rejects_sidecar_classes_outside_the_asset_classes(tmp_path, capsys, case):
+    rng = np.random.default_rng(11)
+    day = datetime.date(2001, 3, 1)
+    path = write_panel(tmp_path, [f"{day + datetime.timedelta(days=i)}," + ",".join(map(repr, row))
+                                  for i, row in enumerate((0.01 * rng.standard_normal((80, 3))).tolist())],
+                       classes=("stock", "bond", "fx"))
+    assert cli.ingest_csv(path).asset_classes == ("stock", "bond", "fx")
+    (tmp_path / "panel.meta.json").write_text(
+        json.dumps({"asset_classes": BAD_SIDECAR_CLASSES[case], "seed": 0}))
+    with pytest.raises(IngestError, match="panel.meta.json"):
+        cli.ingest_csv(path)
+    assert run_cli("backtest", "--panel", str(path), "--strategy", "rp", *FAST_BT,
+                   "--outdir", str(tmp_path / "bt")) == 3
+    error = last_error(capsys)
+    assert error.startswith("error: data:") and "panel.meta.json" in error
+
+
+def read_matrix(path, skip_cols=1):
+    return np.array([[float(x) for x in row.split(",")[skip_cols:]] for row in read_rows(path)[1:]])
+
+
+def test_flat_asset_keeps_the_eigenmode_risks_finite(tmp_path):
+    rng = np.random.default_rng(21)
+    returns = 0.01 * rng.standard_normal((400, 4))
+    returns[:, 2] = 0.0
+    path = tmp_path / "panel.csv"
+    cli.export_panel(ReturnsPanel(returns=returns, asset_classes=("stock",) * 4, seed=21), path)
+    books, warmup = ("nm", "rp"), 63
+    for command in ("backtest", "eigenrisk"):
+        assert run_cli(command, "--panel", str(path), "--strategy", ",".join(books),
+                       "--warmup", str(warmup), "--outdir", str(tmp_path / command)) == 0
+    out = tmp_path / "backtest"
+    risks = read_matrix(out / "eigenrisk.csv", skip_cols=0)
+    assert risks.shape == (4, 3) and np.isfinite(risks).all()
+    assert (out / "eigenrisk.csv").read_bytes() == (tmp_path / "eigenrisk" / "eigenrisk.csv").read_bytes()
+    # the per-mode contributions, in the realized_risk convention (a zero-vol
+    # asset stays in raw units), sum to each book's P&L
+    rets = returns[warmup:]
+    vols = rets.std(axis=0, ddof=1)
+    assert vols[2] == 0.0
+    vols[2] = 1.0
+    vecs = eigendecompose(read_matrix(out / "correlation.csv", skip_cols=0)).eigenvectors
+    pnl = read_matrix(out / "pnl.csv")
+    for b, book in enumerate(books):
+        pos = read_matrix(out / f"positions_{book}.csv", skip_cols=2).reshape(-1, 4)
+        per_mode = ((pos * vols) @ vecs) * ((rets / vols) @ vecs)
+        assert np.abs(per_mode.sum(axis=1) - pnl[:, b]).max() < 1e-12
+        assert np.allclose(per_mode.std(axis=0, ddof=1), risks[:, 1 + b], rtol=1e-8, atol=1e-14)

@@ -1,7 +1,11 @@
+import collections
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import rand_spd
+from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
 from trendlab.errors import DegenerateForm, InvalidInput, TooEarly
@@ -70,7 +74,7 @@ def test_moments_pure_noise():
     model = ModelParams(n=n, drift=np.zeros(n), noise_cov=rand_spd(rng, n),
                         trend_cov=np.zeros((n, n)), trend_amp=0.0, trend_decay=0.5)
     w = rng.standard_normal((n, n))
-    mean, var = so.moments(model, rate, w, t)
+    mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
     assert mean == 0.0
     kv = so.compute_kernels(rate, 0.0, 0.5, t)
     ce = model.noise_cov
@@ -85,8 +89,9 @@ def test_moments_homogeneity():
     rng = np.random.default_rng(1)
     model = strong_model(rng, 2)
     w = rng.standard_normal((2, 2))
-    mean1, var1 = so.moments(model, 0.05, w, 30)
-    mean2, var2 = so.moments(model, 0.05, 2.5 * w, 30)
+    mm = so.pnl_moment_tensors(model, 0.05, 30)
+    mean1, var1 = so.moments(mm, w)
+    mean2, var2 = so.moments(mm, 2.5 * w)
     assert mean2 == pytest.approx(2.5 * mean1, rel=1e-12)
     assert var2 == pytest.approx(2.5**2 * var1, rel=1e-12)
 
@@ -96,7 +101,7 @@ def test_moments_single_asset_drift_closed_form():
     model = ModelParams(n=1, drift=np.array([m]), noise_cov=np.array([[1.0]]),
                         trend_cov=np.zeros((1, 1)), trend_amp=0.0, trend_decay=0.5)
     w = np.array([[0.7]])
-    mean, var = so.moments(model, rate, w, t)
+    mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
     mass = (1.0 - (1.0 - rate) ** (t - 1)) / rate
     assert mean == pytest.approx(m * m * mass * 0.7, rel=1e-12)
 
@@ -136,7 +141,7 @@ def test_driftless_limit_recovers_reduced_formulas():
         + kv.trend_cross * np.einsum("ad,bc->abcd", cx, cx)
     )
     w = rng.standard_normal((n, n))
-    mean, var = so.moments(model, rate, w, t)
+    mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
     assert mean == pytest.approx(float(np.sum(w * mean_matrix)), rel=1e-12)
     want_var = float(np.einsum("ab,abcd,cd->", w, var_tensor, w))
     assert var == pytest.approx(want_var, rel=1e-12)
@@ -153,20 +158,20 @@ def test_variance_form_is_psd():
 
 def test_single_asset_residual_is_zero():
     rng = np.random.default_rng(5)
-    model = strong_model(rng, 1)
+    mm = so.pnl_moment_tensors(strong_model(rng, 1), 0.05, 25)
     for _ in range(5):
         w = np.array([[rng.uniform(0.1, 5.0)]])
-        assert so.stationarity_residual(model, 0.05, w, 25) < 1e-12
+        assert so.stationarity_residual(mm, w) < 1e-12
 
 
 def test_brute_force_is_stationary_and_beats_probes():
     rng = np.random.default_rng(6)
     model = strong_model(rng, 2)
     t, rate = 50, 0.02
-    best = so.brute_force_optimal(model, rate, t)
-    assert so.stationarity_residual(model, rate, best, t) < 1e-6
-    s2_best = so.squared_sharpe(model, rate, best, t)
     mm = so.pnl_moment_tensors(model, rate, t)
+    best = so.brute_force_optimal(mm)
+    assert so.stationarity_residual(mm, best) < 1e-6
+    s2_best = so.squared_sharpe(mm, best)
     vf = mm.var_form()
     mean_flat = mm.mean_matrix.reshape(-1)
     probes = rng.standard_normal((10_000, 4))
@@ -180,7 +185,7 @@ def test_proportional_trend_reduces_to_markowitz_weights():
     ce = rand_spd(rng, 2)
     model = ModelParams(n=2, drift=np.zeros(2), noise_cov=ce, trend_cov=0.3 * ce,
                         trend_amp=0.4, trend_decay=0.1)
-    best = so.brute_force_optimal(model, 0.02, 60)
+    best = so.brute_force_optimal(so.pnl_moment_tensors(model, 0.02, 60))
     wm = pf.WeightMatrix(weights=best, trend_gain=1.0, drift_gain=0.0)
     for _ in range(5):
         s = rng.standard_normal(2)
@@ -193,37 +198,40 @@ def test_proportional_trend_reduces_to_markowitz_weights():
 def test_weak_trend_closed_forms_are_near_optimal():
     rng = np.random.default_rng(8)
     t, rate = 500, 0.01
-    model = so.sample_weak_trend_model(rng, 2, rate=rate, t=t)
-    s2_best = so.squared_sharpe(model, rate, so.brute_force_optimal(model, rate, t), t)
+    mm = so.pnl_moment_tensors(so.sample_weak_trend_model(rng, 2, rate=rate, t=t), rate, t)
+    s2_best = so.squared_sharpe(mm, so.brute_force_optimal(mm))
     for form in ("simple", "sandwich"):
-        w = so.approx_optimal(model, rate, t, form=form)
-        assert so.stationarity_residual(model, rate, w, t) < 0.05
-        assert so.squared_sharpe(model, rate, w, t) >= 0.9 * s2_best
+        w = so.approx_optimal(mm, form=form)
+        assert so.stationarity_residual(mm, w) < 0.05
+        assert so.squared_sharpe(mm, w) >= 0.9 * s2_best
 
 
 def test_squared_sharpe_scale_invariant():
     rng = np.random.default_rng(9)
-    model = strong_model(rng, 2)
+    mm = so.pnl_moment_tensors(strong_model(rng, 2), 0.02, 40)
     w = rng.standard_normal((2, 2))
-    base = so.squared_sharpe(model, 0.02, w, 40)
+    base = so.squared_sharpe(mm, w)
     for c in (1e-6, 3.0, 1e6):
-        assert so.squared_sharpe(model, 0.02, c * w, 40) == pytest.approx(base, rel=1e-12)
+        assert so.squared_sharpe(mm, c * w) == pytest.approx(base, rel=1e-12)
 
 
 def test_validation_errors():
     rng = np.random.default_rng(10)
     model = strong_model(rng, 2)
     with pytest.raises(TooEarly):
-        so.moments(model, 0.02, np.eye(2), 1)
+        so.pnl_moment_tensors(model, 0.02, 1)
+    mm = so.pnl_moment_tensors(model, 0.02, 10)
     with pytest.raises(InvalidInput):
-        so.moments(model, 0.02, np.eye(3), 10)
+        so.moments(mm, np.eye(3))
+    with pytest.raises(InvalidInput):
+        so.stationarity_residual(mm, np.eye(3))
     with pytest.raises(DegenerateForm):
-        so.stationarity_residual(model, 0.02, np.zeros((2, 2)), 10)
+        so.stationarity_residual(mm, np.zeros((2, 2)))
     big = strong_model(rng, 4)
     with pytest.raises(InvalidInput):
-        so.brute_force_optimal(big, 0.02, 10)
+        so.brute_force_optimal(so.pnl_moment_tensors(big, 0.02, 10))
     with pytest.raises(InvalidInput):
-        so.approx_optimal(model, 0.02, 10, form="other")
+        so.approx_optimal(mm, form="other")
 
 
 def test_weak_trend_sampler_respects_caps():
@@ -234,3 +242,73 @@ def test_weak_trend_sampler_respects_caps():
         assert np.linalg.norm(model.trend_cov, 2) <= 0.05 * noise_norm + 1e-12
         drift_outer = np.outer(model.drift, model.drift)
         assert np.linalg.norm(drift_outer, 2) <= 0.05 * noise_norm
+
+
+def reference_approx(model, rate, t, form):
+    """The closed-form weights read from their own compute_kernels call."""
+    kv = so.compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    ce, cx = model.noise_cov, model.trend_cov
+    m = np.outer(model.drift, model.drift)
+    core = kv.trend_gain * cx + kv.drift_gain * m
+    if form == "simple":
+        left = right = np.linalg.inv(ce)
+    else:
+        left = np.linalg.inv(ce + kv.g_trend_left * cx + m)
+        right = np.linalg.inv(ce + kv.g_trend_right * cx + kv.g_drift_right * m)
+    return left @ core @ right
+
+
+def reference_oracle_entry(model, rate, t):
+    """One oracle.json entry with every quantity from its own fresh moment build."""
+    def fresh():
+        return so.pnl_moment_tensors(model, rate, t)
+
+    exact = so.brute_force_optimal(fresh())
+    s2_exact = so.squared_sharpe(fresh(), exact)
+    entry = {
+        "model_hash": hashlib.sha256(model.noise_cov.tobytes() + model.trend_cov.tobytes()
+                                     + model.drift.tobytes()).hexdigest()[:16],
+        "sharpe2_exact": s2_exact,
+        "residual_exact": so.stationarity_residual(fresh(), exact),
+    }
+    for form in ("simple", "sandwich"):
+        w = reference_approx(model, rate, t, form)
+        s2 = so.squared_sharpe(fresh(), w)
+        entry[f"residual_{form}"] = so.stationarity_residual(fresh(), w)
+        entry[f"sharpe2_{form}"] = s2
+        entry[f"ratio_{form}"] = s2 / s2_exact
+    return entry
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
+    written = {}
+    write_json = cli._write_json
+
+    def capture(path, payload):
+        written[path.name] = payload
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    rate, t, models, seed = 0.02, 80, 4, 13
+    assert cli.main(["oracle", "--n", str(n), "--t", str(t), "--eta", str(rate),
+                     "--models", str(models), "--seed", str(seed),
+                     "--outdir", str(tmp_path / "oracle")]) == 0
+    rng = np.random.default_rng(seed)
+    want = [reference_oracle_entry(so.sample_weak_trend_model(rng, n, rate=rate, t=t), rate, t)
+            for _ in range(models)]
+    assert written["oracle.json"]["models"] == want
+
+
+def test_oracle_command_builds_the_moments_once_per_model(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for name in ("pnl_moment_tensors", "_kernel_products"):
+        def counted(*args, _name=name, _real=getattr(so, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(so, name, counted)
+    assert cli.main(["oracle", "--n", "2", "--t", "50", "--models", "3",
+                     "--outdir", str(tmp_path / "oracle")]) == 0
+    # the second kernel pass per model is the sampler's own amplitude sizing
+    assert calls == {"pnl_moment_tensors": 3, "_kernel_products": 6}
