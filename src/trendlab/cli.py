@@ -9,6 +9,11 @@ the row's validator before any command runs.  Every command writes its
 artifacts plus a manifest.json into --outdir; outputs are byte-identical for a
 fixed (config, seed).
 
+Every CSV goes through one writer (_write_csv) and is read back through one
+reader (_read_table): a header, then rows whose leading text columns (date,
+asset, t) are followed by numbers, printed with 12 significant digits, or at
+full precision in an exported panel.  Input files are read as UTF-8.
+
 Exit codes: 0 success, 2 config error, 3 data error (a malformed panel, or one
 shorter than the warm-up), 4 numerical failure.
 """
@@ -42,9 +47,7 @@ class ConfigError(TrendlabError):
     """Bad command-line or config-file value."""
 
 
-def _g12(x: float) -> float:
-    """Round a float to 12 significant digits for stable report diffs."""
-    return float(f"{float(x):.12g}")
+_G12 = "%.12g"  # report numbers: 12 significant digits, for stable diffs
 
 
 def _jsonify(obj):
@@ -53,7 +56,7 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return _g12(float(obj))
+        return float(_G12 % obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -71,74 +74,42 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# panel io
+# the one table format: a header line, then one line of plain values per row
 # ---------------------------------------------------------------------------
 
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(".meta.json")
+_TEXT_COLUMNS = ("date", "asset", "t")
 
 
-def export_panel(panel: ReturnsPanel, path: Path) -> None:
-    """Panel to CSV (full float precision, so re-ingestion is bit-exact)."""
-    path = Path(path)
-    header = ["date"] + [f"asset_{j + 1}" for j in range(panel.n_assets)]
-    dates = panel.calendar()
-    rows = (
-        [dates[t]] + [repr(float(x)) for x in panel.returns[t]]
-        for t in range(panel.n_days)
-    )
-    _write_csv(path, header, rows)
-    _write_json(_sidecar(path), {"asset_classes": list(panel.asset_classes), "seed": panel.seed})
+def _write_csv(path: Path, header: list, rows, number: str = _G12) -> None:
+    """Leading text columns (dates, asset names, t) print as given, every other
+    cell with `number`; rows hold plain values, as from .tolist() or zip."""
+    text = 0
+    while text < len(header) and header[text] in _TEXT_COLUMNS:
+        text += 1
+    line = ",".join(["%s"] * text + [number] * (len(header) - text)) + "\n"
+    _atomic_write(path, ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows))
 
 
-def ingest_csv(path) -> ReturnsPanel:
-    """Read a returns panel: ISO dates strictly increasing, no gaps in cells."""
+def _read_table(path, what: str) -> tuple:
+    """Read a UTF-8 `date,<name>...` CSV: (names, dates, days x names array).  Each
+    row is an ISO date, strictly increasing, then one finite number per name."""
     path = Path(path)
     if not path.exists():
-        raise IngestError(f"panel file {path} does not exist")
-    meta_path = _sidecar(path)
-    if not meta_path.exists():
-        raise IngestError(f"missing sidecar {meta_path.name} with asset classes")
+        raise IngestError(f"{what} file {path} does not exist")
     try:
-        meta = json.loads(meta_path.read_text())
-        classes = meta["asset_classes"]
-        if not isinstance(classes, list) or any(c not in ASSET_CLASSES for c in classes):
-            raise ValueError(f"asset_classes {classes!r} is not a list of {ASSET_CLASSES}")
-        seed = int(meta.get("seed", 0))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"bad sidecar {meta_path.name}: {exc}")
-
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise IngestError("panel file is empty", line=1)
-    header = lines[0].split(",")
-    if header[0] != "date" or len(header) < 2:
-        raise IngestError("header must be 'date,<asset>...'", line=1)
-    n = len(header) - 1
-    if len(classes) != n:
-        raise IngestError(f"sidecar lists {len(classes)} classes for {n} assets")
-
-    dates, returns = _parse_rows(lines, n)
-    if not dates:
-        raise IngestError("panel has no data rows", line=2)
-    return ReturnsPanel(returns=returns, asset_classes=classes, seed=seed, dates=dates)
-
-
-def _parse_rows(lines: list, n: int) -> tuple:
-    """Data rows after the header: an ISO date, strictly increasing, then n finite numbers."""
-    rows, dates = [], []
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
+        raise IngestError(f"{what} file is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                          line=exc.object.count(b"\n", 0, exc.start) + 1)
+    header = lines[0].split(",") if lines else []
+    if not header or header[0] != "date" or len(header) < 2:
+        raise IngestError(f"{what} header must be 'date,<name>...'", line=1)
+    names, rows, dates = header[1:], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != n + 1:
-            raise IngestError(f"expected {n + 1} cells, found {len(cells)}", line=lineno)
+        if len(cells) != len(header):
+            raise IngestError(f"expected {len(header)} cells, found {len(cells)}", line=lineno)
         try:
             date = datetime.date.fromisoformat(cells[0])
         except ValueError:
@@ -159,7 +130,46 @@ def _parse_rows(lines: list, n: int) -> tuple:
                 raise IngestError(f"non-finite value {cell!r}", line=lineno)
             values.append(value)
         rows.append(values)
-    return dates, np.array(rows)
+    if not dates:
+        raise IngestError(f"{what} file has no data rows", line=2)
+    return names, dates, np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# panel io
+# ---------------------------------------------------------------------------
+
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(".meta.json")
+
+
+def export_panel(panel: ReturnsPanel, path: Path) -> None:
+    """Panel to CSV (full float precision, so re-ingestion is bit-exact)."""
+    path = Path(path)
+    header = ["date"] + [f"asset_{j + 1}" for j in range(panel.n_assets)]
+    rows = ((date, *row.tolist()) for date, row in zip(panel.calendar(), panel.returns))
+    _write_csv(path, header, rows, number="%r")
+    _write_json(_sidecar(path), {"asset_classes": list(panel.asset_classes), "seed": panel.seed})
+
+
+def ingest_csv(path) -> ReturnsPanel:
+    """Read a returns panel (the table format) and its sidecar of asset classes and seed."""
+    path = Path(path)
+    names, dates, returns = _read_table(path, "panel")
+    meta_path = _sidecar(path)
+    if not meta_path.exists():
+        raise IngestError(f"missing sidecar {meta_path.name} with asset classes")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        classes = meta["asset_classes"]
+        if not isinstance(classes, list) or any(c not in ASSET_CLASSES for c in classes):
+            raise ValueError(f"asset_classes {classes!r} is not a list of {ASSET_CLASSES}")
+        seed = _SEED("seed", meta.get("seed", 0))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise IngestError(f"bad sidecar {meta_path.name}: {exc}")
+    if len(classes) != len(names):
+        raise IngestError(f"sidecar lists {len(classes)} classes for {len(names)} assets")
+    return ReturnsPanel(returns=returns, asset_classes=classes, seed=seed, dates=dates)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +203,7 @@ class Number:
 _REAL = Number(float)
 _COUNT = Number(int, "[1, inf)")
 _RATE = Number(float, "(0, 1)")
+_SEED = Number(int, "[0, inf)")  # --seed, its config key and the panel sidecar's seed
 
 
 def _text(name: str, value) -> str:
@@ -346,22 +357,11 @@ def _run_strategies(cfg: RunConfig) -> tuple:
     return panel, names, *backtest.run_with_estimates(panel, configs)
 
 
-def _pnl_rows(names: list, results: list, dates: tuple) -> tuple:
-    warmup = max(r.warmup for r in results)
-    n_days = len(results[0].pnl)
-    rows = (
-        [dates[t]] + [f"{float(r.pnl[t]):.12g}" for r in results]
-        for t in range(warmup, n_days)
-    )
-    return ["date"] + list(names), rows
-
-
 def _write_positions(cfg: RunConfig, name: str, result, dates: tuple) -> None:
-    rows = (
-        [dates[t], f"asset_{j + 1}", f"{float(result.positions[t, j]):.12g}"]
-        for t in range(result.warmup, len(result.pnl))
-        for j in range(result.positions.shape[1])
-    )
+    days = dates[result.warmup:]
+    assets = [f"asset_{j + 1}" for j in range(result.positions.shape[1])]
+    rows = ((day, asset, x) for day, row in zip(days, result.positions[result.warmup:])
+            for asset, x in zip(assets, row.tolist()))
     _write_csv(cfg.outdir / f"positions_{name}.csv", ["date", "asset", "position"], rows)
 
 
@@ -369,8 +369,9 @@ def _cmd_backtest(cfg: RunConfig) -> None:
     panel, names, results, corr, vols = _run_strategies(cfg)
 
     dates = panel.calendar()
-    header, rows = _pnl_rows(names, results, dates)
-    _write_csv(cfg.outdir / "pnl.csv", header, rows)
+    warmup = max(r.warmup for r in results)
+    _write_csv(cfg.outdir / "pnl.csv", ["date"] + list(names),
+               zip(dates[warmup:], *(r.pnl[warmup:].tolist() for r in results)))
     for name, result in zip(names, results):
         _write_positions(cfg, name, result, dates)
 
@@ -395,19 +396,11 @@ def _cmd_backtest(cfg: RunConfig) -> None:
 
 def _write_eigenrisk(cfg: RunConfig, panel, names, results, corr, vols) -> None:
     profiles = [backtest.realized_risk(r, corr, panel) for r in results]
-    header = ["eigenvalue"] + list(names)
-    rows = (
-        [f"{profiles[0].eigenvalues[k]:.12g}"] + [f"{p.risks[k]:.12g}" for p in profiles]
-        for k in range(len(profiles[0].eigenvalues))
-    )
-    _write_csv(cfg.outdir / "eigenrisk.csv", header, rows)
-
+    _write_csv(cfg.outdir / "eigenrisk.csv", ["eigenvalue"] + list(names),
+               zip(profiles[0].eigenvalues.tolist(), *(p.risks.tolist() for p in profiles)))
     assets = [f"asset_{j + 1}" for j in range(panel.n_assets)]
-    _write_csv(cfg.outdir / "correlation.csv", assets,
-               ([f"{corr[i, j]:.12g}" for j in range(panel.n_assets)]
-                for i in range(panel.n_assets)))
-    _write_csv(cfg.outdir / "volatilities.csv", ["asset", "volatility"],
-               ([assets[j], f"{vols[j]:.12g}"] for j in range(panel.n_assets)))
+    _write_csv(cfg.outdir / "correlation.csv", assets, corr.tolist())
+    _write_csv(cfg.outdir / "volatilities.csv", ["asset", "volatility"], zip(assets, vols.tolist()))
 
 
 def _cmd_eigenrisk(cfg: RunConfig) -> None:
@@ -444,41 +437,19 @@ def _cmd_agents(cfg: RunConfig) -> None:
     params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
                                     steps=opts["T"], reps=opts["M"], seed=cfg.seed)
     result = herding.run(params)
-    fractions = result.fractions[0]  # one representative repetition
+    fractions = result.fractions[0].tolist()  # one representative repetition
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
-    rows = (
-        [str(t)] + [f"{fractions[t, k]:.12g}" for k in range(params.strategies)]
-        for t in range(params.steps + 1)
-    )
-    _write_csv(cfg.outdir / "trajectory.csv", header, rows)
+    _write_csv(cfg.outdir / "trajectory.csv", header, ([t, *row] for t, row in enumerate(fractions)))
 
-    grid = opts["jgrid"]
-    curve = herding.transition_curve(params, grid)
-    rows = (
-        [f"{curve.couplings[i]:.12g}", f"{curve.max_fraction[i]:.12g}", f"{curve.stderr[i]:.12g}"]
-        for i in range(len(grid))
-    )
-    _write_csv(cfg.outdir / "transition.csv", ["j", "max_interest", "stderr"], rows)
-
-
-def _read_pnl(path) -> tuple:
-    """Read a pnl.csv under ingest_csv's row rules: (strategy names, days x strategies)."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"pnl file {path} does not exist")
-    lines = path.read_text().splitlines()
-    if len(lines) < 3:
-        raise IngestError("pnl file needs a header and at least two rows")
-    header = lines[0].split(",")
-    if header[0] != "date" or len(header) < 2:
-        raise IngestError("pnl header must be 'date,<strategy>...'", line=1)
-    names = header[1:]
-    _, data = _parse_rows(lines, len(names))
-    return names, data
+    curve = herding.transition_curve(params, opts["jgrid"])
+    _write_csv(cfg.outdir / "transition.csv", ["j", "max_interest", "stderr"],
+               zip(curve.couplings.tolist(), curve.max_fraction.tolist(), curve.stderr.tolist()))
 
 
 def _cmd_mix(cfg: RunConfig) -> None:
-    names, data = _read_pnl(cfg.options["pnl"])
+    names, _, data = _read_table(cfg.options["pnl"], "pnl")
+    if len(data) < 2:
+        raise IngestError("pnl file needs at least two rows")
     pair = cfg.options["pair"] or names[:2]
     if len(pair) != 2:
         raise ConfigError("pair must name exactly two strategies")
@@ -491,10 +462,8 @@ def _cmd_mix(cfg: RunConfig) -> None:
         for name in pair
     ]
     grid, sharpes = backtest.sweep_mix_curve(results, step=cfg.options["grid"])
-    rows = (
-        [f"{grid[i]:.12g}", f"{sharpes[i]:.12g}"] for i in range(len(grid))
-    )
-    _write_csv(cfg.outdir / "mixcurve.csv", [f"weight_{pair[1]}", "sharpe"], rows)
+    _write_csv(cfg.outdir / "mixcurve.csv", [f"weight_{pair[1]}", "sharpe"],
+               zip(grid.tolist(), sharpes.tolist()))
 
 
 _COMMANDS = {
@@ -578,7 +547,7 @@ OPTIONS = (
     Option("pnl", ("mix",), _existing_file, REQUIRED, "pnl.csv produced by the backtest command"),
     Option("pair", ("mix",), _names, None, "two strategy names, comma separated (default: the first two)"),
     Option("grid", ("mix",), Number(float, "(0, 0.5]"), 0.01, "mixing weight grid step"),
-    Option("seed", tuple(_COMMANDS), Number(int, "[0, inf)"), 0, "random seed (default 0)"),
+    Option("seed", tuple(_COMMANDS), _SEED, 0, "random seed (default 0)"),
     Option("outdir", tuple(_COMMANDS), _text, None, "output directory (default out/<command>)"),
 )
 
@@ -608,9 +577,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(_existing_file("config", args.config)).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            config = json.loads(Path(_existing_file("config", args.config)).read_text(encoding="utf-8"))
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}

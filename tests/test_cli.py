@@ -58,14 +58,20 @@ def test_ingest_requires_sidecar(tmp_path):
 
 def test_export_ingest_roundtrip_is_bitwise(tmp_path):
     rng = np.random.default_rng(0)
-    panel = ReturnsPanel(returns=rng.standard_normal((37, 3)) * 0.0123,
-                         asset_classes=("stock", "bond", "fx"), seed=9)
-    path = tmp_path / "roundtrip.csv"
-    cli.export_panel(panel, path)
-    back = cli.ingest_csv(path)
-    assert np.array_equal(back.returns, panel.returns)
-    assert back.asset_classes == panel.asset_classes
-    assert back.seed == 9
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, 1 / 3, -1e-300]
+    panels = [
+        ReturnsPanel(returns=rng.standard_normal((37, 3)) * 0.0123,
+                     asset_classes=("stock", "bond", "fx"), seed=9),
+        ReturnsPanel(returns=np.array([extremes, extremes[::-1]]),
+                     asset_classes=("stock",) * len(extremes), seed=9),
+    ]
+    for panel in panels:
+        path = tmp_path / "roundtrip.csv"
+        cli.export_panel(panel, path)
+        back = cli.ingest_csv(path)
+        assert back.returns.tobytes() == panel.returns.tobytes()  # -0.0 keeps its sign
+        assert back.asset_classes == panel.asset_classes
+        assert back.seed == 9
 
 
 def test_backtest_keeps_the_panel_dates(tmp_path):
@@ -225,6 +231,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("unknown-command") == 2
 
 
+def significant_digits(token):
+    return len(token.lstrip("-").replace(".", "").split("e")[0].lstrip("0"))
+
+
 def test_twelve_digit_report_floats(tmp_path):
     out = tmp_path / "oracle"
     assert run_cli("oracle", "--n", "1", "--t", "30", "--models", "1",
@@ -232,8 +242,32 @@ def test_twelve_digit_report_floats(tmp_path):
     text = (out / "oracle.json").read_text()
     for token in text.replace(",", " ").replace("}", " ").split():
         if "." in token and token.replace(".", "").replace("-", "").replace("e", "").isdigit():
-            mantissa = token.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
-            assert len(mantissa) <= 12
+            assert significant_digits(token) <= 12
+    # every numeric cell of every report CSV, in its shortest 12-digit form
+    src = tmp_path / "sim"
+    assert run_cli("simulate", "--n", "3", "--T", "200", "--seed", "8", "--outdir", str(src)) == 0
+    panel = str(src / "panel.csv")
+    commands = {
+        "bt": ["backtest", "--panel", panel, *FAST_BT],
+        "er": ["eigenrisk", "--panel", panel, "--strategy", "arp,nm,ew", *FAST_BT],
+        "ag": ["agents", "--A", "60", "--N", "7", "--T", "10", "--M", "4", "--jgrid", "0:0.7:3"],
+        "mix": ["mix", "--pnl", str(tmp_path / "bt" / "pnl.csv"), "--pair", "arp,torp"],
+    }
+    checked = []
+    for name, argv in commands.items():
+        assert run_cli(*argv, "--seed", "8", "--outdir", str(tmp_path / name)) == 0
+        for path in (tmp_path / name).glob("*.csv"):
+            for row in read_rows(path)[1:]:
+                for cell in row.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a date or an asset name
+                        continue
+                    assert significant_digits(cell) <= 12 and cell == "%.12g" % value, (path, cell)
+                    checked.append(path.relative_to(tmp_path))
+    # backtest: pnl, eigenrisk, correlation, volatilities, five positions; eigenrisk:
+    # three; agents: trajectory, transition; mix: mixcurve
+    assert len(set(checked)) == 15 and len(checked) > 3000
 
 
 def config_file(tmp_path, config):
@@ -380,6 +414,14 @@ def test_mix_rejects_malformed_pnl_rows(tmp_path, capsys, case):
     assert not (out / "mixcurve.csv").exists()
 
 
+def seeded_panel(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    day = datetime.date(2001, 3, 1)
+    returns = (0.01 * rng.standard_normal((80, 3))).tolist()
+    return write_panel(tmp_path, [f"{day + datetime.timedelta(days=i)}," + ",".join(map(repr, row))
+                                  for i, row in enumerate(returns)], classes=("stock", "bond", "fx"))
+
+
 BAD_SIDECAR_CLASSES = {
     "unknown-label": ["stock", "bond", "FX"],
     "string": "sbf",
@@ -389,11 +431,7 @@ BAD_SIDECAR_CLASSES = {
 
 @pytest.mark.parametrize("case", BAD_SIDECAR_CLASSES)
 def test_ingest_rejects_sidecar_classes_outside_the_asset_classes(tmp_path, capsys, case):
-    rng = np.random.default_rng(11)
-    day = datetime.date(2001, 3, 1)
-    path = write_panel(tmp_path, [f"{day + datetime.timedelta(days=i)}," + ",".join(map(repr, row))
-                                  for i, row in enumerate((0.01 * rng.standard_normal((80, 3))).tolist())],
-                       classes=("stock", "bond", "fx"))
+    path = seeded_panel(tmp_path, 11)
     assert cli.ingest_csv(path).asset_classes == ("stock", "bond", "fx")
     (tmp_path / "panel.meta.json").write_text(
         json.dumps({"asset_classes": BAD_SIDECAR_CLASSES[case], "seed": 0}))
@@ -436,3 +474,66 @@ def test_flat_asset_keeps_the_eigenmode_risks_finite(tmp_path):
         per_mode = ((pos * vols) @ vecs) * ((rets / vols) @ vecs)
         assert np.abs(per_mode.sum(axis=1) - pnl[:, b]).max() < 1e-12
         assert np.allclose(per_mode.std(axis=0, ddof=1), risks[:, 1 + b], rtol=1e-8, atol=1e-14)
+
+
+SIDECAR_SEEDS = {  # sidecar value -> the seed it gives, None where --seed rejects it
+    "float": (3.7, None),
+    "bool": (True, None),
+    "negative": (-5, None),
+    "text": ("12", 12),
+    "missing": (..., 0),
+}
+
+
+@pytest.mark.parametrize("case", SIDECAR_SEEDS)
+def test_sidecar_seed_follows_the_seed_option(tmp_path, capsys, case):
+    value, seed = SIDECAR_SEEDS[case]
+    path = seeded_panel(tmp_path, 17)
+    meta = {"asset_classes": ["stock", "bond", "fx"]}
+    if value is not ...:
+        meta["seed"] = value
+    (tmp_path / "panel.meta.json").write_text(json.dumps(meta))
+    # the config file takes the same value to the same verdict
+    config = config_file(tmp_path, {} if value is ... else {"seed": value})
+    code = run_cli("simulate", "--n", "1", "--T", "5", "--config", config,
+                   "--outdir", str(tmp_path / "sim"))
+    if seed is None:
+        assert code == 2 and names_option(last_error(capsys), "seed")
+        with pytest.raises(IngestError, match="panel.meta.json"):
+            cli.ingest_csv(path)
+        assert run_cli("backtest", "--panel", str(path), "--strategy", "ew", *FAST_BT,
+                       "--outdir", str(tmp_path / "bt")) == 3
+        error = last_error(capsys)
+        assert error.startswith("error: data:") and "panel.meta.json" in error
+    else:
+        assert code == 0
+        assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["seed"] == seed
+        assert cli.ingest_csv(path).seed == seed
+
+
+@pytest.mark.parametrize("case", ["panel", "pnl", "config"])
+def test_non_utf8_input_exits_with_its_error_code(tmp_path, capsys, case):
+    panel = seeded_panel(tmp_path, 19)
+    assert run_cli("backtest", "--panel", str(panel), "--strategy", "ew,nm", *FAST_BT,
+                   "--outdir", str(tmp_path / "bt")) == 0
+    pnl = tmp_path / "bt" / "pnl.csv"
+    config = tmp_path / "cfg.json"
+    if case == "config":
+        config.write_bytes(b'{"pair": "ew,nm", "outdir": "caf\xe9"}\n')
+    else:
+        config.write_bytes(b'{"pair": "ew,nm"}\n')
+        target = {"panel": panel, "pnl": pnl}[case]
+        lines = target.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",", b",\xe9", 1)
+        target.write_bytes(b"\n".join(lines))
+    if case == "panel":
+        code = run_cli("backtest", "--panel", str(panel), "--outdir", str(tmp_path / "out"))
+    else:
+        code = run_cli("mix", "--pnl", str(pnl), "--config", str(config),
+                       "--outdir", str(tmp_path / "out"))
+    error = last_error(capsys)
+    if case == "config":
+        assert code == 2 and error.startswith("error: config:")
+    else:
+        assert code == 3 and error.startswith("error: data: line 5:") and "UTF-8" in error
+    assert not list((tmp_path / "out").glob("*.csv"))
