@@ -7,10 +7,13 @@ estimators.  Weekly return sums feed the correlation estimate every
 week_len days; per-asset vols come from the daily variance EMA.
 
 The estimators run once per panel and estimator setting, and every book of
-that setting is built from the pass one block at a time: a block is the
-days between two weekly rolls, over which one cleaned correlation holds.
-A block's book is the portfolio constructor of its kind called on the whole
-block, then portfolios.vol_target if vol_scale is set.
+that setting is built from the pass: a block is the days between two weekly
+rolls, over which one cleaned correlation holds.  The pass streams the panel
+in chunks of about _CHUNK_DAYS days; at the end of a chunk it cleans the
+chunk's rolls in one stacked call and builds each book once over all the
+blocks the chunk completed, by the portfolio constructor of its kind (then
+portfolios.vol_target if vol_scale is set).  Chunking bounds every stacked
+array at about _CHUNK_DAYS matrices.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .market_model import ReturnsPanel
 from .symmat import eigendecompose
 
 TRADING_DAYS = 252.0
+_CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked array
 
 _BOOKS = {  # kind -> its book on a block of days, from (corr, cov, signals, vols, classes, ridge)
     "rp": lambda c, cov, s, v, cls, r: portfolios.risk_parity(cov, v, cls, r),
@@ -99,10 +103,11 @@ class BacktestResult:
         return float(pnl.mean()) / std * math.sqrt(TRADING_DAYS)
 
 
-def _positions(cfg: StrategyConfig, corr, sig, vols, classes) -> np.ndarray:
-    """One book's positions on consecutive days (rows) that share one cleaned correlation;
-    vol_scale rescales each day that holds a position to that volatility."""
-    cov = None if corr is None else corr * (vols[:, :, None] * vols[:, None, :])
+def _positions(cfg: StrategyConfig, corr, cov, sig, vols, classes) -> np.ndarray:
+    """One book's positions on k blocks of w days: signals and vols (k, w, n), the
+    cleaned correlation of each block (k, 1, n, n) and the daily covariances
+    (k, w, n, n), both None for a book that does not read them; vol_scale
+    rescales each day that holds a position to that volatility."""
     book = _BOOKS[cfg.kind](corr, cov, sig, vols, classes, cfg.ridge)
     if cfg.vol_scale is None:
         return book.positions
@@ -112,30 +117,45 @@ def _positions(cfg: StrategyConfig, corr, sig, vols, classes) -> np.ndarray:
     return pos
 
 
+def _segments(lo: int, hi: int, week: int):
+    """Days [lo, hi) as (start, stop, blocks): the ragged end of the block lo falls
+    in, the whole blocks, and the ragged start of the block hi falls in."""
+    whole_lo = min(hi, -(-lo // week) * week)
+    whole_hi = max(whole_lo, hi // week * week)
+    segments = ((lo, whole_lo, 1), (whole_lo, whole_hi, (whole_hi - whole_lo) // week),
+                (whole_hi, hi, 1))
+    return [segment for segment in segments if segment[0] < segment[1]]
+
+
 def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tuple:
     """Run the setting's estimators over the panel once and build the books from them.
 
     A block is the days between two weekly rolls; each book's day t sees the
     signal and vols of days < t and the correlation cleaned at the block's
     opening roll.  A roll is cleaned only if it is the last one or if a book
-    that reads the correlation trades in the block it opens.  Returns each
-    book's positions and the final (correlation, vols).
+    that reads the correlation trades in the block it opens.  The days run
+    through the one-step recursions in order; every _CHUNK_DAYS days or so,
+    at a roll, the pass cleans the pending rolls in one stacked call and
+    builds each book once over the blocks completed since the last flush.
+    Returns each book's positions and the final (correlation, vols).
     """
     returns = panel.returns
     n_days, n = returns.shape
+    week = setting.week_len
     ratio = setting.sample_ratio
     if ratio is None:
         ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
     warmups = [cfg.warmup_days() for cfg in books]
+    reads = [cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None for cfg in books]
     positions = [np.zeros((n_days, n)) for _ in books]
-    first_read = min([w for cfg, w in zip(books, warmups)
-                      if cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None] + [n_days])
+    first_read = min([w for w, r in zip(warmups, reads) if r] + [n_days])
 
     sig = signals.SignalState.initial(setting.signal_rate, n)
     state = estimation.CovarianceState(n=n, cov_rate=setting.cov_rate, var_rate=setting.var_rate)
     sigs, variances = np.zeros((n_days, n)), np.zeros((n_days, n))
-    corr, start = None, 0
+    pending, first_block = [], 0  # needed rolls not cleaned yet; the block pending[0] opens
+    corr, lo = None, 0
     for t in range(n_days):
         sigs[t] = sig.values
         if t:
@@ -143,19 +163,35 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         sig = signals.update(sig, returns[t])
         state = estimation.update_daily(state, returns[t])
         day = t + 1
-        rolls = day % setting.week_len == 0
-        if not rolls and day < n_days:
-            continue
-        for cfg, warmup, pos in zip(books, warmups, positions):
-            lo = max(start, warmup)
-            if lo < day:
-                pos[lo:day] = _positions(cfg, corr, sigs[lo:day], np.sqrt(variances[lo:day]),
-                                         panel.asset_classes)
-        if rolls:
+        if day % week == 0:
             state = estimation.roll_week(state)
-            needed = day + setting.week_len > first_read
-            corr = clean(estimation.correlation(state), ratio) if needed else None
-            start = day
+            if day + week > first_read:  # needed: a book that reads it trades in its block
+                if not pending:
+                    first_block = day // week
+                pending.append(estimation.correlation(state))
+        if day < n_days and (day % week or day - lo < _CHUNK_DAYS):
+            continue
+        # flush: blocks of days [lo, day) are complete; a roll at day opens the next chunk
+        carried = pending[-1:] if day < n_days else []
+        cleaned = None
+        if len(pending) > len(carried):
+            cleaned = clean(np.array(pending[: len(pending) - len(carried)]), ratio)
+            corr = cleaned[-1]
+        vols = np.sqrt(variances[lo:day])
+        covs = {}  # (start, stop) -> covariances shared by the books of that segment
+        for cfg, warmup, read, pos in zip(books, warmups, reads, positions):
+            for start, stop, blocks in _segments(max(lo, warmup), day, week):
+                v = vols[start - lo:stop - lo].reshape(blocks, -1, n)
+                c = cov = None
+                if read:
+                    first = start // week - first_block
+                    c = cleaned[first:first + blocks, None]
+                    if (start, stop) not in covs:
+                        covs[start, stop] = c * (v[..., :, None] * v[..., None, :])
+                    cov = covs[start, stop]
+                pos[start:stop] = _positions(cfg, c, cov, sigs[start:stop].reshape(blocks, -1, n),
+                                             v, panel.asset_classes).reshape(-1, n)
+        pending, first_block, lo = carried, day // week, day
     if corr is None:
         estimation.correlation(state)  # raises: no weekly roll yet
     return positions, corr, estimation.volatilities(state)

@@ -6,13 +6,15 @@ may give any option under its flag's long name with "_" in place of "-";
 flags win over the file.  The simulate keys noise_cov and trend_cov (full
 matrices) exist only in the config file.  Flag and config values go through
 the row's validator before any command runs.  Every command writes its
-artifacts plus a manifest.json into --outdir; outputs are byte-identical for a
-fixed (config, seed).
+artifacts plus a manifest.json into --outdir, which is made with the first
+file, so a run that fails before it leaves no directory; outputs are
+byte-identical for a fixed (config, seed).
 
 Every CSV goes through one writer (_write_csv) and is read back through one
 reader (_read_table): a header, then rows whose leading text columns (date,
 asset, t) are followed by numbers, printed with 12 significant digits, or at
-full precision in an exported panel.  Input files are read as UTF-8.
+full precision in an exported panel.  Input files are read as UTF-8, and a
+header may not repeat a column name.
 
 Exit codes: 0 success, 2 config error, 3 data error (a malformed panel, or one
 shorter than the warm-up), 4 numerical failure.
@@ -65,6 +67,9 @@ def _jsonify(obj):
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write the file whole; its directory is made here, so a run that fails
+    before its first file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(text.encode("utf-8"))
     os.replace(tmp, path)
@@ -106,6 +111,9 @@ def _read_table(path, what: str) -> tuple:
     if not header or header[0] != "date" or len(header) < 2:
         raise IngestError(f"{what} header must be 'date,<name>...'", line=1)
     names, rows, dates = header[1:], [], []
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise IngestError(f"{what} header repeats the column {repeated[0]!r}", line=1)
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -451,8 +459,8 @@ def _cmd_mix(cfg: RunConfig) -> None:
     if len(data) < 2:
         raise IngestError("pnl file needs at least two rows")
     pair = cfg.options["pair"] or names[:2]
-    if len(pair) != 2:
-        raise ConfigError("pair must name exactly two strategies")
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ConfigError("pair must name exactly two different strategies")
     for name in pair:
         if name not in names:
             raise ConfigError(f"strategy {name!r} not present in pnl file")
@@ -480,7 +488,6 @@ def run_command(cfg: RunConfig) -> None:
     """Run the command on validated options and write the manifest."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     _COMMANDS[cfg.command][0](cfg)
     _write_json(cfg.outdir / "manifest.json", _manifest(cfg))
 

@@ -4,7 +4,9 @@ Daily returns feed an EMA of squared returns (per-asset variances) and a
 buffer that is rolled into an EMA covariance of weekly return sums.  The
 rescaled weekly correlation can then be cleaned with a rotational-invariant
 eigenvalue shrinkage, or with plain eigenvalue clipping at the
-Marchenko-Pastur edge for comparison.
+Marchenko-Pastur edge for comparison.  The cleaners take one correlation or
+a (..., n, n) stack of them and clean each matrix of a stack exactly as
+its own one-matrix call would.
 """
 
 from __future__ import annotations
@@ -119,18 +121,19 @@ def default_sample_ratio(dim: int, cov_rate: float = DEFAULT_COV_RATE) -> float:
 
 def _check_correlation(corr: np.ndarray) -> np.ndarray:
     c = symmat.check_symmetric(corr)
-    if np.abs(np.diag(c) - 1.0).max() > 1e-8:
+    if np.abs(np.diagonal(c, axis1=-2, axis2=-1) - 1.0).max() > 1e-8:
         raise InvalidInput("input must have unit diagonal")
     return c
 
 
 def _rebuild_unit_diag(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    m = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    diag = np.diag(m).copy()
+    m = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    diag = np.diagonal(m, axis1=-2, axis2=-1).copy()
     diag[diag <= 0.0] = 1.0
     scale = 1.0 / np.sqrt(diag)
-    out = m * np.outer(scale, scale)
-    np.fill_diagonal(out, 1.0)
+    out = m * (scale[..., :, None] * scale[..., None, :])
+    diagonal = np.arange(out.shape[-1])
+    out[..., diagonal, diagonal] = 1.0
     return symmat.symmetrize(out)
 
 
@@ -148,10 +151,10 @@ def rie_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:
         raise InvalidInput(f"sample_ratio must be positive, got {sample_ratio}")
     pairs = symmat.eigendecompose(c)
     lam = pairs.eigenvalues
-    dim = len(lam)
+    dim = lam.shape[-1]
     eta = dim ** -0.5
     z = lam - 1j * eta
-    stieltjes = np.mean(1.0 / (z[:, None] - lam[None, :]), axis=1)
+    stieltjes = np.mean(1.0 / (z[..., :, None] - lam[..., None, :]), axis=-1)
     denom = np.abs(1.0 - sample_ratio + sample_ratio * lam * stieltjes) ** 2
     cleaned = lam / denom
     return _rebuild_unit_diag(cleaned, pairs.eigenvectors)
@@ -165,9 +168,10 @@ def clip_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:
     pairs = symmat.eigendecompose(c)
     lam = pairs.eigenvalues.copy()
     edge = (1.0 + np.sqrt(sample_ratio)) ** 2
-    bulk = lam <= edge
-    if bulk.any():
-        lam[bulk] = lam[bulk].mean()
+    for row in lam.reshape(-1, lam.shape[-1]):  # the bulk mean of each matrix on its own
+        bulk = row <= edge
+        if bulk.any():
+            row[bulk] = row[bulk].mean()
     return _rebuild_unit_diag(lam, pairs.eigenvectors)
 
 

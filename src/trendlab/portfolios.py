@@ -5,9 +5,11 @@ trend-on-risk-parity, equally weighted), the generalized signal-weight
 matrix and volatility targeting.  Constructors return unit-gross positions
 by default; pass normalize=False for the raw linear form (linear in the
 signal), and use vol_target to set the actual size.  Each takes one day or
-an (m, n) block of days, row by row equal to the one-day calls: signals
-and vols (m, n), covariances (m, n, n), one correlation for ARP.  NM, RP,
-ToRP and the weight matrix all go through the one solve, symmat.solve.
+days under any leading batch shape, row by row equal to the one-day calls:
+signals and vols (..., n), covariances (..., n, n), and for ARP a
+correlation that broadcasts against them, such as (k, 1, n, n) for k blocks
+of days that share one each.  NM, RP, ToRP and the weight matrix all go
+through the one solve, symmat.solve.
 
 Cross-asset conventions: cov is the asset covariance, corr its unit-diagonal
 rescaling, vols the per-asset volatility vector, classes the asset-class
@@ -32,7 +34,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PortfolioWeights:
-    """Positions of one day, or of a block of days with one row per day."""
+    """Positions of one day, or of days under a batch shape with one row per day."""
 
     positions: np.ndarray
     kind: str
@@ -76,7 +78,7 @@ def class_target(classes) -> np.ndarray:
 
 def _vols_vector(vols, n: int) -> np.ndarray:
     v = np.asarray(vols, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != n:
+    if v.ndim < 1 or v.shape[-1] != n:
         raise InvalidInput(f"expected {n} volatilities per day, got shape {v.shape}")
     return v
 
@@ -103,7 +105,7 @@ def naive_markowitz(cov, signal, ridge=None, normalize=True) -> PortfolioWeights
 def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> PortfolioWeights:
     """Inverse-vol sandwich around the inverse square root of the correlation."""
     corr = np.asarray(corr, dtype=float)
-    v = _vols_vector(vols, corr.shape[0])
+    v = _vols_vector(vols, corr.shape[-1])
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
     scaled = (np.asarray(signal, dtype=float) / v)[..., None]

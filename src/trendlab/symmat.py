@@ -2,8 +2,9 @@
 
 Eigendecomposition with a fixed sign convention, ridge-regularized inverse
 and inverse square root, and the ridge-shifted linear solve that every
-portfolio book goes through.  All functions are pure and operate on plain
-numpy arrays.
+portfolio book goes through.  All functions are pure, operate on plain
+numpy arrays and take one (n, n) matrix or a (..., n, n) stack of them;
+each matrix of a stack gets exactly the result of its own one-matrix call.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ DEFAULT_RIDGE_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Spectral decomposition: eigenvalues sorted descending, orthonormal columns."""
+    """Spectral decomposition: eigenvalues sorted descending, orthonormal columns;
+    (..., n) and (..., n, n) for a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
+        return (u * self.eigenvalues[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -39,8 +41,10 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
         raise InvalidMatrix("matrix has non-finite entries")
     at = np.swapaxes(a, -1, -2)
     if not np.array_equal(a, at):
-        # tolerate round-off asymmetry, reject anything structural
-        if not np.allclose(a, at, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        # tolerate round-off asymmetry, reject anything structural; each matrix
+        # of a stack is judged against its own scale
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+        if (np.abs(a - at) > 1e-12 * scale).any():
             raise InvalidMatrix("matrix is not symmetric")
         a = symmetrize(a)
     return a
@@ -51,60 +55,55 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(m: np.ndarray) -> EigenPairs:
-    """Eigendecomposition of a symmetric matrix, deterministic across runs.
+    """Eigendecomposition of a symmetric matrix or a stack, deterministic across runs.
 
     Eigenvalues come out sorted descending; each eigenvector is flipped so
     that its first component of non-negligible size is positive.
     """
     a = check_symmetric(m)
-    if a.ndim != 2:
-        raise InvalidMatrix(f"expected one square matrix, got shape {a.shape}")
     vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     sizable = np.abs(vecs) > 1e-12
-    lead = vecs[sizable.argmax(axis=0), np.arange(vecs.shape[1])]
-    flip = sizable.any(axis=0) & (lead < 0.0)
-    vecs[:, flip] = -vecs[:, flip]
+    lead = np.take_along_axis(vecs, sizable.argmax(axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    flip = sizable.any(axis=-2) & (lead < 0.0)
+    vecs = np.where(flip[..., None, :], -vecs, vecs)
     return EigenPairs(eigenvalues=vals, eigenvectors=vecs)
-
-
-def _default_ridge(vals: np.ndarray) -> float:
-    return DEFAULT_RIDGE_SCALE * float(np.abs(vals).sum()) / len(vals)
 
 
 def _shifted_spectrum(m: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np.ndarray]:
     pairs = eigendecompose(m)
+    vals = pairs.eigenvalues
     if ridge is None:
-        ridge = _default_ridge(pairs.eigenvalues)
-    if ridge < 0.0:
+        ridge = DEFAULT_RIDGE_SCALE * np.abs(vals).sum(axis=-1, keepdims=True) / vals.shape[-1]
+    elif ridge < 0.0:
         raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
-    shifted = pairs.eigenvalues + ridge
+    shifted = vals + ridge
     if shifted.min() <= 0.0:
         raise NotPositiveDefinite(
-            f"eigenvalue {shifted.min():.3e} not positive after ridge {ridge:.3e}"
+            f"eigenvalue {shifted.min():.3e} not positive after ridge {np.max(ridge):.3e}"
         )
     return shifted, pairs.eigenvectors
 
 
 def inverse(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """Inverse of (m + ridge*I).  ridge=None picks 1e-8 * trace/dim."""
+    """Inverse of (m + ridge*I).  ridge=None picks 1e-8 * trace/dim per matrix."""
     vals, vecs = _shifted_spectrum(m, ridge)
-    return symmetrize((vecs / vals) @ vecs.T)
+    return symmetrize((vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 def inv_sqrt(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
     """Inverse square root P of (m + ridge*I), so that P (m+ridge*I) P = I."""
     vals, vecs = _shifted_spectrum(m, ridge)
-    return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
+    return symmetrize((vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """x with (m + ridge*I) x = b for an (n, n) matrix or a (k, n, n) stack.
+    """x with (m + ridge*I) x = b for an (n, n) matrix or a (..., n, n) stack.
 
     b's last axis holds the right-hand sides, broadcast over the stack: (n,) or
-    (k, n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
+    (..., n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
     inverse's default on PSD input; NotPositiveDefinite if m + ridge*I is not.
     """
     a = check_symmetric(m)
@@ -113,7 +112,9 @@ def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarra
         ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
     elif ridge < 0.0:
         raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
-    shifted = a + np.multiply.outer(ridge, np.eye(n))
+    shifted = a + 0.0  # a copy, and the very sums a + ridge*I gives off the diagonal
+    diagonal = np.arange(n)
+    shifted[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
     try:
         np.linalg.cholesky(shifted)  # np.linalg.solve passes indefinite, non-singular input
     except np.linalg.LinAlgError:

@@ -79,3 +79,24 @@ def market_trend_model(n=6, rho=0.45, scale=1.2, amp=0.2, decay=0.03):
     return ModelParams(n=n, drift=np.zeros(n), noise_cov=noise,
                        trend_cov=scale * np.outer(ones, ones) / n,
                        trend_amp=amp, trend_decay=decay)
+
+
+def correlation_cases(seed, n=6):
+    """Correlations a stacked call must treat each on its own: random ones, one
+    with a repeated eigenvalue, the identity, and one with a flat asset (its
+    row and column zero off the diagonal)."""
+    rng = np.random.default_rng(seed)
+    cases = [rand_spd(rng, n) for _ in range(5)]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cases.append((q * np.r_[2.5, 2.5, np.ones(n - 2)]) @ q.T)
+    cases.append(np.eye(n))
+    flat = rand_spd(rng, n)
+    flat[0, 1:] = flat[1:, 0] = 0.0
+    cases.append(flat)
+    out = []
+    for m in cases:
+        d = 1.0 / np.sqrt(np.diag(m))
+        corr = 0.5 * (m + m.T) * np.outer(d, d)
+        np.fill_diagonal(corr, 1.0)
+        out.append(corr)
+    return np.stack(out)

@@ -114,10 +114,11 @@ def test_criterion_4_eigenmode_risk_profile():
     params = mode_profile_model(n=10, signal_rate=rate)
     panel = simulate(params, 50_000, 12)
     corr = stationary_correlation(params)
-    profiles = {}
-    for kind in ("arp", "nm", "ew"):
-        cfg = bt.StrategyConfig(kind=kind, signal_rate=rate, cov_rate=1 / 3750.0, week_len=1)
-        profiles[kind] = bt.realized_risk(bt.run(panel, cfg), corr, panel)
+    kinds = ("arp", "nm", "ew")
+    configs = [bt.StrategyConfig(kind=kind, signal_rate=rate, cov_rate=1 / 3750.0, week_len=1)
+               for kind in kinds]
+    profiles = {kind: bt.realized_risk(result, corr, panel)
+                for kind, result in zip(kinds, bt.run_many(panel, configs))}
 
     arp = profiles["arp"].risks / profiles["arp"].risks.mean()
     flat_ok = arp.min() > 0.75 and arp.max() < 1.25

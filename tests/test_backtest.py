@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -445,6 +446,41 @@ def test_blocked_engine_matches_per_day_constructors(cleaner, week_len, vol_scal
     corr, vols = bt.pipeline_estimates(panel, configs[0])
     _, _, (want_corr, want_vols) = reference_run(panel, configs[0])
     assert np.array_equal(corr, want_corr) and np.array_equal(vols, want_vols)
+
+
+@pytest.mark.parametrize("week_len", [1, 5, 7])
+def test_chunked_engine_matches_per_day_constructors(week_len):
+    """Several chunks, a ragged first block after warm-up and a ragged last block."""
+    panel = factor_panel(25, 2 * bt._CHUNK_DAYS + 45, ENGINE_CLASSES)
+    configs = [bt.StrategyConfig(kind=kind, week_len=week_len, warmup=66, **FAST)
+               for kind in bt.STRATEGY_KINDS]
+    configs += [bt.StrategyConfig(kind=kind, week_len=week_len, warmup=66, vol_scale=0.02, **FAST)
+                for kind in ("nm", "ew")]
+    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+        positions, pnl, _ = reference_run(panel, cfg)
+        bound = EQUIVALENCE_BOUND * np.abs(positions).max()
+        assert np.abs(res.positions - positions).max() <= bound, cfg
+        assert np.abs(res.pnl - pnl).max() <= bound, cfg
+    corr, vols = bt.pipeline_estimates(panel, configs[0])
+    _, _, (want_corr, want_vols) = reference_run(panel, configs[0])
+    assert np.array_equal(corr, want_corr) and np.array_equal(vols, want_vols)
+
+
+def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch):
+    days, week, warmup = 4000, 5, 20  # the desk panel's size, every roll but three needed
+    panel = white_panel(24, days, 16)
+    clean = estimation.CLEANERS["rie"]
+    stacks = []
+    monkeypatch.setitem(estimation.CLEANERS, "rie",
+                        lambda corr, ratio: stacks.append(len(corr)) or clean(corr, ratio))
+    bt.run_many(panel, [bt.StrategyConfig(kind=kind, warmup=warmup, **FAST)
+                        for kind in bt.STRATEGY_KINDS])
+    assert 1 <= len(stacks) <= math.ceil(days / bt._CHUNK_DAYS) + 1
+    assert max(stacks) <= bt._CHUNK_DAYS // week + 2  # chunking bounds every stack
+    assert sum(stacks) == sum(1 for day in range(week, days + 1, week) if day + week > warmup)
+    stacks.clear()
+    bt.pipeline_estimates(panel, bt.StrategyConfig(kind="ew", warmup=warmup, **FAST))
+    assert stacks == [1]  # no book reads a correlation: only the last roll is cleaned
 
 
 def late_listing_panel():

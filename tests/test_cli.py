@@ -537,3 +537,46 @@ def test_non_utf8_input_exits_with_its_error_code(tmp_path, capsys, case):
     else:
         assert code == 3 and error.startswith("error: data: line 5:") and "UTF-8" in error
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def seeded_pnl_rows(seed, days=50):
+    rng = np.random.default_rng(seed)
+    day = datetime.date(2000, 2, 7)
+    return [f"{day + datetime.timedelta(days=i)},{x!r},{y!r}"
+            for i, (x, y) in enumerate(rng.standard_normal((days, 2)).tolist())]
+
+
+def test_repeated_column_names_are_a_data_error(tmp_path, capsys):
+    pnl = tmp_path / "pnl.csv"
+    pnl.write_text("\n".join(["date,a,a"] + seeded_pnl_rows(31)) + "\n")
+    out = tmp_path / "mix"
+    assert run_cli("mix", "--pnl", str(pnl), "--grid", "0.5", "--outdir", str(out)) == 3
+    error = last_error(capsys)
+    assert error.startswith("error: data: line 1:") and "'a'" in error
+    assert not out.exists()
+    panel = seeded_panel(tmp_path, 31)
+    lines = panel.read_text().splitlines()
+    panel.write_text("\n".join(["date,asset_1,asset_2,asset_1"] + lines[1:]) + "\n")
+    with pytest.raises(IngestError, match="'asset_1'") as err:
+        cli.ingest_csv(panel)
+    assert err.value.line == 1
+
+
+def test_mix_pair_must_name_two_different_strategies(tmp_path, capsys):
+    pnl = write_pnl(tmp_path / "pnl.csv", seeded_pnl_rows(32))
+    out = tmp_path / "mix"
+    assert run_cli("mix", "--pnl", str(pnl), "--pair", "a,a", "--outdir", str(out)) == 2
+    assert last_error(capsys).startswith("error: config: pair")
+    assert not out.exists()
+    assert run_cli("mix", "--pnl", str(pnl), "--pair", "b,a", "--outdir", str(out)) == 0
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    panel = tmp_path / "solo.csv"
+    panel.write_text("date,asset_1\n2020-01-01,0.1\n")  # no sidecar
+    out = tmp_path / "deep" / "bt"
+    assert run_cli("backtest", "--panel", str(panel), "--outdir", str(out)) == 3
+    assert "sidecar" in last_error(capsys)
+    assert not (tmp_path / "deep").exists()
+    assert run_cli("simulate", "--n", "2", "--T", "30", "--outdir", str(out)) == 0
+    assert (out / "manifest.json").exists()  # a run that writes makes the nested directory

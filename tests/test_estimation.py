@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import correlation_cases, rand_spd
 from trendlab import estimation as est
 from trendlab.errors import DegenerateVariance, InvalidInput, NothingToRoll
 
@@ -203,3 +203,18 @@ def test_first_weekly_update_sets_scale_matched_identity():
     scale = np.mean(r * r)  # identity seeded at the first week's magnitude
     want = 0.9 * scale * np.eye(2) + 0.1 * np.outer(r, r)
     assert np.allclose(state.weekly_cov, want)
+
+
+@pytest.mark.parametrize("cleaner", ["rie", "clip", "none"])
+def test_stacked_cleaning_equals_one_matrix_calls(cleaner):
+    clean = est.CLEANERS[cleaner]
+    stack = correlation_cases(22)
+    for ratio in (0.05, 0.4):
+        cleaned = clean(stack, ratio)
+        blocks = clean(stack.reshape(4, 1, 2, *stack.shape[1:]), ratio)
+        for k, corr in enumerate(stack):
+            one = clean(corr, ratio)
+            assert np.array_equal(cleaned[k], one), k
+            assert np.array_equal(blocks[k // 2, 0, k % 2], one), k
+    with pytest.raises(InvalidInput):  # one bad diagonal fails the stack
+        clean(np.stack([np.eye(3), np.diag([2.0, 1.0, 1.0])]), 0.3)

@@ -350,6 +350,34 @@ def test_block_equals_one_day_calls():
             assert np.array_equal(scaled.positions, np.stack(one_day))
 
 
+def test_blocks_of_days_equal_one_day_calls():
+    """The engine's layout: k blocks of w days, one correlation per block."""
+    rng = np.random.default_rng(23)
+    k, w, n = 3, 4, 5
+    classes = ("stock", "bond", "stock", "fx", "bond")
+    corr = np.stack([np.corrcoef(rng.standard_normal((40, n)), rowvar=False) for _ in range(k)])
+    vols = rng.uniform(0.5, 2.0, size=(k, w, n))
+    sig = rng.standard_normal((k, w, n))
+    cov = corr[:, None] * (vols[..., :, None] * vols[..., None, :])
+    builds = {
+        "rp": lambda c, cv, v, s: pf.risk_parity(cv, v, classes),
+        "nm": lambda c, cv, v, s: pf.naive_markowitz(cv, s),
+        "arp": lambda c, cv, v, s: pf.agnostic_risk_parity(c, v, s),
+        "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(cv, v, s, classes),
+        "ew": lambda c, cv, v, s: pf.equally_weighted(v),
+    }
+    for kind, build in builds.items():
+        blocks = build(corr[:, None], cov, vols, sig)
+        assert blocks.positions.shape == (k, w, n) and blocks.gross.shape == (k, w)
+        for b in range(k):
+            for t in range(w):
+                day = build(corr[b], cov[b, t], vols[b, t], sig[b, t])
+                assert np.array_equal(blocks.positions[b, t], day.positions), (kind, b, t)
+        scaled = pf.vol_target(blocks, cov, 0.3).positions
+        assert np.array_equal(scaled[1, 2], pf.vol_target(
+            build(corr[1], cov[1, 2], vols[1, 2], sig[1, 2]), cov[1, 2], 0.3).positions)
+
+
 def test_indefinite_covariance_is_not_positive_definite():
     cov = np.diag([1.0, -0.5, 2.0])  # non-singular, so a bare solve would pass it
     s, vols = np.ones(3), np.ones(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import correlation_cases, rand_spd
 from trendlab import symmat
 from trendlab.errors import InvalidMatrix, NotPositiveDefinite
 
@@ -48,8 +48,8 @@ def test_eigendecompose_rejects_bad_input():
         symmat.eigendecompose(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(InvalidMatrix):
         symmat.eigendecompose(np.ones((2, 3)))
-    with pytest.raises(InvalidMatrix):
-        symmat.eigendecompose(np.stack([np.eye(2)] * 3))
+    stacked = symmat.eigendecompose(np.stack([np.eye(2)] * 3))  # a stack is one matrix each
+    assert stacked.eigenvalues.shape == (3, 2) and stacked.eigenvectors.shape == (3, 2, 2)
 
 
 def test_inv_sqrt_identity_and_diagonal():
@@ -178,3 +178,34 @@ def test_vectorized_sign_fix_matches_the_loop():
         assert np.array_equal(pairs.eigenvectors, vecs)
         tiny += int(((np.abs(vecs[0]) < 1e-12) & (vecs[0] != 0.0)).sum())
     assert tiny > 0  # the sub-1e-12 leading components were exercised
+
+
+def test_stacked_calls_equal_one_matrix_calls():
+    stack = correlation_cases(21)
+    stack[:4] *= np.arange(1.0, 5.0)[:, None, None]  # not all on one scale
+    pairs = symmat.eigendecompose(stack)
+    assert np.array_equal(stack[-2], np.eye(stack.shape[-1]))
+    for ridge in (None, 0.0, 0.1):
+        roots, inverses = symmat.inv_sqrt(stack, ridge), symmat.inverse(stack, ridge)
+        blocks = symmat.inv_sqrt(stack.reshape(2, 4, *stack.shape[1:]), ridge)
+        for k, m in enumerate(stack):
+            one = symmat.eigendecompose(m)
+            assert np.array_equal(pairs.eigenvalues[k], one.eigenvalues), k
+            assert np.array_equal(pairs.eigenvectors[k], one.eigenvectors), k
+            assert np.array_equal(roots[k], symmat.inv_sqrt(m, ridge)), k
+            assert np.array_equal(blocks[k // 4, k % 4], roots[k]), k
+            assert np.array_equal(inverses[k], symmat.inverse(m, ridge)), k
+    assert np.allclose(pairs.reconstruct(), stack, atol=1e-12)
+
+
+def test_stacked_symmetry_check_judges_each_matrix_on_its_own_scale():
+    small = np.array([[1e-6, 2e-7], [0.0, 1e-6]])
+    with pytest.raises(InvalidMatrix):
+        symmat.solve(small, np.ones(2))
+    with pytest.raises(InvalidMatrix):  # a large neighbour must not widen the tolerance
+        symmat.solve(np.stack([small, 1e6 * np.eye(2)]), np.ones((2, 2)))
+    with pytest.raises(InvalidMatrix):
+        symmat.eigendecompose(np.stack([1e6 * np.eye(2), small]))
+    rounded = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])  # round-off stays tolerated
+    got = symmat.solve(np.stack([rounded, 1e-6 * np.eye(2)]), np.ones((2, 2)))
+    assert np.array_equal(got[0], symmat.solve(rounded, np.ones(2)))
