@@ -1,19 +1,19 @@
 """Dated strategy pipeline over a returns panel.
 
-Each day the engine first builds positions from estimator and signal state
-that has only seen returns up to the previous day, then realizes the P&L
-against the current day's returns, and only then folds the day into the
-estimators.  Weekly return sums feed the correlation estimate every
+Each day's positions come from estimator and signal state that has only seen
+returns up to the previous day, and the P&L is realized against the current
+day's returns.  Weekly return sums feed the correlation estimate every
 week_len days; per-asset vols come from the daily variance EMA.
 
 The estimators run once per panel and estimator setting, and every book of
 that setting is built from the pass: a block is the days between two weekly
-rolls, over which one cleaned correlation holds.  The pass streams the panel
-in chunks of about _CHUNK_DAYS days; at the end of a chunk it cleans the
-chunk's rolls in one stacked call and builds each book once over all the
-blocks the chunk completed, by the portfolio constructor of its kind (then
-portfolios.vol_target if vol_scale is set).  Chunking bounds every stacked
-array at about _CHUNK_DAYS matrices.
+rolls, over which one cleaned correlation holds.  The pass runs the panel in
+chunks of whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each
+estimator recursion once over the chunk's days, cleans the rolls that open
+the chunk's blocks in one stacked call and builds each book once over those
+blocks, by the portfolio constructor of its kind (then portfolios.vol_target
+if vol_scale is set).  Chunking bounds every stacked array at about
+_CHUNK_DAYS matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation, portfolios, signals
-from .errors import DegenerateResult, InsufficientData, InvalidInput
+from .errors import DegenerateResult, DegenerateVariance, InsufficientData, InvalidInput
 from .market_model import ReturnsPanel
 from .symmat import eigendecompose
 
@@ -68,6 +68,10 @@ class StrategyConfig:
             raise InvalidInput(f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
         if self.cleaner not in estimation.CLEANERS:
             raise InvalidInput(f"unknown cleaner {self.cleaner!r}")
+        for name in ("signal_rate", "cov_rate", "var_rate"):
+            signals.check_rate(name, getattr(self, name))
+        if self.sample_ratio is not None and not self.sample_ratio > 0.0:
+            raise InvalidInput(f"sample_ratio must be positive, got {self.sample_ratio}")
         if self.week_len < 1:
             raise InvalidInput("week_len must be >= 1")
         if self.warmup is not None and self.warmup < self.week_len:
@@ -133,10 +137,12 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     A block is the days between two weekly rolls; each book's day t sees the
     signal and vols of days < t and the correlation cleaned at the block's
     opening roll.  A roll is cleaned only if it is the last one or if a book
-    that reads the correlation trades in the block it opens.  The days run
-    through the one-step recursions in order; every _CHUNK_DAYS days or so,
-    at a roll, the pass cleans the pending rolls in one stacked call and
-    builds each book once over the blocks completed since the last flush.
+    that reads the correlation trades in the block it opens.  The panel runs
+    in chunks of whole weeks, about _CHUNK_DAYS days each, so no week
+    straddles two chunks and only the signal, the variances and the last
+    covariance carry from one chunk to the next.  Each chunk runs the
+    recursions once over its days, cleans the rolls that open its blocks in
+    one stacked call and builds each book once over its blocks.
     Returns each book's positions and the final (correlation, vols).
     """
     returns = panel.returns
@@ -149,52 +155,50 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     warmups = [cfg.warmup_days() for cfg in books]
     reads = [cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None for cfg in books]
     positions = [np.zeros((n_days, n)) for _ in books]
-    first_read = min([w for w, r in zip(warmups, reads) if r] + [n_days])
+    first_needed = min([w for w, r in zip(warmups, reads) if r] + [n_days]) // week
 
-    sig = signals.SignalState.initial(setting.signal_rate, n)
-    state = estimation.CovarianceState(n=n, cov_rate=setting.cov_rate, var_rate=setting.var_rate)
-    sigs, variances = np.zeros((n_days, n)), np.zeros((n_days, n))
-    pending, first_block = [], 0  # needed rolls not cleaned yet; the block pending[0] opens
-    corr, lo = None, 0
-    for t in range(n_days):
-        sigs[t] = sig.values
-        if t:
-            variances[t] = state.variances
-        sig = signals.update(sig, returns[t])
-        state = estimation.update_daily(state, returns[t])
-        day = t + 1
-        if day % week == 0:
-            state = estimation.roll_week(state)
-            if day + week > first_read:  # needed: a book that reads it trades in its block
-                if not pending:
-                    first_block = day // week
-                pending.append(estimation.correlation(state))
-        if day < n_days and (day % week or day - lo < _CHUNK_DAYS):
-            continue
-        # flush: blocks of days [lo, day) are complete; a roll at day opens the next chunk
-        carried = pending[-1:] if day < n_days else []
-        cleaned = None
-        if len(pending) > len(carried):
-            cleaned = clean(np.array(pending[: len(pending) - len(carried)]), ratio)
+    span = week * -(-_CHUNK_DAYS // week)
+    sig, var, cov, corr = np.zeros(n), None, None, None
+    for lo in range(0, n_days, span):
+        hi = min(n_days, lo + span)
+        days = returns[lo:hi]
+        sigs, sig = signals.update(sig, days, setting.signal_rate)
+        before = np.zeros(n) if var is None else var
+        path, var = estimation.update_daily(var, days, setting.var_rate)
+        vols = np.sqrt(np.vstack((before, path[:-1])))  # day t reads the variances of days < t
+        weeks = (hi - lo) // week
+        rolled = estimation.roll_week(cov, days[:weeks * week].reshape(weeks, week, n).sum(axis=1),
+                                      setting.cov_rate)
+        # the rolls that open this chunk's blocks, from first_block on: the carried one at
+        # lo (none at day 0) and the chunk's own, but for one at hi, which opens the next
+        first_block = lo // week + (cov is None)
+        opening = rolled if cov is None else np.concatenate((cov[None], rolled))
+        if hi < n_days:
+            opening = opening[:-1]
+        cov = rolled[-1] if weeks else cov
+        skip = max(0, first_needed - first_block)  # rolls whose blocks no reading book trades
+        first_block += skip
+        opening, cleaned = opening[skip:], None
+        if len(opening):
+            cleaned = clean(estimation.correlation(opening), ratio)
             corr = cleaned[-1]
-        vols = np.sqrt(variances[lo:day])
         covs = {}  # (start, stop) -> covariances shared by the books of that segment
         for cfg, warmup, read, pos in zip(books, warmups, reads, positions):
-            for start, stop, blocks in _segments(max(lo, warmup), day, week):
+            for start, stop, blocks in _segments(max(lo, warmup), hi, week):
                 v = vols[start - lo:stop - lo].reshape(blocks, -1, n)
-                c = cov = None
+                c = cov_days = None
                 if read:
                     first = start // week - first_block
                     c = cleaned[first:first + blocks, None]
                     if (start, stop) not in covs:
                         covs[start, stop] = c * (v[..., :, None] * v[..., None, :])
-                    cov = covs[start, stop]
-                pos[start:stop] = _positions(cfg, c, cov, sigs[start:stop].reshape(blocks, -1, n),
+                    cov_days = covs[start, stop]
+                pos[start:stop] = _positions(cfg, c, cov_days,
+                                             sigs[start - lo:stop - lo].reshape(blocks, -1, n),
                                              v, panel.asset_classes).reshape(-1, n)
-        pending, first_block, lo = carried, day // week, day
     if corr is None:
-        estimation.correlation(state)  # raises: no weekly roll yet
-    return positions, corr, estimation.volatilities(state)
+        raise DegenerateVariance("no weekly covariance yet")
+    return positions, corr, np.sqrt(var)
 
 
 def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:

@@ -25,10 +25,6 @@ class InvalidInput(TrendlabError):
     """Malformed argument: wrong dimension, non-finite entries, bad value."""
 
 
-class NothingToRoll(TrendlabError):
-    """Weekly covariance update requested with an empty day buffer."""
-
-
 class DegenerateVariance(TrendlabError):
     """Covariance diagonal contains a non-positive entry."""
 

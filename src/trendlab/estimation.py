@@ -1,117 +1,86 @@
 """Online covariance, correlation and volatility estimation.
 
-Daily returns feed an EMA of squared returns (per-asset variances) and a
-buffer that is rolled into an EMA covariance of weekly return sums.  The
+Daily returns feed an EMA of squared returns (per-asset variances), and
+weekly return sums feed an EMA covariance.  Both recursions run over a run
+of days or weeks from a small carried state, so one day is a run of length 1
+and a run fed in pieces gives the same path as the run fed whole.  The
 rescaled weekly correlation can then be cleaned with a rotational-invariant
 eigenvalue shrinkage, or with plain eigenvalue clipping at the
-Marchenko-Pastur edge for comparison.  The cleaners take one correlation or
-a (..., n, n) stack of them and clean each matrix of a stack exactly as
-its own one-matrix call would.
+Marchenko-Pastur edge for comparison.  The correlation and the cleaners take
+one matrix or a (..., n, n) stack of them and treat each matrix of a stack
+exactly as its own one-matrix call would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import symmat
-from .errors import DegenerateVariance, InvalidInput, NothingToRoll
+from .errors import DegenerateVariance, InvalidInput
+from .signals import check_rate, check_run
 
 DEFAULT_COV_RATE = 1.0 / 750.0
 DEFAULT_VAR_RATE = 1.0 / 100.0
 
 
-@dataclass(frozen=True)
-class CovarianceState:
-    """Immutable snapshot of the online estimators.
+def update_daily(variances: np.ndarray | None, returns: np.ndarray,
+                 var_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """EMA of squared returns over a run of days, from the carried variances.
 
-    weekly_cov is the EMA covariance of weekly (summed) returns; variances
-    are daily EMA second moments.  Both are None until their first update:
-    the first squared return seeds the variances and the first weekly update
-    seeds the covariance with an identity scaled to that week's magnitude,
-    which keeps every later estimate covariant under rescaling the returns.
+    variances=None means no day has been seen: the first day seeds the
+    variances with r*r.  Returns the path, whose row i holds the variances
+    after day i, and the variances after the last day.
     """
-
-    n: int
-    cov_rate: float = DEFAULT_COV_RATE
-    var_rate: float = DEFAULT_VAR_RATE
-    weekly_cov: np.ndarray | None = None
-    variances: np.ndarray | None = None
-    week_buffer: tuple = ()
-    weeks: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInput("need at least one asset")
-        for name in ("cov_rate", "var_rate"):
-            rate = getattr(self, name)
-            if not 0.0 < rate < 1.0:
-                raise InvalidInput(f"{name} must be in (0,1), got {rate}")
+    check_rate("var_rate", var_rate)
+    if variances is not None and np.ndim(variances) != 1:
+        raise InvalidInput("variances must be a vector")
+    returns = check_run(returns, None if variances is None else len(variances))
+    path = np.empty_like(returns)
+    shocks = var_rate * returns * returns
+    decay = 1.0 - var_rate
+    x = variances
+    for i, r in enumerate(returns):
+        x = r * r if x is None else decay * x + shocks[i]
+        path[i] = x
+    return path, x
 
 
-def update_daily(state: CovarianceState, r: np.ndarray) -> CovarianceState:
-    """EMA-update the daily variances and append r to the current week."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (state.n,):
-        raise InvalidInput(f"return vector shape {r.shape} != ({state.n},)")
-    if not np.isfinite(r).all():
-        raise InvalidInput("returns contain non-finite entries")
-    if state.variances is None:
-        variances = r * r
-    else:
-        variances = (1.0 - state.var_rate) * state.variances + state.var_rate * r * r
-    return CovarianceState(
-        n=state.n,
-        cov_rate=state.cov_rate,
-        var_rate=state.var_rate,
-        weekly_cov=state.weekly_cov,
-        variances=variances,
-        week_buffer=state.week_buffer + (r,),
-        weeks=state.weeks,
-    )
+def roll_week(cov: np.ndarray | None, weekly_sums: np.ndarray, cov_rate: float) -> np.ndarray:
+    """Fold k weeks of summed returns (k, n) into the weekly covariance EMA.
+
+    Returns the (k, n, n) covariance after each roll.  cov=None means no week
+    has been rolled: the first week is folded into an identity scaled to its
+    own magnitude, which keeps every later estimate covariant under rescaling
+    the returns.
+    """
+    check_rate("cov_rate", cov_rate)
+    weekly_sums = check_run(weekly_sums, None if cov is None else len(cov))
+    k, n = weekly_sums.shape
+    if cov is not None and np.shape(cov) != (n, n):
+        raise InvalidInput(f"covariance shape {np.shape(cov)} != ({n}, {n})")
+    shocks = cov_rate * (weekly_sums[:, :, None] * weekly_sums[:, None, :])
+    out = np.empty((k, n, n))
+    decay = 1.0 - cov_rate
+    x = cov
+    if x is None and k:
+        scale = float(np.mean(weekly_sums[0] * weekly_sums[0]))
+        x = np.eye(n) * (scale if scale > 0.0 else 1.0)
+    for j in range(k):
+        x = out[j] = decay * x + shocks[j]
+    return out
 
 
-def roll_week(state: CovarianceState) -> CovarianceState:
-    """Fold the buffered days into the weekly covariance EMA and clear the buffer."""
-    if not state.week_buffer:
-        raise NothingToRoll("week buffer is empty")
-    weekly = np.sum(state.week_buffer, axis=0)
-    outer = np.outer(weekly, weekly)
-    prev = state.weekly_cov
-    if prev is None:
-        scale = float(np.mean(weekly * weekly))
-        prev = np.eye(state.n) * (scale if scale > 0.0 else 1.0)
-    cov = (1.0 - state.cov_rate) * prev + state.cov_rate * outer
-    return CovarianceState(
-        n=state.n,
-        cov_rate=state.cov_rate,
-        var_rate=state.var_rate,
-        weekly_cov=cov,
-        variances=state.variances,
-        week_buffer=(),
-        weeks=state.weeks + 1,
-    )
-
-
-def correlation(state: CovarianceState) -> np.ndarray:
-    """Weekly covariance rescaled by its diagonal; unit diagonal exactly."""
-    if state.weekly_cov is None:
-        raise DegenerateVariance("no weekly covariance yet")
-    diag = np.diag(state.weekly_cov)
-    if diag.min() <= 0.0:
+def correlation(covs: np.ndarray) -> np.ndarray:
+    """Covariances (..., n, n) rescaled by their diagonals; unit diagonal exactly."""
+    covs = np.asarray(covs, dtype=float)
+    diag = np.diagonal(covs, axis1=-2, axis2=-1)
+    if diag.size and diag.min() <= 0.0:
         raise DegenerateVariance(f"non-positive covariance diagonal {diag.min():.3e}")
     scale = 1.0 / np.sqrt(diag)
-    corr = state.weekly_cov * np.outer(scale, scale)
-    np.fill_diagonal(corr, 1.0)
+    corr = covs * (scale[..., :, None] * scale[..., None, :])
+    diagonal = np.arange(corr.shape[-1])
+    corr[..., diagonal, diagonal] = 1.0
     return corr
-
-
-def volatilities(state: CovarianceState) -> np.ndarray:
-    """Per-asset volatility vector, the diagonal of the vol matrix."""
-    if state.variances is None:
-        raise DegenerateVariance("no variance estimate yet")
-    return np.sqrt(state.variances)
 
 
 def default_sample_ratio(dim: int, cov_rate: float = DEFAULT_COV_RATE) -> float:

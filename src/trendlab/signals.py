@@ -1,50 +1,48 @@
-"""Linear trend signals: per-asset EMA of past returns plus its mass scalar.
+"""Linear trend signals: per-asset EMA of past returns.
 
-The signal available at time t is sum_{t'<t} (1-rate)^(t-t'-1) r_{t'};
-updating with the day-t return produces the signal for t+1, so a state never
-sees the return it will be traded against.
+The signal available at time t is sum_{t'<t} (1-rate)^(t-t'-1) r_{t'}.
+`update` runs the recursion over a run of days from a carried signal, so a
+signal never sees the return it will be traded against; one day is a run of
+length 1, and feeding a run in pieces gives the same path as feeding it whole.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class SignalState:
-    rate: float
-    values: np.ndarray
-    t: int
-
-    @classmethod
-    def initial(cls, rate: float, n: int) -> "SignalState":
-        if not 0.0 < rate < 1.0:
-            raise InvalidInput(f"rate must be in (0,1), got {rate}")
-        if n < 1:
-            raise InvalidInput("need at least one asset")
-        return cls(rate=rate, values=np.zeros(n), t=1)
-
-
-def update(state: SignalState, r: np.ndarray) -> SignalState:
-    """Fold one day of returns into the EMA; returns the state for t+1."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != state.values.shape:
-        raise InvalidInput(f"return vector shape {r.shape} != {state.values.shape}")
-    if not np.isfinite(r).all():
+def check_run(returns: np.ndarray, n: int | None = None) -> np.ndarray:
+    """A run of days as a finite (k, n) float array; n is checked when given."""
+    returns = np.asarray(returns, dtype=float)
+    if returns.ndim != 2 or returns.shape[1] < 1 or (n is not None and returns.shape[1] != n):
+        raise InvalidInput(f"returns must be a (days, {n or 'n'}) array, got shape {returns.shape}")
+    if not np.isfinite(returns).all():
         raise InvalidInput("returns contain non-finite entries")
-    return SignalState(
-        rate=state.rate,
-        values=(1.0 - state.rate) * state.values + r,
-        t=state.t + 1,
-    )
+    return returns
 
 
-def signal_mass(rate: float, t: int) -> float:
-    """Sum of the EMA kernel weights at time t: (1 - (1-rate)^(t-1)) / rate."""
-    if t < 1:
-        raise InvalidInput(f"time index must be >= 1, got {t}")
-    return (1.0 - (1.0 - rate) ** (t - 1)) / rate
+def check_rate(name: str, rate: float) -> None:
+    """An EMA rate must lie in (0, 1)."""
+    if not 0.0 < rate < 1.0:
+        raise InvalidInput(f"{name} must be in (0,1), got {rate}")
+
+
+def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a run of days into the EMA, starting from the signal `values`.
+
+    Returns the signal path, whose row i is the signal before day i's return,
+    and the signal after the last day, to carry into the next run.
+    """
+    check_rate("rate", rate)
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise InvalidInput("signal values must be a finite vector")
+    returns = check_run(returns, len(x))
+    path = np.empty_like(returns)
+    decay = 1.0 - rate
+    for i, r in enumerate(returns):
+        path[i] = x
+        x = decay * x + r
+    return path, x

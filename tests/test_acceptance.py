@@ -140,11 +140,9 @@ def test_criterion_5_strategy_ordering():
     wins = 0
     for seed in range(20):
         panel = simulate(params, 6000, 100 + seed)
-        sharpes = {}
-        for kind in ("torp", "nm"):
-            cfg = bt.StrategyConfig(kind=kind, cov_rate=0.01)
-            sharpes[kind] = bt.run(panel, cfg).sharpe
-        wins += sharpes["torp"] > sharpes["nm"]
+        torp, nm = bt.run_many(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.01)
+                                       for kind in ("torp", "nm")])
+        wins += torp.sharpe > nm.sharpe
     elapsed = time.time() - start
     ok = wins >= 19
     report(5, "strategy ordering", ok, f"ToRP beat NM on {wins}/20 seeds, {elapsed:.0f}s")

@@ -76,22 +76,10 @@ def test_backtest_positions_match_portfolio_constructors():
     panel = white_panel(5, 200, 3)
     cfg = bt.StrategyConfig(kind="arp", warmup=50, **FAST)
     res = bt.run(panel, cfg)
-
-    sig = signals.SignalState.initial(cfg.signal_rate, 3)
-    cov = estimation.CovarianceState(n=3, cov_rate=cfg.cov_rate, var_rate=cfg.var_rate)
-    corr = None
-    ratio = estimation.default_sample_ratio(3, cfg.cov_rate)
-    for t in range(1, 201):
-        r = panel.returns[t - 1]
-        if t > 50:
-            book = portfolios.agnostic_risk_parity(corr, estimation.volatilities(cov),
-                                                   sig.values)
-            assert np.abs(book.positions - res.positions[t - 1]).max() < 1e-12
-        sig = signals.update(sig, r)
-        cov = estimation.update_daily(cov, r)
-        if t % cfg.week_len == 0:
-            cov = estimation.roll_week(cov)
-            corr = estimation.rie_clean(estimation.correlation(cov), ratio)
+    positions, _, _ = reference_run(
+        panel, cfg, lambda cfg, corr, vols, sig, classes:
+        portfolios.agnostic_risk_parity(corr, vols, sig).positions)
+    assert np.abs(positions[50:] - res.positions[50:]).max() < 1e-12
 
 
 def test_vol_scaled_run_hits_conditional_target():
@@ -101,20 +89,16 @@ def test_vol_scaled_run_hits_conditional_target():
     active = res.positions[50:]
     assert (np.abs(active).sum(axis=1) > 0).all()
     # per-day conditional risk under the estimated covariance equals the target
-    sig = None
-    cov = estimation.CovarianceState(n=2, cov_rate=0.05, var_rate=0.05)
-    corr = None
-    ratio = estimation.default_sample_ratio(2, 0.05)
-    for t in range(1, 301):
-        if t > 50:
-            vols = estimation.volatilities(cov)
-            c = corr * np.outer(vols, vols)
-            p = res.positions[t - 1]
-            assert np.sqrt(p @ c @ p) == pytest.approx(0.02, rel=1e-10)
-        cov = estimation.update_daily(cov, panel.returns[t - 1])
-        if t % 5 == 0:
-            cov = estimation.roll_week(cov)
-            corr = estimation.rie_clean(estimation.correlation(cov), ratio)
+    covs = []
+
+    def record(cfg, corr, vols, sig, classes):  # each active day's estimated covariance
+        covs.append(corr * np.outer(vols, vols))
+        return np.zeros(2)
+
+    reference_run(panel, cfg, record)
+    assert len(covs) == len(active)
+    for p, c in zip(active, covs):
+        assert np.sqrt(p @ c @ p) == pytest.approx(0.02, rel=1e-10)
 
 
 def test_trend_on_market_mode_beats_markowitz():
@@ -347,6 +331,17 @@ def test_strategy_config_validation():
     assert bt.StrategyConfig(kind="ew", signal_rate=0.01, cov_rate=0.01).warmup_days() == 1000
 
 
+@pytest.mark.parametrize("bad", [
+    dict(signal_rate=0.0), dict(signal_rate=1.0), dict(cov_rate=0.0), dict(cov_rate=2.0, warmup=50),
+    dict(var_rate=0.0), dict(var_rate=-0.1), dict(var_rate=1.0),
+    dict(sample_ratio=0.0, cleaner="none"), dict(sample_ratio=-1.0, cleaner="none"),
+    dict(sample_ratio=float("nan")),
+], ids=str)
+def test_strategy_config_rejects_bad_rates(bad):
+    with pytest.raises(InvalidInput):
+        bt.StrategyConfig(kind="arp", **bad)
+
+
 def reference_book(cfg, corr, vols, sig, classes):
     """One day's positions by the eigen-inverse formulas the constructors used
     before they moved to symmat.solve, so the engine is not compared with itself."""
@@ -393,27 +388,26 @@ def listed_book(cfg, corr, vols, sig, classes):
 
 
 def reference_run(panel, cfg, book=reference_book):
-    """Per-day engine: positions, P&L and the final (corr, vols) of the estimators."""
+    """Per-day engine: positions, P&L and the final (corr, vols) of the estimators,
+    which take one day (and one week) at a time, the one-day case of the path functions."""
     n_days, n = panel.returns.shape
-    warmup = cfg.warmup_days()
-    sig = signals.SignalState.initial(cfg.signal_rate, n)
-    cov = estimation.CovarianceState(n=n, cov_rate=cfg.cov_rate, var_rate=cfg.var_rate)
+    warmup, week = cfg.warmup_days(), cfg.week_len
+    sig, variances, cov = np.zeros(n), None, None
     ratio = cfg.sample_ratio or estimation.default_sample_ratio(n, cfg.cov_rate)
     clean = estimation.CLEANERS[cfg.cleaner]
     positions, pnl, corr = np.zeros((n_days, n)), np.zeros(n_days), None
     for t in range(1, n_days + 1):
         r = panel.returns[t - 1]
         if t > warmup:
-            positions[t - 1] = book(cfg, corr, estimation.volatilities(cov), sig.values,
-                                    panel.asset_classes)
+            positions[t - 1] = book(cfg, corr, np.sqrt(variances), sig, panel.asset_classes)
             pnl[t - 1] = r @ positions[t - 1]
-        sig = signals.update(sig, r)
-        cov = estimation.update_daily(cov, r)
-        if t % cfg.week_len == 0:
-            cov = estimation.roll_week(cov)
+        sig = signals.update(sig, r[None], cfg.signal_rate)[1]
+        variances = estimation.update_daily(variances, r[None], cfg.var_rate)[1]
+        if t % week == 0:
+            weekly = panel.returns[t - week:t].sum(axis=0)
+            cov = estimation.roll_week(cov, weekly[None], cfg.cov_rate)[0]
             corr = clean(estimation.correlation(cov), ratio)
-    return positions, pnl, (clean(estimation.correlation(cov), ratio),
-                            estimation.volatilities(cov))
+    return positions, pnl, (clean(estimation.correlation(cov), ratio), np.sqrt(variances))
 
 
 def factor_panel(seed, days, classes):

@@ -6,36 +6,33 @@ from trendlab.errors import InvalidInput
 
 
 def run_series(rate, series):
-    state = signals.SignalState.initial(rate, series.shape[1])
-    for r in series:
-        state = signals.update(state, r)
-    return state
+    """The signal after the whole series."""
+    return signals.update(np.zeros(series.shape[1]), series, rate)[1]
 
 
 def test_zero_returns_keep_zero_signal():
-    state = run_series(0.1, np.zeros((50, 3)))
-    assert np.array_equal(state.values, np.zeros(3))
-    assert state.t == 51
+    path, values = signals.update(np.zeros(3), np.zeros((50, 3)), 0.1)
+    assert path.shape == (50, 3)
+    assert np.array_equal(path, np.zeros((50, 3))) and np.array_equal(values, np.zeros(3))
 
 
 def test_constant_returns_geometric_sum():
     rate = 0.01
-    state = signals.SignalState.initial(rate, 1)
-    for t in range(2, 300):
-        state = signals.update(state, np.ones(1))
+    path, values = signals.update(np.zeros(1), np.ones((299, 1)), rate)
+    for t in range(2, 300):  # path row t-1 is the signal at time t
         want = (1.0 - (1.0 - rate) ** (t - 1)) / rate
-        assert abs(state.values[0] - want) < 1e-12
-    assert state.values[0] < 1.0 / rate  # limit is 100
+        assert abs(path[t - 1, 0] - want) < 1e-12
+    assert path[0, 0] == 0.0
+    assert values[0] < 1.0 / rate  # limit is 100
 
 
 def test_recursion_matches_direct_weighted_sum():
     rng = np.random.default_rng(10)
     rate = 0.03
     series = rng.standard_normal((500, 4))
-    state = run_series(rate, series)
     ages = np.arange(len(series) - 1, -1, -1.0)
     direct = ((1.0 - rate) ** ages) @ series
-    assert np.abs(state.values - direct).max() < 1e-10
+    assert np.abs(run_series(rate, series) - direct).max() < 1e-10
 
 
 def test_linearity():
@@ -43,8 +40,8 @@ def test_linearity():
     a, b = 0.7, -2.5
     s1 = rng.standard_normal((200, 2))
     s2 = rng.standard_normal((200, 2))
-    mixed = run_series(0.05, a * s1 + b * s2).values
-    split = a * run_series(0.05, s1).values + b * run_series(0.05, s2).values
+    mixed = run_series(0.05, a * s1 + b * s2)
+    split = a * run_series(0.05, s1) + b * run_series(0.05, s2)
     assert np.abs(mixed - split).max() < 1e-10
 
 
@@ -54,23 +51,20 @@ def test_signal_never_sees_current_return():
     bumped = series.copy()
     bumped[-1] += 10.0
     # the signal available on the last day uses returns before it only
-    assert np.array_equal(run_series(0.02, series[:-1]).values,
-                          run_series(0.02, bumped[:-1]).values)
-
-
-def test_signal_mass_values():
-    assert signals.signal_mass(0.01, 1) == 0.0
-    assert abs(signals.signal_mass(0.01, 100_000) - 100.0) < 1e-9
-    assert signals.signal_mass(0.5, 3) == pytest.approx(1.5, abs=1e-15)
+    assert np.array_equal(signals.update(np.zeros(3), series, 0.02)[0][-1],
+                          signals.update(np.zeros(3), bumped, 0.02)[0][-1])
+    assert np.array_equal(run_series(0.02, series[:-1]), run_series(0.02, bumped[:-1]))
 
 
 def test_update_validates_input():
-    state = signals.SignalState.initial(0.1, 2)
     with pytest.raises(InvalidInput):
-        signals.update(state, np.zeros(3))
+        signals.update(np.zeros(2), np.zeros((1, 3)), 0.1)
     with pytest.raises(InvalidInput):
-        signals.update(state, np.array([1.0, np.inf]))
+        signals.update(np.zeros(2), np.zeros(2), 0.1)  # one day is a (1, n) run
     with pytest.raises(InvalidInput):
-        signals.SignalState.initial(1.5, 2)
+        signals.update(np.zeros(2), np.array([[0.0, 0.0], [1.0, np.inf]]), 0.1)
     with pytest.raises(InvalidInput):
-        signals.signal_mass(0.1, 0)
+        signals.update(np.array([0.0, np.nan]), np.zeros((1, 2)), 0.1)
+    for rate in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(InvalidInput):
+            signals.update(np.zeros(2), np.zeros((1, 2)), rate)
