@@ -13,7 +13,7 @@ its remaining steps with those counts, which is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,14 +119,7 @@ def transition_curve(params: AgentSimParams, coupling_grid) -> TransitionCurve:
     maxima = np.empty(grid.size)
     stderr = np.empty(grid.size)
     for i, j in enumerate(grid):
-        result = run(AgentSimParams(
-            agents=params.agents,
-            strategies=params.strategies,
-            coupling=float(j),
-            steps=params.steps,
-            reps=params.reps,
-            seed=params.seed + i,
-        ))
+        result = run(replace(params, coupling=float(j), seed=params.seed + i))
         per_run = result.fractions[:, -1, :].max(axis=1)
         maxima[i] = per_run.mean()
         stderr[i] = per_run.std(ddof=1) / np.sqrt(params.reps) if params.reps > 1 else 0.0

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidIndex, InvalidInput, InvalidModel
+from . import symmat
+from .errors import InvalidIndex, InvalidInput, InvalidMatrix, InvalidModel
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
@@ -30,11 +31,10 @@ def _as_psd(name: str, m: np.ndarray, n: int) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.shape != (n, n):
         raise InvalidModel(f"{name} must have shape ({n},{n}), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidModel(f"{name} has non-finite entries")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise InvalidModel(f"{name} is not symmetric")
-    a = 0.5 * (a + a.T)
+    try:
+        a = symmat.check_symmetric(a)
+    except InvalidMatrix as e:
+        raise InvalidModel(f"{name}: {e}") from None
     vals = np.linalg.eigvalsh(a)
     if vals.min() < -1e-10 * max(1.0, vals.max()):
         raise InvalidModel(f"{name} is not positive semi-definite (min eig {vals.min():.3e})")

@@ -1,7 +1,7 @@
 """Portfolio constructors.
 
 Five basic books (risk parity, naive Markowitz, agnostic risk parity,
-trend-on-risk-parity, equally weighted), the generalized signal-weight
+trend-on-risk-parity, equally weighted), the paper's optimal signal-weight
 matrix and volatility targeting.  Constructors return unit-gross positions
 by default; pass normalize=False for the raw linear form (linear in the
 signal), and use vol_target to set the actual size.  Each takes one day or
@@ -10,6 +10,12 @@ signals and vols (..., n), covariances (..., n, n), and for ARP a
 correlation that broadcasts against them, such as (k, 1, n, n) for k blocks
 of days that share one each.  NM, RP, ToRP and the weight matrix all go
 through the one solve, symmat.solve.
+
+The weight matrix omega = inv(C) (g_t Omega + g_d mu mu^T) inv(C) is an
+array, and positions are omega @ s.  Up to scale its limits are NM
+(Omega = C, mu = 0), ARP (Omega = D rho^(3/2) D with D = diag(vols)) and
+ToRP (Omega = 0, mu = vols * class_target).  RP is not linear in the
+signal, so it is no limit of omega.
 
 Cross-asset conventions: cov is the asset covariance, corr its unit-diagonal
 rescaling, vols the per-asset volatility vector, classes the asset-class
@@ -47,21 +53,6 @@ class PortfolioWeights:
         gross = np.abs(p).sum(axis=-1)
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "gross", float(gross) if p.ndim == 1 else gross)
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """n x n map from signals to positions, with its trend/drift gains."""
-
-    weights: np.ndarray
-    trend_gain: float
-    drift_gain: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or not np.isfinite(w).all():
-            raise InvalidInput("weights must be a finite square matrix")
-        object.__setattr__(self, "weights", w)
 
 
 def _finish(raw: np.ndarray, kind: str, normalize: bool) -> PortfolioWeights:
@@ -128,25 +119,19 @@ def equally_weighted(vols, normalize=True) -> PortfolioWeights:
     return _finish(1.0 / v, "ew", normalize)
 
 
-def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, ridge=None) -> WeightMatrix:
-    """Approximate optimal signal weights: inv(cov) (g_t*trend_cov + g_d*drift_outer) inv(cov)."""
+def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, ridge=None) -> np.ndarray:
+    """Optimal signal weights inv(cov) (g_t*trend_cov + g_d*drift_outer) inv(cov).
+
+    One (n, n) matrix, or a (..., n, n) stack for a stack of inputs; positions
+    are omega @ s.
+    """
     cov = np.asarray(cov, dtype=float)
     trend_cov = np.asarray(trend_cov, dtype=float)
     drift_outer = np.asarray(drift_outer, dtype=float)
     if trend_cov.shape != cov.shape or drift_outer.shape != cov.shape:
         raise InvalidInput("cov, trend_cov and drift_outer must share one shape")
     core = trend_gain * trend_cov + drift_gain * drift_outer
-    # solve takes right-hand sides as rows: solve(cov, core) is core inv(cov)
-    weights = symmat.solve(cov, symmat.solve(cov, core, ridge).T, ridge).T
-    return WeightMatrix(weights=weights, trend_gain=trend_gain, drift_gain=drift_gain)
-
-
-def positions_from_matrix(matrix: WeightMatrix, signal) -> PortfolioWeights:
-    """Apply the weight matrix to a signal vector; no normalization."""
-    s = np.asarray(signal, dtype=float)
-    if s.shape != (matrix.weights.shape[0],):
-        raise InvalidInput(f"signal shape {s.shape} != ({matrix.weights.shape[0]},)")
-    return PortfolioWeights(positions=matrix.weights @ s, kind="omega")
+    return symmat.solve_sandwich(cov, core, cov, ridge)
 
 
 def vol_target(weights: PortfolioWeights, cov, target: float) -> PortfolioWeights:

@@ -5,7 +5,9 @@ exponential trend kernel, the one-day P&L of a weight matrix w is a Gaussian
 quadratic form whose mean and variance are exactly computable.  One
 `PnlMoments` per (model, rate, t) holds them, and every function below reads
 one to evaluate weights, to solve the squared-Sharpe stationarity condition
-exactly for n <= 3, or to give the closed-form approximate weights.
+exactly for n <= 3, or to give the closed-form approximate weights.  Those
+are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
+a sandwich form with corrected factors; both are two symmat solves.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimation, portfolios, symmat
 from .errors import DegenerateForm, InvalidInput, TooEarly
 from .market_model import ModelParams
 
@@ -129,9 +132,9 @@ def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
     var = (
         ss * np.einsum("ac,bd->abcd", ce, ce)
         + stq * np.einsum("ac,bd->abcd", ce, cx)
-        + ss * tt * np.einsum("ac,bd->abcd", cx, ce)
-        + tt * stq * np.einsum("ac,bd->abcd", cx, cx)
-        + stt**2 * np.einsum("ad,bc->abcd", cx, cx)
+        + kv.trend_noise * np.einsum("ac,bd->abcd", cx, ce)
+        + kv.trend_trend * np.einsum("ac,bd->abcd", cx, cx)
+        + kv.trend_cross * np.einsum("ad,bc->abcd", cx, cx)
         + np.einsum("ac,bd->abcd", m, ss * ce + stq * cx)
         + mass * stt * (np.einsum("ad,bc->abcd", m, cx) + np.einsum("bc,ad->abcd", m, cx))
         + mass**2 * np.einsum("bd,ac->abcd", m, ce + tt * cx)
@@ -213,11 +216,7 @@ def brute_force_optimal(mm: PnlMoments) -> np.ndarray:
 def random_correlation(rng: np.random.Generator, n: int, samples: int | None = None) -> np.ndarray:
     """Unit-diagonal PSD matrix from a random Wishart draw."""
     w = rng.standard_normal((n, samples or 2 * n))
-    s = w @ w.T / w.shape[1]
-    scale = 1.0 / np.sqrt(np.diag(s))
-    c = s * np.outer(scale, scale)
-    np.fill_diagonal(c, 1.0)
-    return 0.5 * (c + c.T)
+    return estimation.correlation(w @ w.T / w.shape[1])
 
 
 def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01,
@@ -249,19 +248,19 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
 def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     """Closed-form approximate weights of mm's model in the weak-trend, weak-drift regime.
 
-    form="simple": inv(noise_cov) core inv(noise_cov) with the kernel gains of
-    mm.  form="sandwich": keeps the first-order trend/drift corrections
-    inside the two inverted factors.
+    form="simple" is the paper's optimal weight matrix,
+    portfolios.optimal_weight_matrix with the kernel gains of mm and no ridge.
+    form="sandwich" keeps the first-order trend/drift corrections inside the
+    two inverted factors of the same two-solve sandwich.
     """
     model, kv = mm.model, mm.kernels
     ce, cx = model.noise_cov, model.trend_cov
     m = np.outer(model.drift, model.drift)
-    core = kv.trend_gain * cx + kv.drift_gain * m
     if form == "simple":
-        left = right = np.linalg.inv(ce)
-    elif form == "sandwich":
-        left = np.linalg.inv(ce + kv.g_trend_left * cx + m)
-        right = np.linalg.inv(ce + kv.g_trend_right * cx + kv.g_drift_right * m)
-    else:
+        return portfolios.optimal_weight_matrix(ce, cx, m, kv.trend_gain, kv.drift_gain, ridge=0.0)
+    if form != "sandwich":
         raise InvalidInput(f"unknown form {form!r}")
-    return left @ core @ right
+    core = kv.trend_gain * cx + kv.drift_gain * m
+    left = ce + kv.g_trend_left * cx + m
+    right = ce + kv.g_trend_right * cx + kv.g_drift_right * m
+    return symmat.solve_sandwich(left, core, right, ridge=0.0)

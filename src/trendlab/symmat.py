@@ -2,9 +2,10 @@
 
 Eigendecomposition with a fixed sign convention, ridge-regularized inverse
 and inverse square root, and the ridge-shifted linear solve that every
-portfolio book goes through.  All functions are pure, operate on plain
-numpy arrays and take one (n, n) matrix or a (..., n, n) stack of them;
-each matrix of a stack gets exactly the result of its own one-matrix call.
+portfolio book and the optimal weight matrix go through.  All functions are
+pure, operate on plain numpy arrays and take one (n, n) matrix or a
+(..., n, n) stack of them; each matrix of a stack gets exactly the result of
+its own one-matrix call.
 """
 
 from __future__ import annotations
@@ -120,3 +121,16 @@ def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarra
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"not positive definite at ridge {np.min(ridge):.3e}") from None
     return np.linalg.solve(shifted, np.asarray(b, dtype=float)[..., None])[..., 0]
+
+
+def solve_sandwich(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                   ridge: float | None = None) -> np.ndarray:
+    """inv(left + ridge*I) core inv(right + ridge*I) by two solves, for one matrix or a stack.
+
+    solve takes the right-hand sides as rows, so each matrix of the stack is
+    broadcast over the rows of its core; with symmetric right, solving the
+    rows of core gives core inv(right).
+    """
+    half = solve(check_symmetric(right)[..., None, :, :], core, ridge)
+    rows = solve(check_symmetric(left)[..., None, :, :], np.swapaxes(half, -1, -2), ridge)
+    return np.swapaxes(rows, -1, -2)

@@ -173,22 +173,21 @@ def test_equally_weighted():
 def test_weight_matrix_markowitz_limit():
     rng = np.random.default_rng(9)
     c = rand_spd(rng, 3)
-    wm = pf.optimal_weight_matrix(c, c, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
-    assert np.abs(wm.weights - symmat.inverse(c, 0.0)).max() < 1e-9
+    omega = pf.optimal_weight_matrix(c, c, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
+    assert np.abs(omega - symmat.inverse(c, 0.0)).max() < 1e-9
     s = rng.standard_normal(3)
-    pos = pf.positions_from_matrix(wm, s).positions
     nm = pf.naive_markowitz(c, s, ridge=0.0, normalize=False).positions
-    assert np.abs(pos - nm).max() < 1e-9
+    assert np.abs(omega @ s - nm).max() < 1e-9
 
 
 def test_weight_matrix_rank_one_drift():
     rng = np.random.default_rng(10)
     c = rand_spd(rng, 3)
     mu = rng.standard_normal(3)
-    wm = pf.optimal_weight_matrix(c, np.zeros((3, 3)), np.outer(mu, mu), 1.0, 0.7, ridge=0.0)
+    omega = pf.optimal_weight_matrix(c, np.zeros((3, 3)), np.outer(mu, mu), 1.0, 0.7, ridge=0.0)
     pi = np.linalg.solve(c, mu)
-    assert np.abs(wm.weights - 0.7 * np.outer(pi, pi)).max() < 1e-9
-    assert np.linalg.matrix_rank(wm.weights, tol=1e-10) == 1
+    assert np.abs(omega - 0.7 * np.outer(pi, pi)).max() < 1e-9
+    assert np.linalg.matrix_rank(omega, tol=1e-10) == 1
 
 
 def test_weight_matrix_rank_one_trend_matches_conditional_route():
@@ -202,40 +201,56 @@ def test_weight_matrix_rank_one_trend_matches_conditional_route():
     u1 = pairs.eigenvectors[:, 0]
     cov = corr * np.outer(vols, vols)
     trend_cov = np.outer(vols * u1, vols * u1)
-    wm = pf.optimal_weight_matrix(cov, trend_cov, np.zeros((4, 4)), 1.0, 0.0, ridge=0.0)
+    omega = pf.optimal_weight_matrix(cov, trend_cov, np.zeros((4, 4)), 1.0, 0.0, ridge=0.0)
     s = rng.standard_normal(4)
-    pos = pf.positions_from_matrix(wm, s).positions
     v1 = np.linalg.solve(corr, u1)
-    assert abs(abs(cosine(pos, v1 / vols)) - 1.0) < 1e-10
+    assert abs(abs(cosine(omega @ s, v1 / vols)) - 1.0) < 1e-10
 
 
 def test_weight_matrix_linearity():
     rng = np.random.default_rng(12)
     c = rand_spd(rng, 3)
     cx1, cx2 = rand_spd(rng, 3), rand_spd(rng, 3)
-    a = pf.optimal_weight_matrix(c, cx1, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0).weights
-    b = pf.optimal_weight_matrix(c, cx2, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0).weights
+    a = pf.optimal_weight_matrix(c, cx1, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
+    b = pf.optimal_weight_matrix(c, cx2, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
     both = pf.optimal_weight_matrix(c, 0.25 * cx1 + 0.75 * cx2, np.zeros((3, 3)),
-                                    1.0, 0.0, ridge=0.0).weights
+                                    1.0, 0.0, ridge=0.0)
     assert np.abs(both - (0.25 * a + 0.75 * b)).max() < 1e-12
 
 
-def test_positions_from_matrix():
-    rng = np.random.default_rng(13)
-    s = rng.standard_normal(4)
-    identity = pf.WeightMatrix(weights=np.eye(4), trend_gain=1.0, drift_gain=0.0)
-    assert np.array_equal(pf.positions_from_matrix(identity, s).positions, s)
+def test_weight_matrix_limits_are_the_books():
+    """The paper's decomposition: in each limit, unit-gross omega @ s is a book.
 
-    a, b = rng.standard_normal(4), rng.standard_normal(4)
-    rank1 = pf.WeightMatrix(weights=np.outer(a, b), trend_gain=1.0, drift_gain=0.0)
-    assert np.abs(pf.positions_from_matrix(rank1, s).positions - a * (b @ s)).max() < 1e-12
-
-    w = rng.standard_normal((4, 4))
-    wm = pf.WeightMatrix(weights=w, trend_gain=1.0, drift_gain=0.0)
-    by_loops = np.array([sum(w[j, k] * s[k] for k in range(4)) for j in range(4)])
-    assert np.abs(pf.positions_from_matrix(wm, s).positions - by_loops).max() < 1e-12
-    with pytest.raises(InvalidInput):
-        pf.positions_from_matrix(wm, np.zeros(3))
+    NM is Omega = C with mu = 0, ARP is Omega = D rho^(3/2) D with D = diag(vols),
+    and ToRP is Omega = 0 with mu = vols * class_target.  RP is not linear in
+    the signal, so it is no limit of omega.
+    """
+    rng = np.random.default_rng(24)
+    n = 6
+    classes = ("stock", "bond", "stock", "fx", "bond", "stock")
+    zero = np.zeros((n, n))
+    for case in range(50):
+        corr = rand_spd(rng, n)
+        d = 1 / np.sqrt(np.diag(corr))
+        corr = corr * np.outer(d, d)
+        np.fill_diagonal(corr, 1.0)
+        vols = rng.uniform(0.5, 2.0, size=n)
+        cov = corr * np.outer(vols, vols)
+        s = rng.standard_normal(n)
+        pairs = symmat.eigendecompose(corr)
+        corr_3_2 = (pairs.eigenvectors * pairs.eigenvalues**1.5) @ pairs.eigenvectors.T
+        mu = vols * pf.class_target(classes)
+        limits = {
+            "nm": (cov, zero, pf.naive_markowitz(cov, s, ridge=0.0)),
+            "arp": (corr_3_2 * np.outer(vols, vols), zero,
+                    pf.agnostic_risk_parity(corr, vols, s, ridge=0.0)),
+            "torp": (zero, np.outer(mu, mu),
+                     pf.trend_on_risk_parity(cov, vols, s, classes, ridge=0.0)),
+        }
+        for kind, (trend_cov, drift_outer, book) in limits.items():
+            omega = pf.optimal_weight_matrix(cov, trend_cov, drift_outer, 0.8, 1.7, ridge=0.0)
+            pos = omega @ s
+            assert np.abs(pos / np.abs(pos).sum() - book.positions).max() < 1e-12, (case, kind)
 
 
 def test_vol_target():
@@ -365,6 +380,10 @@ def test_blocks_of_days_equal_one_day_calls():
         "arp": lambda c, cv, v, s: pf.agnostic_risk_parity(c, v, s),
         "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(cv, v, s, classes),
         "ew": lambda c, cv, v, s: pf.equally_weighted(v),
+        "omega": lambda c, cv, v, s: pf.PortfolioWeights(
+            positions=(pf.optimal_weight_matrix(
+                cv, np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :], 1.0, 0.5)
+                @ s[..., None])[..., 0], kind="omega"),
     }
     for kind, build in builds.items():
         blocks = build(corr[:, None], cov, vols, sig)

@@ -186,10 +186,9 @@ def test_proportional_trend_reduces_to_markowitz_weights():
     model = ModelParams(n=2, drift=np.zeros(2), noise_cov=ce, trend_cov=0.3 * ce,
                         trend_amp=0.4, trend_decay=0.1)
     best = so.brute_force_optimal(so.pnl_moment_tensors(model, 0.02, 60))
-    wm = pf.WeightMatrix(weights=best, trend_gain=1.0, drift_gain=0.0)
     for _ in range(5):
         s = rng.standard_normal(2)
-        pos = pf.positions_from_matrix(wm, s).positions
+        pos = best @ s
         nm = pf.naive_markowitz(ce, s, ridge=0.0, normalize=False).positions
         cos = (pos @ nm) / (np.linalg.norm(pos) * np.linalg.norm(nm))
         assert abs(abs(cos) - 1.0) < 1e-8
@@ -258,6 +257,27 @@ def reference_approx(model, rate, t, form):
     return left @ core @ right
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_forms_equal_the_inverse_route(n):
+    """The two-solve sandwich against the explicit-inverse products it replaced."""
+    rng = np.random.default_rng(40 + n)
+    rate, t = 0.02, 500
+    for _ in range(50):
+        model = so.sample_weak_trend_model(rng, n, rate=rate, t=t)
+        mm = so.pnl_moment_tensors(model, rate, t)
+        kv = mm.kernels
+        omega = pf.optimal_weight_matrix(model.noise_cov, model.trend_cov,
+                                         np.outer(model.drift, model.drift),
+                                         kv.trend_gain, kv.drift_gain, ridge=0.0)
+        assert np.array_equal(so.approx_optimal(mm, form="simple"), omega)
+        for form in ("simple", "sandwich"):
+            w = so.approx_optimal(mm, form=form)
+            want = reference_approx(model, rate, t, form)
+            assert np.abs(w - want).max() <= 1e-13 * np.abs(want).max()
+            assert so.squared_sharpe(mm, w) == pytest.approx(so.squared_sharpe(mm, want),
+                                                             rel=1e-12)
+
+
 def reference_oracle_entry(model, rate, t):
     """One oracle.json entry with every quantity from its own fresh moment build."""
     def fresh():
@@ -272,7 +292,7 @@ def reference_oracle_entry(model, rate, t):
         "residual_exact": so.stationarity_residual(fresh(), exact),
     }
     for form in ("simple", "sandwich"):
-        w = reference_approx(model, rate, t, form)
+        w = so.approx_optimal(fresh(), form=form)
         s2 = so.squared_sharpe(fresh(), w)
         entry[f"residual_{form}"] = so.stationarity_residual(fresh(), w)
         entry[f"sharpe2_{form}"] = s2
