@@ -221,9 +221,9 @@ def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, 
         raise InvalidInput("need at least one strategy")
     groups: dict[tuple, list] = {}
     for i, cfg in enumerate(configs):
-        if panel.n_days <= cfg.warmup_days():
-            raise InsufficientData(f"panel of {panel.n_days} days does not clear warm-up "
-                                   f"{cfg.warmup_days()}")
+        if panel.n_days < cfg.warmup_days() + 2:  # realized risk needs two active days
+            raise InsufficientData(f"panel of {panel.n_days} days leaves fewer than two "
+                                   f"active days after warm-up {cfg.warmup_days()}")
         key = (cfg.signal_rate, cfg.cov_rate, cfg.var_rate, cfg.cleaner, cfg.sample_ratio,
                cfg.week_len)
         groups.setdefault(key, []).append(i)

@@ -13,11 +13,13 @@ byte-identical for a fixed (config, seed).
 Every CSV goes through one writer (_write_csv) and is read back through one
 reader (_read_table): a header, then rows whose leading text columns (date,
 asset, t) are followed by numbers, printed with 12 significant digits, or at
-full precision in an exported panel.  Input files are read as UTF-8, and a
-header may not repeat a column name.
+full precision in an exported panel.  The writer formats a block of rows per
+`%` template; the reader parses in one pass with one vectorized check, and
+re-reads row by row only to name a bad line.  Input files are read as UTF-8,
+and a header may not repeat a column name.
 
 Exit codes: 0 success, 2 config error, 3 data error (a malformed panel, or one
-shorter than the warm-up), 4 numerical failure.
+that leaves fewer than two days after the warm-up), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -66,34 +69,68 @@ def _jsonify(obj):
     return obj
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write the file whole; its directory is made here, so a run that fails
-    before its first file leaves no directory behind."""
+def _atomic_write(path: Path, parts) -> None:
+    """Write the text parts whole, through a .tmp file; a part that raises takes the
+    .tmp file and any directory made for it along, so a failed run leaves none."""
+    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(text.encode("utf-8"))
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(parts)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        for directory in made:  # innermost first
+            directory.rmdir()
+        raise
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"])
 
 
 # ---------------------------------------------------------------------------
 # the one table format: a header line, then one line of plain values per row
 # ---------------------------------------------------------------------------
 
-_TEXT_COLUMNS = ("date", "asset", "t")
+_BLOCK_CELLS = 4096  # cells formatted by one `%` call
 
 
-def _write_csv(path: Path, header: list, rows, number: str = _G12) -> None:
-    """Leading text columns (dates, asset names, t) print as given, every other
-    cell with `number`; rows hold plain values, as from .tolist() or zip."""
-    text = 0
-    while text < len(header) and header[text] in _TEXT_COLUMNS:
-        text += 1
-    line = ",".join(["%s"] * text + [number] * (len(header) - text)) + "\n"
-    _atomic_write(path, ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows))
+def _write_csv(path: Path, header: list, values, labels=None, number: str = _G12,
+               keys=None) -> None:
+    """A 2-D float array, each row after its label (a date, an asset name, t) if any,
+    every cell printed with `number`; with `keys`, one `label,key,value` line per key.
+    Each block of rows goes through one `%` template: labels and keys hold no "%"."""
+    values = np.asarray(values, dtype=float)
+    if keys is not None:
+        parts = ["", *(f",{key},{number}\n" for key in keys)]
+    else:
+        parts = ["", ("" if labels is None else ",") + ",".join([number] * values.shape[1]) + "\n"]
+    if labels is None:
+        labels = [""] * len(values)
+    step = max(1, _BLOCK_CELLS // values.shape[1])
+    blocks = ("".join(str(label).join(parts) for label in labels[i:i + step])
+              % tuple(values[i:i + step].ravel().tolist()) for i in range(0, len(values), step))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], blocks))
+
+
+def _fast_rows(lines: list, width: int) -> tuple:
+    """(dates, values) in one pass and one vectorized check, or a ValueError on
+    any row the row-by-row rules might reject."""
+    dates, flat = [], []
+    for line in lines:
+        day, _, rest = line.partition(",")
+        cells = rest.split(",")
+        if len(cells) != width:
+            raise ValueError("ragged row")
+        dates.append(datetime.date.fromisoformat(day).isoformat())
+        flat.extend(map(float, cells))
+    values = np.array(flat).reshape(len(dates), width)
+    order = np.array(dates)
+    if not np.isfinite(values).all() or not (order[1:] > order[:-1]).all():
+        raise ValueError("a row breaks a rule")
+    return dates, values
 
 
 def _read_table(path, what: str) -> tuple:
@@ -114,6 +151,12 @@ def _read_table(path, what: str) -> tuple:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise IngestError(f"{what} header repeats the column {repeated[0]!r}", line=1)
+    if len(lines) < 2:
+        raise IngestError(f"{what} file has no data rows", line=2)
+    try:
+        return names, *_fast_rows(lines[1:], len(names))
+    except ValueError:  # a row breaks a rule: re-read row by row to name the first one
+        pass
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -138,8 +181,6 @@ def _read_table(path, what: str) -> tuple:
                 raise IngestError(f"non-finite value {cell!r}", line=lineno)
             values.append(value)
         rows.append(values)
-    if not dates:
-        raise IngestError(f"{what} file has no data rows", line=2)
     return names, dates, np.array(rows)
 
 
@@ -155,8 +196,7 @@ def export_panel(panel: ReturnsPanel, path: Path) -> None:
     """Panel to CSV (full float precision, so re-ingestion is bit-exact)."""
     path = Path(path)
     header = ["date"] + [f"asset_{j + 1}" for j in range(panel.n_assets)]
-    rows = ((date, *row.tolist()) for date, row in zip(panel.calendar(), panel.returns))
-    _write_csv(path, header, rows, number="%r")
+    _write_csv(path, header, panel.returns, labels=panel.calendar(), number="%r")
     _write_json(_sidecar(path), {"asset_classes": list(panel.asset_classes), "seed": panel.seed})
 
 
@@ -365,23 +405,17 @@ def _run_strategies(cfg: RunConfig) -> tuple:
     return panel, names, *backtest.run_with_estimates(panel, configs)
 
 
-def _write_positions(cfg: RunConfig, name: str, result, dates: tuple) -> None:
-    days = dates[result.warmup:]
-    assets = [f"asset_{j + 1}" for j in range(result.positions.shape[1])]
-    rows = ((day, asset, x) for day, row in zip(days, result.positions[result.warmup:])
-            for asset, x in zip(assets, row.tolist()))
-    _write_csv(cfg.outdir / f"positions_{name}.csv", ["date", "asset", "position"], rows)
-
-
 def _cmd_backtest(cfg: RunConfig) -> None:
     panel, names, results, corr, vols = _run_strategies(cfg)
 
     dates = panel.calendar()
     warmup = max(r.warmup for r in results)
     _write_csv(cfg.outdir / "pnl.csv", ["date"] + list(names),
-               zip(dates[warmup:], *(r.pnl[warmup:].tolist() for r in results)))
-    for name, result in zip(names, results):
-        _write_positions(cfg, name, result, dates)
+               np.column_stack([r.pnl[warmup:] for r in results]), labels=dates[warmup:])
+    assets = [f"asset_{j + 1}" for j in range(panel.n_assets)]
+    for name, result in zip(names, results):  # one `date,asset,position` line per asset-day
+        _write_csv(cfg.outdir / f"positions_{name}.csv", ["date", "asset", "position"],
+                   result.positions[result.warmup:], labels=dates[result.warmup:], keys=assets)
 
     sharpes = {}
     for name, result in zip(names, results):
@@ -405,10 +439,10 @@ def _cmd_backtest(cfg: RunConfig) -> None:
 def _write_eigenrisk(cfg: RunConfig, panel, names, results, corr, vols) -> None:
     profiles = [backtest.realized_risk(r, corr, panel) for r in results]
     _write_csv(cfg.outdir / "eigenrisk.csv", ["eigenvalue"] + list(names),
-               zip(profiles[0].eigenvalues.tolist(), *(p.risks.tolist() for p in profiles)))
+               np.column_stack([profiles[0].eigenvalues] + [p.risks for p in profiles]))
     assets = [f"asset_{j + 1}" for j in range(panel.n_assets)]
-    _write_csv(cfg.outdir / "correlation.csv", assets, corr.tolist())
-    _write_csv(cfg.outdir / "volatilities.csv", ["asset", "volatility"], zip(assets, vols.tolist()))
+    _write_csv(cfg.outdir / "correlation.csv", assets, corr)
+    _write_csv(cfg.outdir / "volatilities.csv", ["asset", "volatility"], vols[:, None], labels=assets)
 
 
 def _cmd_eigenrisk(cfg: RunConfig) -> None:
@@ -445,13 +479,13 @@ def _cmd_agents(cfg: RunConfig) -> None:
     params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
                                     steps=opts["T"], reps=opts["M"], seed=cfg.seed)
     result = herding.run(params)
-    fractions = result.fractions[0].tolist()  # one representative repetition
+    fractions = result.fractions[0].copy()  # one representative repetition, not a view of all
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
-    _write_csv(cfg.outdir / "trajectory.csv", header, ([t, *row] for t, row in enumerate(fractions)))
+    _write_csv(cfg.outdir / "trajectory.csv", header, fractions, labels=range(len(fractions)))
 
     curve = herding.transition_curve(params, opts["jgrid"])
     _write_csv(cfg.outdir / "transition.csv", ["j", "max_interest", "stderr"],
-               zip(curve.couplings.tolist(), curve.max_fraction.tolist(), curve.stderr.tolist()))
+               np.column_stack([curve.couplings, curve.max_fraction, curve.stderr]))
 
 
 def _cmd_mix(cfg: RunConfig) -> None:
@@ -471,7 +505,7 @@ def _cmd_mix(cfg: RunConfig) -> None:
     ]
     grid, sharpes = backtest.sweep_mix_curve(results, step=cfg.options["grid"])
     _write_csv(cfg.outdir / "mixcurve.csv", [f"weight_{pair[1]}", "sharpe"],
-               zip(grid.tolist(), sharpes.tolist()))
+               np.column_stack([grid, sharpes]))
 
 
 _COMMANDS = {

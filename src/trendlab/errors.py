@@ -42,7 +42,7 @@ class CannotScale(TrendlabError):
 
 
 class InsufficientData(TrendlabError):
-    """Panel shorter than the warm-up window."""
+    """Panel that leaves fewer than two days after the warm-up window."""
 
 
 class DegenerateResult(TrendlabError):

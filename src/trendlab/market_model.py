@@ -122,12 +122,8 @@ class ReturnsPanel:
         """ISO date of each row: the panel's own dates, else weekdays from 2000-01-03."""
         if self.dates is not None:
             return self.dates
-        dates, day = [], _EPOCH
-        while len(dates) < self.n_days:
-            if day.weekday() < 5:
-                dates.append(day.isoformat())
-            day += datetime.timedelta(days=1)
-        return tuple(dates)
+        days = np.datetime64(_EPOCH) + np.arange(self.n_days // 5 * 7 + 7)  # >= n_days weekdays
+        return tuple(days[np.is_busday(days)][: self.n_days].astype(str).tolist())
 
 
 def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:

@@ -1,7 +1,11 @@
 """Shared fixture builders for the test suite."""
 
+import datetime
+from pathlib import Path
+
 import numpy as np
 
+from trendlab.errors import IngestError
 from trendlab.market_model import ModelParams
 
 
@@ -100,3 +104,74 @@ def correlation_cases(seed, n=6):
         np.fill_diagonal(corr, 1.0)
         out.append(corr)
     return np.stack(out)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's table format, one row and one cell at a time: the references the
+# bulk reader, writer and weekday calendar must equal
+# ---------------------------------------------------------------------------
+
+def reference_read_table(path, what):
+    """The per-cell reader: (names, dates, days x names array) or IngestError."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"{what} file {path} does not exist")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{what} file is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                          line=exc.object.count(b"\n", 0, exc.start) + 1)
+    header = lines[0].split(",") if lines else []
+    if not header or header[0] != "date" or len(header) < 2:
+        raise IngestError(f"{what} header must be 'date,<name>...'", line=1)
+    names, rows, dates = header[1:], [], []
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise IngestError(f"{what} header repeats the column {repeated[0]!r}", line=1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise IngestError(f"expected {len(header)} cells, found {len(cells)}", line=lineno)
+        try:
+            date = datetime.date.fromisoformat(cells[0])
+        except ValueError:
+            raise IngestError(f"unparseable date {cells[0]!r}", line=lineno)
+        if dates and date.isoformat() <= dates[-1]:
+            raise IngestError(f"dates must be strictly increasing at {date}", line=lineno)
+        dates.append(date.isoformat())
+        values = []
+        for cell in cells[1:]:
+            cell = cell.strip()
+            if not cell:
+                raise IngestError("missing value", line=lineno)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise IngestError(f"unparseable number {cell!r}", line=lineno)
+            if not np.isfinite(value):
+                raise IngestError(f"non-finite value {cell!r}", line=lineno)
+            values.append(value)
+        rows.append(values)
+    if not dates:
+        raise IngestError(f"{what} file has no data rows", line=2)
+    return names, dates, np.array(rows)
+
+
+def reference_csv_text(header, rows, number="%.12g"):
+    """The per-row writer's text: leading date/asset/t columns print as given,
+    every other cell with `number`; rows hold plain values."""
+    text = 0
+    while text < len(header) and header[text] in ("date", "asset", "t"):
+        text += 1
+    line = ",".join(["%s"] * text + [number] * (len(header) - text)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
+def reference_calendar(n_days):
+    """The first n_days weekdays from 2000-01-03, one day at a time."""
+    dates, day = [], datetime.date(2000, 1, 3)
+    while len(dates) < n_days:
+        if day.weekday() < 5:
+            dates.append(day.isoformat())
+        day += datetime.timedelta(days=1)
+    return tuple(dates)

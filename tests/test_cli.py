@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import reference_calendar, reference_csv_text, reference_read_table
 from trendlab import cli
 from trendlab.errors import IngestError
 from trendlab.market_model import ReturnsPanel
@@ -378,6 +379,18 @@ def test_panel_shorter_than_warmup_is_a_data_error(tmp_path, capsys):
         assert run_cli(command, "--panel", str(src / "panel.csv"),
                        "--outdir", str(tmp_path / command)) == 3
         assert last_error(capsys).startswith("error: data: panel of 1 days")
+    # one active day has no realized risk: warm-up T - 1 is short too, T - 2 is not
+    assert run_cli("simulate", "--n", "2", "--T", "120", "--outdir", str(src)) == 0
+    for command in ("backtest", "eigenrisk"):
+        out = tmp_path / f"{command}-119"
+        assert run_cli(command, "--panel", str(src / "panel.csv"), "--warmup", "119",
+                       "--outdir", str(out)) == 3
+        assert last_error(capsys).startswith("error: data: panel of 120 days")
+        assert not out.exists()
+        out = tmp_path / f"{command}-118"
+        assert run_cli(command, "--panel", str(src / "panel.csv"), "--warmup", "118",
+                       "--outdir", str(out)) == 0
+        assert np.isfinite(read_matrix(out / "eigenrisk.csv", skip_cols=0)).all()
 
 
 def write_pnl(path, rows):
@@ -580,3 +593,125 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "deep").exists()
     assert run_cli("simulate", "--n", "2", "--T", "30", "--outdir", str(out)) == 0
     assert (out / "manifest.json").exists()  # a run that writes makes the nested directory
+
+
+@pytest.mark.parametrize("what", ["panel", "pnl"])
+def test_header_only_file_has_no_data_rows(tmp_path, capsys, what):
+    path = write_panel(tmp_path, []) if what == "panel" else write_pnl(tmp_path / "pnl.csv", [])
+    assert path.read_text().count("\n") == 1
+    with pytest.raises(IngestError, match="no data rows") as err:
+        cli._read_table(path, what)
+    assert err.value.line == 2
+    argv = ["backtest", "--panel"] if what == "panel" else ["mix", "--pnl"]
+    out = tmp_path / "out"
+    assert run_cli(*argv, str(path), "--outdir", str(out)) == 3
+    assert last_error(capsys) == f"error: data: line 2: {what} file has no data rows"
+    assert not out.exists()
+
+
+def read_outcome(read, path):
+    """(names, dates, value bytes) of a read, or the message and line it raised."""
+    try:
+        names, dates, values = read(path, "pnl")
+    except IngestError as exc:
+        return str(exc), exc.line
+    return names, dates, values.shape, values.tobytes()
+
+
+def dated_rows(days, width, seed):
+    rng = np.random.default_rng(seed)
+    start = datetime.date(2000, 1, 3)
+    return [f"{start + datetime.timedelta(days=i)}," + ",".join(map(repr, row))
+            for i, row in enumerate(rng.standard_normal((days, width)).tolist())]
+
+
+def test_bulk_reader_equals_the_per_cell_reader(tmp_path):
+    files = {}
+    panel = ReturnsPanel(returns=0.01 * np.random.default_rng(41).standard_normal((300, 4)),
+                         asset_classes=("stock",) * 4)
+    cli.export_panel(panel, tmp_path / "panel.csv")
+    files["exported-panel"] = tmp_path / "panel.csv"
+    cli._write_csv(tmp_path / "report.csv", ["date", "a", "b"],
+                   np.random.default_rng(42).standard_normal((500, 2)), labels=reference_calendar(500))
+    files["report"] = tmp_path / "report.csv"
+    files["odd-cells"] = write_pnl(tmp_path / "odd.csv", [
+        "2020-01-02, 0.1 ,+1e-3", "20200103,-0.0,1E5", "2020-01-06,1_0,\t7 "])
+    good = dated_rows(4000, 2, 43)
+    bad_rows = {case: (row, case in ("not-a-date", "impossible-date", "out-of-order"))
+                for case, (_, row, _) in MALFORMED_PNL_ROWS.items()}
+    bad_rows.update({"short": ("2000-02-11,0.1", False), "long": ("2000-02-11,0.1,0.2,0.3", False),
+                     "text": ("2000-02-11,0.1,abc", False), "repeat": (None, False)})
+    expected = {}
+    for case, (row, keep_date) in bad_rows.items():
+        for index in (3, 3000):
+            rows = list(good)
+            if row is None:  # the date of the row before
+                rows[index] = rows[index - 1].split(",")[0] + "," + rows[index].split(",", 1)[1]
+            else:
+                rows[index] = row if keep_date else good[index].split(",")[0] + "," + row.split(",", 1)[1]
+            files[f"{case}-{index}"] = write_pnl(tmp_path / f"{case}-{index}.csv", rows)
+            expected[f"{case}-{index}"] = index + 2
+    # a short row and a long one whose cells add up to a rectangle
+    rows = list(good)
+    rows[5], rows[6] = rows[5] + ",0.5", rows[6].rsplit(",", 1)[0]
+    files["ragged-pair"] = write_pnl(tmp_path / "ragged.csv", rows)
+    expected["ragged-pair"] = 7
+    for name, path in files.items():
+        outcome = read_outcome(cli._read_table, path)
+        assert outcome == read_outcome(reference_read_table, path), name
+        if name in expected:
+            assert outcome[1] == expected[name], name
+        else:
+            assert len(outcome) == 4, name
+
+
+def test_bulk_writer_equals_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(44)
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, 1 / 3, -1e-300]
+    for width in (1, 3, 16):
+        step = cli._BLOCK_CELLS // width
+        assets = [f"asset_{j + 1}" for j in range(width)]
+        for days in (step - 1, step, step + 1):
+            values = rng.standard_normal((days, width)) * 10.0 ** rng.integers(-9, 9, (days, width))
+            values.flat[:len(extremes)] = extremes[:values.size]
+            dates = reference_calendar(days)
+            for number in ("%.12g", "%r"):
+                cases = {
+                    "plain": (assets, values.tolist(), {}),
+                    "labels": (["date"] + assets, [(d, *row) for d, row in zip(dates, values.tolist())],
+                               {"labels": dates}),
+                    "keys": (["date", "asset", "position"],
+                             [(d, a, x) for d, row in zip(dates, values.tolist())
+                              for a, x in zip(assets, row)], {"labels": dates, "keys": assets}),
+                }
+                for name, (header, rows, kwargs) in cases.items():
+                    path = tmp_path / f"{name}.csv"
+                    cli._write_csv(path, header, values, number=number, **kwargs)
+                    want = reference_csv_text(header, rows, number).encode()
+                    assert path.read_bytes() == want, (width, days, number, name)
+
+
+@pytest.mark.parametrize("n_days", [*range(1, 13), 4000, 30000])
+def test_weekday_calendar_equals_the_day_by_day_loop(n_days):
+    panel = ReturnsPanel(returns=np.zeros((n_days, 1)), asset_classes=("stock",))
+    calendar = panel.calendar()
+    assert calendar == reference_calendar(n_days)
+    assert all(type(day) is str for day in calendar)
+
+
+def test_failed_write_leaves_nothing_behind(tmp_path):
+    def parts():
+        yield "date,a\n"
+        yield "2020-01-02,0.1\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "deep" / "er" / "table.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._atomic_write(target, parts())
+    assert list(tmp_path.iterdir()) == []  # no .tmp file and no directory made for it
+    target.parent.mkdir(parents=True)
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._atomic_write(target, parts())
+    assert [p.name for p in target.parent.iterdir()] == ["table.csv"]
+    assert target.read_text() == "old\n"
