@@ -479,7 +479,7 @@ def _cmd_agents(cfg: RunConfig) -> None:
     params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
                                     steps=opts["T"], reps=opts["M"], seed=cfg.seed)
     result = herding.run(params)
-    fractions = result.fractions[0].copy()  # one representative repetition, not a view of all
+    fractions = result.counts[0] / result.agents  # one representative repetition
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
     _write_csv(cfg.outdir / "trajectory.csv", header, fractions, labels=range(len(fractions)))
 

@@ -120,7 +120,7 @@ def transition_curve(params: AgentSimParams, coupling_grid) -> TransitionCurve:
     stderr = np.empty(grid.size)
     for i, j in enumerate(grid):
         result = run(replace(params, coupling=float(j), seed=params.seed + i))
-        per_run = result.fractions[:, -1, :].max(axis=1)
+        per_run = (result.counts[:, -1, :] / result.agents).max(axis=1)
         maxima[i] = per_run.mean()
         stderr[i] = per_run.std(ddof=1) / np.sqrt(params.reps) if params.reps > 1 else 0.0
     return TransitionCurve(couplings=grid, max_fraction=maxima, stderr=stderr)

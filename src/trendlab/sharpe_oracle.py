@@ -53,7 +53,13 @@ class KernelValues:
 
 
 def _kernel_products(rate: float, amp: float, decay: float, t: int) -> dict:
-    """Equal-time products of the signal and trend kernels by direct summation."""
+    """Equal-time products of the signal and trend kernels, in O(t).
+
+    The signal kernel applied to the trend kernel at shock age k is
+    amp * sum_{i<=k} p**i q**(k-i) = amp * a**k * cumsum((b/a)**j)[k] with
+    a = max(p, q), b = min(p, q): every summed term lies in [0, 1], so p ~ q
+    needs no division by p - q, and q = 0 (decay 1) no special case.
+    """
     if t < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
     if not 0.0 < rate < 1.0:
@@ -67,7 +73,8 @@ def _kernel_products(rate: float, amp: float, decay: float, t: int) -> dict:
     trend = amp * q**ages
     # signal kernel applied to the trend kernel, one entry per shock age
     # (SA)(t, t') = sum over intermediate days between t' and t
-    conv = np.convolve(sig, trend)[: t - 1]
+    a, b = max(p, q), min(p, q)
+    conv = amp * a**ages * np.cumsum((b / a) ** ages)
     conv = np.concatenate(([0.0], conv[:-1]))  # shock at t-1 has no room to propagate
     return {
         "sig_sig": float(sig @ sig),

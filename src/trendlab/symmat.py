@@ -100,13 +100,8 @@ def inv_sqrt(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
     return symmetrize((vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
-def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """x with (m + ridge*I) x = b for an (n, n) matrix or a (..., n, n) stack.
-
-    b's last axis holds the right-hand sides, broadcast over the stack: (n,) or
-    (..., n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
-    inverse's default on PSD input; NotPositiveDefinite if m + ridge*I is not.
-    """
+def _shifted(m: np.ndarray, ridge: float | None) -> np.ndarray:
+    """m + ridge*I, checked symmetric and positive definite, one matrix or a stack."""
     a = check_symmetric(m)
     n = a.shape[-1]
     if ridge is None:
@@ -120,17 +115,26 @@ def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarra
         np.linalg.cholesky(shifted)  # np.linalg.solve passes indefinite, non-singular input
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"not positive definite at ridge {np.min(ridge):.3e}") from None
-    return np.linalg.solve(shifted, np.asarray(b, dtype=float)[..., None])[..., 0]
+    return shifted
+
+
+def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
+    """x with (m + ridge*I) x = b for an (n, n) matrix or a (..., n, n) stack.
+
+    b's last axis holds the right-hand sides, broadcast over the stack: (n,) or
+    (..., n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
+    inverse's default on PSD input; NotPositiveDefinite if m + ridge*I is not.
+    """
+    return np.linalg.solve(_shifted(m, ridge), np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def solve_sandwich(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                    ridge: float | None = None) -> np.ndarray:
     """inv(left + ridge*I) core inv(right + ridge*I) by two solves, for one matrix or a stack.
 
-    solve takes the right-hand sides as rows, so each matrix of the stack is
-    broadcast over the rows of its core; with symmetric right, solving the
-    rows of core gives core inv(right).
+    Each solve takes a whole (n, n) matrix as its right-hand sides, so each
+    matrix is checked and LU-factored once: X = inv(left) core, then, right
+    being symmetric, X inv(right) = (inv(right) X^T)^T.
     """
-    half = solve(check_symmetric(right)[..., None, :, :], core, ridge)
-    rows = solve(check_symmetric(left)[..., None, :, :], np.swapaxes(half, -1, -2), ridge)
-    return np.swapaxes(rows, -1, -2)
+    half = np.linalg.solve(_shifted(left, ridge), np.asarray(core, dtype=float))
+    return np.swapaxes(np.linalg.solve(_shifted(right, ridge), np.swapaxes(half, -1, -2)), -1, -2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ def test_transition_curve_limits():
     assert curve.stderr.shape == (2,)
     with pytest.raises(InvalidInput):
         herding.transition_curve(base, [])
+
+
+def test_final_fractions_slice_the_counts_before_dividing():
+    params = herding.AgentSimParams(agents=400, strategies=20, coupling=1.5,
+                                    steps=40, reps=40, seed=1)
+    result = herding.run(params)
+    want = result.fractions[:, -1, :].max(axis=1)
+    assert np.array_equal((result.counts[:, -1, :] / result.agents).max(axis=1), want)
+    grid = [0.5, 1.5]
+    curve = herding.transition_curve(params, grid)
+    for i, j in enumerate(grid):
+        per_run = herding.run(replace(params, coupling=j, seed=params.seed + i)).fractions[:, -1, :]
+        assert curve.max_fraction[i] == per_run.max(axis=1).mean()
+        assert curve.stderr[i] == per_run.max(axis=1).std(ddof=1) / np.sqrt(params.reps)
 
 
 def test_state_validation():

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,44 @@ def test_kernels_match_geometric_closed_forms():
     assert kv.signal_mass == pytest.approx(mass, rel=1e-10)
     assert kv.trend_gain == pytest.approx(saa / ss, rel=1e-10)
     assert kv.drift_gain == pytest.approx(mass / ss, rel=1e-10)
+
+
+def convolved_kernel_products(rate, amp, decay, t):
+    """Reference: the kernel products with the signal-on-trend kernel by direct
+    O(t^2) convolution of the two geometric sequences."""
+    p, q = 1.0 - rate, 1.0 - decay
+    ages = np.arange(t - 1, dtype=float)
+    sig, trend = p**ages, amp * q**ages
+    conv = np.concatenate(([0.0], np.convolve(sig, trend)[: t - 2]))
+    return {
+        "sig_sig": float(sig @ sig),
+        "trend_trend": float(trend @ trend),
+        "sig_trend_sq": float(conv @ conv),
+        "sig_trend_trend": float(conv @ trend),
+        "signal_mass": float(sig.sum()),
+    }
+
+
+CRITERION_4_AMP = float(np.sqrt(0.02 * (1.0 - (1.0 - 0.004) ** 2)))  # helpers.mode_profile_model
+
+
+@pytest.mark.parametrize("rate, amp, decay, t", [
+    (0.01, 0.8, 0.02, 500),            # rate < decay
+    (0.05, 0.8, 0.02, 500),            # rate > decay
+    (0.02, 0.8, 0.02, 500),            # rate == decay: geometric_kernels divides by p - q
+    (0.3, 0.6, 1.0, 200),              # decay 1: the trend kernel is one spike
+    (0.3, 0.6, 0.1, 2),
+    (0.3, 0.6, 0.1, 3),
+    (0.005, CRITERION_4_AMP, 0.004, 30_000),
+])
+def test_kernel_products_equal_the_direct_convolution(rate, amp, decay, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = so._kernel_products(rate, amp, decay, t)
+    want = convolved_kernel_products(rate, amp, decay, t)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12 * abs(value), name
 
 
 def test_kernels_too_early():

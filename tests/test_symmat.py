@@ -140,6 +140,47 @@ def test_solve_error_contract():
         symmat.solve(np.ones((2, 3)), np.ones(2))
 
 
+def row_broadcast_sandwich(left, core, right, ridge):
+    """Reference: inv(left) core inv(right) with each matrix broadcast over the
+    rows of its core, so that every row is a solve of its own."""
+    half = symmat.solve(right[..., None, :, :], core, ridge)  # core inv(right)
+    rows = symmat.solve(left[..., None, :, :], np.swapaxes(half, -1, -2), ridge)
+    return np.swapaxes(rows, -1, -2)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_sandwich_solves_whole_matrices(n):
+    rng = np.random.default_rng(n)
+    left = np.stack([rand_spd(rng, n, scale=k + 1.0) for k in range(6)])
+    right = np.stack([rand_spd(rng, n, scale=1.0 / (k + 1.0)) for k in range(6)])
+    core = rng.standard_normal((6, n, n))
+    for ridge in (None, 0.0, 0.1):
+        got = symmat.solve_sandwich(left, core, right, ridge)
+        blocks = symmat.solve_sandwich(left.reshape(2, 3, n, n), core.reshape(2, 3, n, n),
+                                       right.reshape(2, 3, n, n), ridge)
+        assert np.array_equal(blocks.reshape(got.shape), got)
+        for k in range(6):
+            assert np.array_equal(got[k], symmat.solve_sandwich(left[k], core[k], right[k], ridge)), k
+        old = row_broadcast_sandwich(left, core, right, ridge)
+        assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
+    exact = np.linalg.inv(left) @ core @ np.linalg.inv(right)
+    got = symmat.solve_sandwich(left, core, right, ridge=0.0)
+    assert np.abs(got - exact).max() < 1e-12 * np.abs(exact).max()
+
+
+def test_sandwich_error_contract():
+    spd, indefinite = np.eye(3), np.diag([1.0, -0.5, 2.0])
+    asymmetric = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for left, right in ((indefinite, spd), (spd, indefinite)):
+        with pytest.raises(NotPositiveDefinite):
+            symmat.solve_sandwich(left, np.ones((3, 3)), right)
+    for left, right in ((asymmetric, spd), (spd, asymmetric)):
+        with pytest.raises(InvalidMatrix):
+            symmat.solve_sandwich(left, np.ones((3, 3)), right)
+    with pytest.raises(InvalidMatrix):
+        symmat.solve_sandwich(spd, np.ones((3, 3)), spd, ridge=-1.0)
+
+
 def loop_eigendecompose(m):
     """Reference: eigh, descending order, then the per-column sign-fix loop."""
     vals, vecs = np.linalg.eigh(m)
