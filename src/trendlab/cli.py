@@ -449,28 +449,40 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
     _write_eigenrisk(cfg, *_run_strategies(cfg))
 
 
+# Kernel cells (models x t) per oracle chunk, 8 models at t=2000: each (models, t)
+# kernel array stays under 128 KB whatever --models and --t are.  Chunks twice as
+# large saved about 0.02 s on 300 models at t=2000 but raised peak RSS by over 1 MB.
+_KERNEL_CELLS = 2**14
+
+
 def _cmd_oracle(cfg: RunConfig) -> None:
     n, t, rate = cfg.options["n"], cfg.options["t"], cfg.options["eta"]
     rng = np.random.default_rng(cfg.seed)
+    total, chunk = cfg.options["models"], max(1, _KERNEL_CELLS // t)
     reports = []
-    for _ in range(cfg.options["models"]):
-        model = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t)
-        mm = sharpe_oracle.pnl_moment_tensors(model, rate, t)
+    for start in range(0, total, chunk):
+        models = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t,
+                                                       count=min(chunk, total - start))
+        mm = sharpe_oracle.pnl_moment_tensors(models, rate, t)
         exact = sharpe_oracle.brute_force_optimal(mm)
         s2_exact = sharpe_oracle.squared_sharpe(mm, exact)
-        entry = {
-            "model_hash": hashlib.sha256(model.noise_cov.tobytes() + model.trend_cov.tobytes()
-                                         + model.drift.tobytes()).hexdigest()[:16],
+        columns = {
             "sharpe2_exact": s2_exact,
             "residual_exact": sharpe_oracle.stationarity_residual(mm, exact),
         }
         for form in ("simple", "sandwich"):
             w = sharpe_oracle.approx_optimal(mm, form=form)
             s2 = sharpe_oracle.squared_sharpe(mm, w)
-            entry[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
-            entry[f"sharpe2_{form}"] = s2
-            entry[f"ratio_{form}"] = s2 / s2_exact if s2_exact > 0 else float("nan")
-        reports.append(entry)
+            columns[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
+            columns[f"sharpe2_{form}"] = s2
+            columns[f"ratio_{form}"] = np.divide(s2, s2_exact, out=np.full(len(models), np.nan),
+                                                 where=s2_exact > 0)
+        for i, model in enumerate(models):
+            entry = {"model_hash": hashlib.sha256(model.noise_cov.tobytes()
+                                                  + model.trend_cov.tobytes()
+                                                  + model.drift.tobytes()).hexdigest()[:16]}
+            entry.update((name, float(values[i])) for name, values in columns.items())
+            reports.append(entry)
     _write_json(cfg.outdir / "oracle.json", {"n": n, "t": t, "eta": rate, "models": reports})
 
 

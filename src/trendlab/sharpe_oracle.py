@@ -3,11 +3,17 @@
 For the generative model with a common EMA signal kernel and a common
 exponential trend kernel, the one-day P&L of a weight matrix w is a Gaussian
 quadratic form whose mean and variance are exactly computable.  One
-`PnlMoments` per (model, rate, t) holds them, and every function below reads
+`PnlMoments` per (models, rate, t) holds them, and every function below reads
 one to evaluate weights, to solve the squared-Sharpe stationarity condition
 exactly for n <= 3, or to give the closed-form approximate weights.  Those
 are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
 a sandwich form with corrected factors; both are two symmat solves.
+
+A `PnlMoments` is built for one model or for a stack of models of one size,
+and every reader takes either: a stack gives arrays with a leading model axis,
+each model's entry exactly its own one-model result, and one model gives
+today's floats and matrices.  The `oracle` command builds one stack per chunk
+of models, so it makes one moment pass per chunk.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -15,6 +21,7 @@ the shared-kernel model.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +35,8 @@ EXACT_MAX_ASSETS = 3
 
 @dataclass(frozen=True)
 class KernelValues:
-    """Scalar kernel weights of the P&L moments at a fixed time.
+    """Kernel weights of the P&L moments at a fixed time: floats for one model,
+    arrays with one entry per model for a stack.
 
     The first five weight the covariance pairings in the P&L variance
     (noise/trend on the return leg x noise/trend on the signal leg, plus the
@@ -52,9 +60,35 @@ class KernelValues:
     signal_mass: float
 
 
-def _kernel_products(rate: float, amp: float, decay: float, t: int) -> dict:
+def _unbatch(x):
+    """A float for a 0-d result, the array itself for a stack."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, per entry of a stack; the stacked matmul of a row
+    and a column takes the same BLAS dot as a 1-D `a @ b`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _square(x):
+    """x**2 through C pow, as Python's ** on a float takes it; numpy's power(x, 2)
+    multiplies x by itself, which differs in the last bit now and then."""
+    return _unbatch(np.float_power(x, 2))
+
+
+def _per_model(x, dims: int):
+    """A kernel value, a float or one entry per model, shaped to broadcast against
+    a stack of matrices with `dims` trailing axes."""
+    return np.reshape(x, np.shape(x) + (1,) * dims)
+
+
+def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     """Equal-time products of the signal and trend kernels, in O(t).
 
+    amp and decay are one value each, or arrays broadcast together; each
+    product comes out as a float, or as an array of that shape.
     The signal kernel applied to the trend kernel at shock age k is
     amp * sum_{i<=k} p**i q**(k-i) = amp * a**k * cumsum((b/a)**j)[k] with
     a = max(p, q), b = min(p, q): every summed term lies in [0, 1], so p ~ q
@@ -64,29 +98,44 @@ def _kernel_products(rate: float, amp: float, decay: float, t: int) -> dict:
         raise TooEarly(f"moments need t >= 2, got {t}")
     if not 0.0 < rate < 1.0:
         raise InvalidInput(f"rate must be in (0,1), got {rate}")
-    if not 0.0 < decay <= 1.0:
-        raise InvalidInput(f"decay must be in (0,1], got {decay}")
+    amp, decay = np.broadcast_arrays(np.asarray(amp, dtype=float), np.asarray(decay, dtype=float))
+    bad = ~((0.0 < decay) & (decay <= 1.0))
+    if bad.any():
+        raise InvalidInput(f"decay must be in (0,1], got {decay[bad][0]}")
+    shape = decay.shape
     p = 1.0 - rate
-    q = 1.0 - decay
+    q = 1.0 - decay.reshape(-1, 1)
+    amp = amp.reshape(-1, 1)
     ages = np.arange(t - 1, dtype=float)  # t - t' - 1 for t' = t-1 .. 1
     sig = p**ages
-    trend = amp * q**ages
     # signal kernel applied to the trend kernel, one entry per shock age
-    # (SA)(t, t') = sum over intermediate days between t' and t
-    a, b = max(p, q), min(p, q)
-    conv = amp * a**ages * np.cumsum((b / a) ** ages)
-    conv = np.concatenate(([0.0], conv[:-1]))  # shock at t-1 has no room to propagate
-    return {
-        "sig_sig": float(sig @ sig),
-        "trend_trend": float(trend @ trend),
-        "sig_trend_sq": float(conv @ conv),
-        "sig_trend_trend": float(conv @ trend),
-        "signal_mass": float(sig.sum()),
+    # (SA)(t, t') = sum over intermediate days between t' and t, built in place
+    # so a stack holds two (models, t) arrays at a time; a**k is sig unless q > p
+    scaled = amp * sig
+    rises = q[:, 0] > p
+    if rises.any():
+        scaled[rises] = amp[rises] * q[rises] ** ages
+    terms = (np.minimum(p, q) / np.maximum(p, q)) ** ages
+    np.cumsum(terms, axis=-1, out=terms)
+    np.multiply(scaled, terms, out=terms)
+    conv = scaled
+    conv[:, 0] = 0.0  # the shock at t-1 has no room to propagate
+    conv[:, 1:] = terms[:, :-1]
+    del terms
+    trend = q**ages
+    np.multiply(amp, trend, out=trend)
+    products = {
+        "sig_sig": np.full(len(q), sig @ sig),
+        "trend_trend": _dot(trend, trend),
+        "sig_trend_sq": _dot(conv, conv),
+        "sig_trend_trend": _dot(conv, trend),
+        "signal_mass": np.full(len(q), sig.sum()),
     }
+    return {name: _unbatch(value.reshape(shape)) for name, value in products.items()}
 
 
-def compute_kernels(rate: float, amp: float, decay: float, t: int) -> KernelValues:
-    """All scalar kernel values at time t, overall constant fixed to 1."""
+def compute_kernels(rate: float, amp, decay, t: int) -> KernelValues:
+    """All kernel values at time t, overall constant fixed to 1; one amp/decay or arrays."""
     k = _kernel_products(rate, amp, decay, t)
     ss = k["sig_sig"]
     return KernelValues(
@@ -94,85 +143,119 @@ def compute_kernels(rate: float, amp: float, decay: float, t: int) -> KernelValu
         noise_trend=k["sig_trend_sq"],
         trend_noise=ss * k["trend_trend"],
         trend_trend=k["sig_trend_sq"] * k["trend_trend"],
-        trend_cross=k["sig_trend_trend"] ** 2,
+        trend_cross=_square(k["sig_trend_trend"]),
         trend_mean=k["sig_trend_trend"],
         g_trend_left=k["trend_trend"],
         g_trend_right=k["sig_trend_sq"] / ss,
-        g_drift_right=k["signal_mass"] ** 2 / ss,
+        g_drift_right=_square(k["signal_mass"]) / ss,
         trend_gain=k["sig_trend_trend"] / ss,
         drift_gain=k["signal_mass"] / ss,
         signal_mass=k["signal_mass"],
     )
 
 
+def _model_arrays(model) -> tuple:
+    """noise_cov, trend_cov, drift, trend_amp and trend_decay of one model, or
+    stacked along a leading axis for a sequence of models of one size."""
+    names = ("noise_cov", "trend_cov", "drift", "trend_amp", "trend_decay")
+    if isinstance(model, ModelParams):
+        return tuple(getattr(model, name) for name in names)
+    if not model:
+        raise InvalidInput("a stack needs at least one model")
+    if len({m.n for m in model}) > 1:
+        raise InvalidInput("the models of a stack must share one asset count")
+    return tuple(np.array([getattr(m, name) for m in model]) for name in names)
+
+
 @dataclass(frozen=True)
 class PnlMoments:
-    """One-day P&L moments at time t, with the model and kernels they come from."""
+    """One-day P&L moments at time t, with the model(s) and kernels they come from.
+
+    For a stack, `model` is the tuple of models and the arrays carry a leading
+    model axis: mean_matrix (z, n, n), var_tensor (z, n, n, n, n).
+    """
 
     mean_matrix: np.ndarray
     var_tensor: np.ndarray
     t: int
-    model: ModelParams
+    model: ModelParams | tuple[ModelParams, ...]
     kernels: KernelValues
 
     def var_form(self) -> np.ndarray:
-        n = self.model.n
-        return self.var_tensor.reshape(n * n, n * n)
+        n2 = self.mean_matrix.shape[-1] ** 2
+        return self.var_tensor.reshape(self.var_tensor.shape[:-4] + (n2, n2))
 
 
-def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
-    """Exact day-t P&L moments of the model: the input of every other oracle function.
+def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
+                       t: int) -> PnlMoments:
+    """Exact day-t P&L moments of one model or a stack: the input of every other oracle function.
 
     Index order of var_tensor is (j1, k1, j2, k2): j indexes the traded
     asset, k the signal asset, so the variance of sum_jk w[j,k] r_t[j] s_t[k]
     is einsum('jk,jklm,lm', w, var_tensor, w).
     """
-    kv = compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    if not isinstance(model, ModelParams):
+        model = tuple(model)
+    ce, cx, drift, amp, decay = _model_arrays(model)
+    kv = compute_kernels(rate, amp, decay, t)
+
+    def k2(x):
+        return _per_model(x, 2)
+
+    def k4(x):
+        return _per_model(x, 4)
+
+    def outer(spec, x, y):
+        left, right = spec.split(",")
+        return np.einsum(f"...{left},...{right}->...abcd", x, y)
+
     ss, tt = kv.noise_noise, kv.g_trend_left
     stq, stt = kv.noise_trend, kv.trend_mean
     mass = kv.signal_mass
-    ce, cx = model.noise_cov, model.trend_cov
-    m = np.outer(model.drift, model.drift)
+    m = drift[..., :, None] * drift[..., None, :]
 
-    mean = stt * cx + mass * m
+    mean = k2(stt) * cx + k2(mass) * m
 
     var = (
-        ss * np.einsum("ac,bd->abcd", ce, ce)
-        + stq * np.einsum("ac,bd->abcd", ce, cx)
-        + kv.trend_noise * np.einsum("ac,bd->abcd", cx, ce)
-        + kv.trend_trend * np.einsum("ac,bd->abcd", cx, cx)
-        + kv.trend_cross * np.einsum("ad,bc->abcd", cx, cx)
-        + np.einsum("ac,bd->abcd", m, ss * ce + stq * cx)
-        + mass * stt * (np.einsum("ad,bc->abcd", m, cx) + np.einsum("bc,ad->abcd", m, cx))
-        + mass**2 * np.einsum("bd,ac->abcd", m, ce + tt * cx)
+        k4(ss) * outer("ac,bd", ce, ce)
+        + k4(stq) * outer("ac,bd", ce, cx)
+        + k4(kv.trend_noise) * outer("ac,bd", cx, ce)
+        + k4(kv.trend_trend) * outer("ac,bd", cx, cx)
+        + k4(kv.trend_cross) * outer("ad,bc", cx, cx)
+        + outer("ac,bd", m, k2(ss) * ce + k2(stq) * cx)
+        + k4(mass * stt) * (outer("ad,bc", m, cx) + outer("bc,ad", m, cx))
+        + k4(_square(mass)) * outer("bd,ac", m, ce + k2(tt) * cx)
     )
     return PnlMoments(mean_matrix=mean, var_tensor=var, t=t, model=model, kernels=kv)
 
 
 def _weights(mm: PnlMoments, weights: np.ndarray) -> np.ndarray:
-    w, n = np.asarray(weights, dtype=float), mm.model.n
-    if w.shape != (n, n):
-        raise InvalidInput(f"weights must have shape ({n},{n}), got {w.shape}")
-    return w
+    """The weights as one (n, n) matrix per model: one matrix serves every model."""
+    w, shape = np.asarray(weights, dtype=float), mm.mean_matrix.shape
+    if w.shape[-2:] != shape[-2:] or w.shape[:-2] not in ((), shape[:-2]):
+        raise InvalidInput(f"weights must have shape {shape}, got {w.shape}")
+    return np.broadcast_to(w, shape)
 
 
-def moments(mm: PnlMoments, weights: np.ndarray) -> tuple[float, float]:
+def moments(mm: PnlMoments, weights: np.ndarray) -> tuple:
     """Mean and variance of the day-t P&L of mm under the given weight matrix."""
     w = _weights(mm, weights)
-    mean = float(np.sum(w * mm.mean_matrix))
-    wf = w.reshape(-1)
-    return mean, float(wf @ mm.var_form() @ wf)
+    batch = w.shape[:-2]
+    mean = (w * mm.mean_matrix).reshape(batch + (-1,)).sum(axis=-1)
+    wf = w.reshape(batch + (1, -1))
+    variance = (wf @ mm.var_form() @ np.swapaxes(wf, -1, -2))[..., 0, 0]
+    return _unbatch(mean), _unbatch(variance)
 
 
-def squared_sharpe(mm: PnlMoments, weights: np.ndarray) -> float:
+def squared_sharpe(mm: PnlMoments, weights: np.ndarray):
     """Squared Sharpe ratio mean^2 / variance of the day-t P&L of mm."""
     mean, variance = moments(mm, weights)
-    if variance <= 0.0:
-        raise DegenerateForm(f"P&L variance {variance:.3e} is not positive")
+    if np.min(variance) <= 0.0:
+        raise DegenerateForm(f"P&L variance {np.min(variance):.3e} is not positive")
     return mean * mean / variance
 
 
-def stationarity_residual(mm: PnlMoments, weights: np.ndarray) -> float:
+def stationarity_residual(mm: PnlMoments, weights: np.ndarray):
     """Max-norm violation of the squared-Sharpe stationarity condition of mm.
 
     Zero exactly at a stationary weight matrix.  The objective only sees the
@@ -180,17 +263,34 @@ def stationarity_residual(mm: PnlMoments, weights: np.ndarray) -> float:
     the residual is formed; the value is then comparable across models.
     """
     w = _weights(mm, weights)
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
+    batch = w.shape[:-2]
+    # the Frobenius norm sums the squares in memory order, as np.linalg.norm
+    # does: a transposed matrix (the sandwich solve's result) column by column
+    stored = np.swapaxes(w, -1, -2) if w.strides[-1] > w.strides[-2] else w
+    stored = stored.reshape(batch + (-1,))
+    norm = np.sqrt(_dot(stored, stored))
+    if np.any(norm == 0.0):
         raise DegenerateForm("weights are identically zero")
-    wf = (w / norm).reshape(-1)
-    vw = mm.var_form() @ wf
-    quad = float(wf @ vw)
-    mw = float(mm.mean_matrix.reshape(-1) @ wf)
-    if quad <= 0.0 or mw == 0.0:
+    wf = w.reshape(batch + (-1,)) / norm[..., None]
+    vw = (mm.var_form() @ wf[..., None])[..., 0]
+    quad = _dot(wf, vw)
+    target = mm.mean_matrix.reshape(batch + (-1,))
+    mw = _dot(target, wf)
+    if np.any(quad <= 0.0) or np.any(mw == 0.0):
         raise DegenerateForm("stationarity residual undefined for degenerate forms")
-    residual = mm.mean_matrix.reshape(-1) * quad - vw * mw
-    return float(np.abs(residual).max() / (abs(mw) * quad))
+    residual = target * quad[..., None] - vw * mw[..., None]
+    return _unbatch(np.abs(residual).max(axis=-1) / (np.abs(mw) * quad))
+
+
+def _solve_ridged(vf: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """vf x = target per matrix; a singular matrix, and only it, gets a tiny ridge."""
+    try:
+        return np.linalg.solve(vf, target[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if vf.ndim > 2:
+            return np.stack([_solve_ridged(v, b) for v, b in zip(vf, target)])
+        ridge = 1e-12 * np.trace(vf)
+        return np.linalg.solve(vf + ridge * np.eye(vf.shape[0]), target[..., None])[..., 0]
 
 
 def brute_force_optimal(mm: PnlMoments) -> np.ndarray:
@@ -201,33 +301,22 @@ def brute_force_optimal(mm: PnlMoments) -> np.ndarray:
     we solve it directly (tiny ridge if singular) and return the unit-norm
     solution with a positive mean.  Only supported for n <= 3.
     """
-    n = mm.model.n
+    n = mm.mean_matrix.shape[-1]
     if n > EXACT_MAX_ASSETS:
         raise InvalidInput(f"exact solve supports n <= {EXACT_MAX_ASSETS}, got {n}")
     vf = mm.var_form()
-    target = mm.mean_matrix.reshape(-1)
-    try:
-        wf = np.linalg.solve(vf, target)
-    except np.linalg.LinAlgError:
-        ridge = 1e-12 * np.trace(vf)
-        wf = np.linalg.solve(vf + ridge * np.eye(vf.shape[0]), target)
-    norm = np.linalg.norm(wf)
-    if norm == 0.0:
+    target = mm.mean_matrix.reshape(vf.shape[:-1])
+    wf = _solve_ridged(vf, target)
+    norm = np.sqrt(_dot(wf, wf))
+    if np.any(norm == 0.0):
         raise DegenerateForm("mean matrix is zero; every weight matrix is stationary")
-    wf = wf / norm
-    if float(target @ wf) < 0.0:
-        wf = -wf
-    return wf.reshape(n, n)
-
-
-def random_correlation(rng: np.random.Generator, n: int, samples: int | None = None) -> np.ndarray:
-    """Unit-diagonal PSD matrix from a random Wishart draw."""
-    w = rng.standard_normal((n, samples or 2 * n))
-    return estimation.correlation(w @ w.T / w.shape[1])
+    wf = wf / norm[..., None]
+    wf = np.where((_dot(target, wf) < 0.0)[..., None], -wf, wf)
+    return wf.reshape(mm.mean_matrix.shape)
 
 
 def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01,
-                            t: int = 500) -> ModelParams:
+                            t: int = 500, count: int | None = None):
     """Random model inside the validity regime of the closed-form weights.
 
     Trend and drift structure are capped at 5% of the noise covariance in
@@ -235,39 +324,55 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     to the P&L variance stay a few percent of the noise terms; drifts are
     desk-scale (at most a couple of basis points per day) because the signal
     mass multiplies them by roughly 1/rate in the moment tensors.
+
+    count=None gives one ModelParams, count=k a list of k models: each model
+    takes its draws from rng in turn, as k one-model calls would, and the
+    arithmetic then runs once over the stack.
     """
-    noise_cov = random_correlation(rng, n)
-    noise_norm = float(np.linalg.norm(noise_cov, 2))
+    draws = []
+    for _ in range(1 if count is None else count):
+        draws.append((
+            rng.standard_normal((n, 2 * n)),  # Wishart draw of the noise correlation
+            rng.standard_normal((n, 2 * n)),  # and of the trend correlation
+            rng.uniform(0.3, 1.0),  # trend size, as a share of the 5% cap
+            rng.uniform(0.01, 0.04),  # trend decay
+            rng.uniform(0.01, 0.05),  # trend correction to the noise variance
+            rng.uniform(-0.002, 0.002, size=n),  # drift
+        ))
+    noise_w, raw_w, size, decay, correction, drift = (np.array(column) for column in zip(*draws))
 
-    raw = random_correlation(rng, n)
-    trend_cov = raw * (0.05 * noise_norm * rng.uniform(0.3, 1.0) / np.linalg.norm(raw, 2))
+    noise_cov = estimation.correlation(noise_w @ np.swapaxes(noise_w, -1, -2) / (2 * n))
+    noise_norm = np.linalg.norm(noise_cov, 2, axis=(-2, -1))
+    raw = estimation.correlation(raw_w @ np.swapaxes(raw_w, -1, -2) / (2 * n))
+    scale = 0.05 * noise_norm * size / np.linalg.norm(raw, 2, axis=(-2, -1))
+    trend_cov = raw * scale[:, None, None]
 
-    decay = rng.uniform(0.01, 0.04)
     unit = _kernel_products(rate, 1.0, decay, t)
-    correction = rng.uniform(0.01, 0.05)
-    amp = float(np.sqrt(correction * unit["sig_sig"] / unit["sig_trend_sq"]))
+    amp = np.sqrt(correction * unit["sig_sig"] / unit["sig_trend_sq"])
 
-    drift = rng.uniform(-0.002, 0.002, size=n)
-    return ModelParams(n=n, drift=drift, noise_cov=noise_cov, trend_cov=trend_cov,
-                       trend_amp=amp, trend_decay=decay)
+    models = [ModelParams(n=n, drift=drift[i], noise_cov=noise_cov[i], trend_cov=trend_cov[i],
+                          trend_amp=float(amp[i]), trend_decay=float(decay[i]))
+              for i in range(len(draws))]
+    return models[0] if count is None else models
 
 
 def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
-    """Closed-form approximate weights of mm's model in the weak-trend, weak-drift regime.
+    """Closed-form approximate weights of mm's model(s) in the weak-trend, weak-drift regime.
 
     form="simple" is the paper's optimal weight matrix,
     portfolios.optimal_weight_matrix with the kernel gains of mm and no ridge.
     form="sandwich" keeps the first-order trend/drift corrections inside the
     two inverted factors of the same two-solve sandwich.
     """
-    model, kv = mm.model, mm.kernels
-    ce, cx = model.noise_cov, model.trend_cov
-    m = np.outer(model.drift, model.drift)
-    if form == "simple":
-        return portfolios.optimal_weight_matrix(ce, cx, m, kv.trend_gain, kv.drift_gain, ridge=0.0)
-    if form != "sandwich":
+    if form not in ("simple", "sandwich"):
         raise InvalidInput(f"unknown form {form!r}")
-    core = kv.trend_gain * cx + kv.drift_gain * m
-    left = ce + kv.g_trend_left * cx + m
-    right = ce + kv.g_trend_right * cx + kv.g_drift_right * m
+    ce, cx, drift, _, _ = _model_arrays(mm.model)
+    m = drift[..., :, None] * drift[..., None, :]
+    kv = mm.kernels
+    trend_gain, drift_gain = _per_model(kv.trend_gain, 2), _per_model(kv.drift_gain, 2)
+    if form == "simple":
+        return portfolios.optimal_weight_matrix(ce, cx, m, trend_gain, drift_gain, ridge=0.0)
+    core = trend_gain * cx + drift_gain * m
+    left = ce + _per_model(kv.g_trend_left, 2) * cx + m
+    right = ce + _per_model(kv.g_trend_right, 2) * cx + _per_model(kv.g_drift_right, 2) * m
     return symmat.solve_sandwich(left, core, right, ridge=0.0)

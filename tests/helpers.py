@@ -175,3 +175,38 @@ def reference_calendar(n_days):
             dates.append(day.isoformat())
         day += datetime.timedelta(days=1)
     return tuple(dates)
+
+
+# ---------------------------------------------------------------------------
+# the oracle command one model at a time: the reference the chunked command
+# must equal byte for byte
+# ---------------------------------------------------------------------------
+
+def reference_oracle_payload(n, t, rate, models, seed):
+    """oracle.json's payload from the per-model loop: one sample, one moment build
+    and one call of each reader per model."""
+    import hashlib
+
+    from trendlab import sharpe_oracle
+
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(models):
+        model = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t)
+        mm = sharpe_oracle.pnl_moment_tensors(model, rate, t)
+        exact = sharpe_oracle.brute_force_optimal(mm)
+        s2_exact = sharpe_oracle.squared_sharpe(mm, exact)
+        entry = {
+            "model_hash": hashlib.sha256(model.noise_cov.tobytes() + model.trend_cov.tobytes()
+                                         + model.drift.tobytes()).hexdigest()[:16],
+            "sharpe2_exact": s2_exact,
+            "residual_exact": sharpe_oracle.stationarity_residual(mm, exact),
+        }
+        for form in ("simple", "sandwich"):
+            w = sharpe_oracle.approx_optimal(mm, form=form)
+            s2 = sharpe_oracle.squared_sharpe(mm, w)
+            entry[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
+            entry[f"sharpe2_{form}"] = s2
+            entry[f"ratio_{form}"] = s2 / s2_exact if s2_exact > 0 else float("nan")
+        reports.append(entry)
+    return {"n": n, "t": t, "eta": rate, "models": reports}

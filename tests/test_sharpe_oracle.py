@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import rand_spd, reference_oracle_payload
 from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
@@ -359,7 +359,7 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
     assert written["oracle.json"]["models"] == want
 
 
-def test_oracle_command_builds_the_moments_once_per_model(tmp_path, monkeypatch):
+def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
     calls = collections.Counter()
     for name in ("pnl_moment_tensors", "_kernel_products"):
         def counted(*args, _name=name, _real=getattr(so, name), **kwargs):
@@ -367,7 +367,131 @@ def test_oracle_command_builds_the_moments_once_per_model(tmp_path, monkeypatch)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(so, name, counted)
-    assert cli.main(["oracle", "--n", "2", "--t", "50", "--models", "3",
+    t = cli._KERNEL_CELLS // 3
+    chunk = cli._KERNEL_CELLS // t
+    assert chunk == 3
+    assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", str(chunk + 1),
                      "--outdir", str(tmp_path / "oracle")]) == 0
-    # the second kernel pass per model is the sampler's own amplitude sizing
-    assert calls == {"pnl_moment_tensors": 3, "_kernel_products": 6}
+    # a full chunk and a one-model chunk; the second kernel pass per chunk is
+    # the sampler's own amplitude sizing
+    assert calls == {"pnl_moment_tensors": 2, "_kernel_products": 4}
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_json_equals_the_per_model_loop(tmp_path, n, extra):
+    t, rate, seed = cli._KERNEL_CELLS // 4, 0.02, 17
+    models = cli._KERNEL_CELLS // t + extra
+    out = tmp_path / "oracle"
+    assert cli.main(["oracle", "--n", str(n), "--t", str(t), "--eta", str(rate),
+                     "--models", str(models), "--seed", str(seed), "--outdir", str(out)]) == 0
+    reference = tmp_path / "reference.json"
+    cli._write_json(reference, reference_oracle_payload(n, t, rate, models, seed))
+    assert (out / "oracle.json").read_bytes() == reference.read_bytes()
+
+
+def stack_of_models(rng, n, rate, t):
+    """Weak-trend models from one sampler call and strong models beside them."""
+    return (so.sample_weak_trend_model(rng, n, rate=rate, t=t, count=3)
+            + [strong_model(rng, n) for _ in range(2)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_model_of_a_stack_gets_its_one_model_result(n):
+    rng = np.random.default_rng(60 + n)
+    rate, t = 0.02, 80
+    models = stack_of_models(rng, n, rate, t)
+    mm = so.pnl_moment_tensors(models, rate, t)
+    assert mm.mean_matrix.shape == (5, n, n) and mm.var_tensor.shape == (5,) + (n,) * 4
+    assert mm.var_form().shape == (5, n * n, n * n)
+    # C-ordered weights, a whole-stack matrix, and the sandwich solve's transposed result
+    random_w = rng.standard_normal((5, n, n))
+    shared_w = rng.standard_normal((n, n))
+    approx = {form: so.approx_optimal(mm, form) for form in ("simple", "sandwich")}
+    exact = so.brute_force_optimal(mm)
+    for i, model in enumerate(models):
+        one = so.pnl_moment_tensors(model, rate, t)
+        assert np.array_equal(mm.mean_matrix[i], one.mean_matrix)
+        assert np.array_equal(mm.var_tensor[i], one.var_tensor)
+        for name, value in vars(one.kernels).items():
+            assert getattr(mm.kernels, name)[i] == value, name
+        assert np.array_equal(exact[i], so.brute_force_optimal(one))
+        for form, w in approx.items():
+            assert np.array_equal(w[i], so.approx_optimal(one, form))
+        for stacked, w in ((random_w, random_w[i]), (shared_w, shared_w), (exact, exact[i]),
+                           (approx["simple"], approx["simple"][i]),
+                           (approx["sandwich"], approx["sandwich"][i])):
+            assert [x[i] for x in so.moments(mm, stacked)] == list(so.moments(one, w))
+            assert so.squared_sharpe(mm, stacked)[i] == so.squared_sharpe(one, w)
+            assert so.stationarity_residual(mm, stacked)[i] == so.stationarity_residual(one, w)
+
+
+def test_one_model_readers_return_floats_and_matrices():
+    rng = np.random.default_rng(66)
+    mm = so.pnl_moment_tensors(strong_model(rng, 2), 0.02, 40)
+    w = rng.standard_normal((2, 2))
+    assert all(type(x) is float for x in so.moments(mm, w))
+    assert type(so.squared_sharpe(mm, w)) is float
+    assert type(so.stationarity_residual(mm, w)) is float
+    assert so.brute_force_optimal(mm).shape == so.approx_optimal(mm).shape == (2, 2)
+    assert type(mm.kernels.trend_gain) is float
+
+
+def test_stack_rejects_mismatched_weights_and_sizes():
+    rng = np.random.default_rng(67)
+    mm = so.pnl_moment_tensors([strong_model(rng, 2) for _ in range(3)], 0.02, 40)
+    with pytest.raises(InvalidInput):
+        so.moments(mm, rng.standard_normal((2, 2, 2)))
+    with pytest.raises(InvalidInput):
+        so.moments(mm, rng.standard_normal(2))
+    with pytest.raises(InvalidInput):
+        so.pnl_moment_tensors([strong_model(rng, 2), strong_model(rng, 3)], 0.02, 40)
+    with pytest.raises(InvalidInput):
+        so.pnl_moment_tensors([], 0.02, 40)
+
+
+def singular_model():
+    """Rank-one noise and drift along it, no trend: every variance term is a
+    multiple of one all-ones 4x4 matrix, so its LU factorization meets an exact
+    zero pivot."""
+    return ModelParams(n=2, drift=np.array([0.01, 0.01]), noise_cov=np.ones((2, 2)),
+                       trend_cov=np.zeros((2, 2)), trend_amp=0.0, trend_decay=0.5)
+
+
+def test_a_singular_model_in_a_stack_alone_gets_the_ridge():
+    rng = np.random.default_rng(68)
+    rate, t = 0.02, 60
+    models = [strong_model(rng, 2), singular_model(), strong_model(rng, 2)]
+    ones = [so.pnl_moment_tensors(model, rate, t) for model in models]
+    for i, one in enumerate(ones):
+        target = one.mean_matrix.reshape(-1)
+        if i == 1:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(one.var_form(), target)
+            vf = one.var_form()
+            ridged = np.linalg.solve(vf + 1e-12 * np.trace(vf) * np.eye(4), target)
+            assert np.array_equal(so.brute_force_optimal(one).reshape(-1),
+                                  ridged / np.linalg.norm(ridged))
+        else:
+            np.linalg.solve(one.var_form(), target)  # regular: no ridge
+    exact = so.brute_force_optimal(so.pnl_moment_tensors(models, rate, t))
+    for i, one in enumerate(ones):
+        assert np.array_equal(exact[i], so.brute_force_optimal(one))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, np.nan])
+def test_a_bad_decay_anywhere_in_a_stack_is_rejected(bad):
+    decay = np.array([0.02, 0.03, bad, 0.04])
+    with pytest.raises(InvalidInput, match="decay"):
+        so._kernel_products(0.01, np.full(4, 0.5), decay, 100)
+    with pytest.raises(InvalidInput, match="decay"):
+        so._kernel_products(0.01, 0.5, bad, 100)
+
+
+def test_stacked_kernel_products_equal_one_decay_at_a_time():
+    rng = np.random.default_rng(69)
+    amp, decay = rng.uniform(0.1, 1.0, 6), np.r_[rng.uniform(0.01, 0.5, 4), 0.02, 1.0]
+    got = so._kernel_products(0.02, amp, decay, 300)
+    for i in range(6):
+        one = so._kernel_products(0.02, float(amp[i]), float(decay[i]), 300)
+        assert {name: value[i] for name, value in got.items()} == one
