@@ -12,7 +12,7 @@ a sandwich form with corrected factors; both are two symmat solves.
 A `PnlMoments` is built for one model or for a stack of models of one size,
 and every reader takes either: a stack gives arrays with a leading model axis,
 each model's entry exactly its own one-model result, and one model gives
-today's floats and matrices.  The `oracle` command builds one stack per chunk
+floats and (n, n) matrices.  The `oracle` command builds one stack per chunk
 of models, so it makes one moment pass per chunk.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes

@@ -450,6 +450,32 @@ def test_stack_rejects_mismatched_weights_and_sizes():
         so.pnl_moment_tensors([], 0.02, 40)
 
 
+def test_squares_round_as_python_floats_do():
+    """The one-model kernel values squared Python floats; numpy's x**2 need not match."""
+    rng = np.random.default_rng(70)
+    xs = rng.standard_normal(100_000) * np.exp(rng.uniform(-20.0, 20.0, 100_000))
+    assert np.array_equal(so._square(xs), [x**2 for x in xs.tolist()])
+
+
+def test_residual_takes_the_norm_in_memory_order():
+    """np.linalg.norm, which the one-model residual used, sums a matrix's squares
+    in memory order, and the sandwich solve returns its weights transposed."""
+    rng = np.random.default_rng(71)
+    rate, t = 0.02, 200
+    mm = so.pnl_moment_tensors(so.sample_weak_trend_model(rng, 3, rate=rate, t=t, count=20),
+                               rate, t)
+    sandwich = so.approx_optimal(mm, "sandwich")
+    assert sandwich[0].flags.f_contiguous and not sandwich[0].flags.c_contiguous
+    for stack in (sandwich, rng.standard_normal((20, 3, 3))):
+        got = so.stationarity_residual(mm, stack)
+        for i, w in enumerate(stack):
+            wf = (w / np.linalg.norm(w)).reshape(-1)
+            vw = mm.var_form()[i] @ wf
+            quad, mw = float(wf @ vw), float(mm.mean_matrix[i].reshape(-1) @ wf)
+            residual = mm.mean_matrix[i].reshape(-1) * quad - vw * mw
+            assert got[i] == float(np.abs(residual).max() / (abs(mw) * quad))
+
+
 def singular_model():
     """Rank-one noise and drift along it, no trend: every variance term is a
     multiple of one all-ones 4x4 matrix, so its LU factorization meets an exact
