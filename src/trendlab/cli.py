@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import itertools
 import json
@@ -609,6 +610,7 @@ def _options(command: str) -> list:
     return [opt for opt in OPTIONS if command in opt.commands]
 
 
+@functools.cache  # a parser is a reference cycle: one per call grows a long-lived process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trendlab",
                                      description="Trend-following portfolio lab")

@@ -52,7 +52,7 @@ def step(preferences: np.ndarray, counts: np.ndarray, coupling: float) -> np.nda
 
 @dataclass(frozen=True)
 class SimResult:
-    """Adoption counts per (rep, step, strategy) plus the derived fractions.
+    """Adoption counts per (rep, step, strategy) and the agent count.
 
     counts are integers, so row-stochasticity is exact: counts.sum(axis=2)
     equals the number of agents at every step of every repetition.
@@ -60,11 +60,6 @@ class SimResult:
 
     counts: np.ndarray
     agents: int
-
-    @property
-    def fractions(self) -> np.ndarray:
-        """Per-run adopted fraction of each strategy over time."""
-        return self.counts / self.agents
 
     @property
     def mean_fraction(self) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Analytic ground truth for the signal-weight optimization at small scale.
 
 For the generative model with a common EMA signal kernel and a common
-exponential trend kernel, the one-day P&L of a weight matrix w is a Gaussian
-quadratic form whose mean and variance are exactly computable.  One
-`PnlMoments` per (models, rate, t) holds them, and every function below reads
+exponential trend kernel, the one-day P&L r'ws of a weight matrix w is a
+bilinear form in the jointly Gaussian return r and signal s, so its mean and
+variance follow exactly from three n x n second moments, E[rs'], E[rr'] and
+E[ss'] (Isserlis's theorem; the identity is in `PnlMoments`).  The last two
+are the factors of the paper's sandwich weights.  One `PnlMoments` per
+(models, rate, t) holds them, and every function below reads
 one to evaluate weights, to solve the squared-Sharpe stationarity condition
 exactly for n <= 3, or to give the closed-form approximate weights.  Those
 are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
@@ -38,19 +41,13 @@ class KernelValues:
     """Kernel weights of the P&L moments at a fixed time: floats for one model,
     arrays with one entry per model for a stack.
 
-    The first five weight the covariance pairings in the P&L variance
-    (noise/trend on the return leg x noise/trend on the signal leg, plus the
-    cross pairing); trend_mean/signal_mass weight the trend covariance and the
-    drift outer product in the P&L mean, trend_gain/drift_gain in the optimal
-    matrix (overall constant fixed to 1); the g values sit in the sandwich
-    factors of the approximate solution.
+    noise_noise is the signal's own variance weight (E[ss'] = noise_noise *
+    right); trend_mean/signal_mass weight the trend covariance and the drift
+    outer product in the P&L mean, trend_gain/drift_gain in the optimal matrix
+    (overall constant fixed to 1); the g values sit in the sandwich factors.
     """
 
     noise_noise: float
-    noise_trend: float
-    trend_noise: float
-    trend_trend: float
-    trend_cross: float
     trend_mean: float
     g_trend_left: float
     g_trend_right: float
@@ -70,12 +67,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis, per entry of a stack; the stacked matmul of a row
     and a column takes the same BLAS dot as a 1-D `a @ b`."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _square(x):
-    """x**2 through C pow, as Python's ** on a float takes it; numpy's power(x, 2)
-    multiplies x by itself, which differs in the last bit now and then."""
-    return _unbatch(np.float_power(x, 2))
 
 
 def _per_model(x, dims: int):
@@ -137,20 +128,16 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
 def compute_kernels(rate: float, amp, decay, t: int) -> KernelValues:
     """All kernel values at time t, overall constant fixed to 1; one amp/decay or arrays."""
     k = _kernel_products(rate, amp, decay, t)
-    ss = k["sig_sig"]
+    ss, mass = k["sig_sig"], k["signal_mass"]
     return KernelValues(
         noise_noise=ss,
-        noise_trend=k["sig_trend_sq"],
-        trend_noise=ss * k["trend_trend"],
-        trend_trend=k["sig_trend_sq"] * k["trend_trend"],
-        trend_cross=_square(k["sig_trend_trend"]),
         trend_mean=k["sig_trend_trend"],
         g_trend_left=k["trend_trend"],
         g_trend_right=k["sig_trend_sq"] / ss,
-        g_drift_right=_square(k["signal_mass"]) / ss,
+        g_drift_right=mass * mass / ss,
         trend_gain=k["sig_trend_trend"] / ss,
-        drift_gain=k["signal_mass"] / ss,
-        signal_mass=k["signal_mass"],
+        drift_gain=mass / ss,
+        signal_mass=mass,
     )
 
 
@@ -171,29 +158,49 @@ def _model_arrays(model) -> tuple:
 class PnlMoments:
     """One-day P&L moments at time t, with the model(s) and kernels they come from.
 
+    The P&L r'ws of a weight matrix w (rows: traded assets, columns: signal
+    assets) is a bilinear form in the jointly Gaussian return r and signal s,
+    so three second moments fix it: mean_matrix = E[rs'], left = E[rr'] and
+    noise_noise * right = E[ss'].  Isserlis's theorem for non-central
+    Gaussians gives var(w) = <w, V w> with
+
+        V w = ss * left w right + M w' M - 2 mass^2 (mu' w mu) mu mu'
+
+    where M = mean_matrix, ss = noise_noise, mass = signal_mass and mu = drift.
+    left and right are also the two inverted factors of the sandwich weights.
     For a stack, `model` is the tuple of models and the arrays carry a leading
-    model axis: mean_matrix (z, n, n), var_tensor (z, n, n, n, n).
+    model axis: mean_matrix, left and right (z, n, n), drift (z, n).
     """
 
     mean_matrix: np.ndarray
-    var_tensor: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    drift: np.ndarray
     t: int
     model: ModelParams | tuple[ModelParams, ...]
     kernels: KernelValues
 
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """V w for one (n, n) weight matrix per model, or a stack of them that
+        broadcasts against the models."""
+        kv = self.kernels
+        mu = self.drift[..., :, None]
+        mu_t = np.swapaxes(mu, -1, -2)
+        mass = _per_model(kv.signal_mass, 2)
+        drift = 2.0 * mass * mass * (mu_t @ w @ mu) * (mu * mu_t)
+        return (_per_model(kv.noise_noise, 2) * (self.left @ w @ self.right)
+                + self.mean_matrix @ np.swapaxes(w, -1, -2) @ self.mean_matrix - drift)
+
     def var_form(self) -> np.ndarray:
-        n2 = self.mean_matrix.shape[-1] ** 2
-        return self.var_tensor.reshape(self.var_tensor.shape[:-4] + (n2, n2))
+        """V as one (n^2, n^2) matrix per model: V applied to the n^2 basis matrices."""
+        batch, n = self.mean_matrix.shape[:-2], self.mean_matrix.shape[-1]
+        basis = np.eye(n * n).reshape((n * n,) + (1,) * len(batch) + (n, n))
+        return np.moveaxis(self.apply(basis).reshape((n * n,) + batch + (n * n,)), 0, -1)
 
 
 def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
                        t: int) -> PnlMoments:
-    """Exact day-t P&L moments of one model or a stack: the input of every other oracle function.
-
-    Index order of var_tensor is (j1, k1, j2, k2): j indexes the traded
-    asset, k the signal asset, so the variance of sum_jk w[j,k] r_t[j] s_t[k]
-    is einsum('jk,jklm,lm', w, var_tensor, w).
-    """
+    """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
     if not isinstance(model, ModelParams):
         model = tuple(model)
     ce, cx, drift, amp, decay = _model_arrays(model)
@@ -202,31 +209,13 @@ def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
     def k2(x):
         return _per_model(x, 2)
 
-    def k4(x):
-        return _per_model(x, 4)
-
-    def outer(spec, x, y):
-        left, right = spec.split(",")
-        return np.einsum(f"...{left},...{right}->...abcd", x, y)
-
-    ss, tt = kv.noise_noise, kv.g_trend_left
-    stq, stt = kv.noise_trend, kv.trend_mean
-    mass = kv.signal_mass
     m = drift[..., :, None] * drift[..., None, :]
-
-    mean = k2(stt) * cx + k2(mass) * m
-
-    var = (
-        k4(ss) * outer("ac,bd", ce, ce)
-        + k4(stq) * outer("ac,bd", ce, cx)
-        + k4(kv.trend_noise) * outer("ac,bd", cx, ce)
-        + k4(kv.trend_trend) * outer("ac,bd", cx, cx)
-        + k4(kv.trend_cross) * outer("ad,bc", cx, cx)
-        + outer("ac,bd", m, k2(ss) * ce + k2(stq) * cx)
-        + k4(mass * stt) * (outer("ad,bc", m, cx) + outer("bc,ad", m, cx))
-        + k4(_square(mass)) * outer("bd,ac", m, ce + k2(tt) * cx)
+    return PnlMoments(
+        mean_matrix=k2(kv.trend_mean) * cx + k2(kv.signal_mass) * m,
+        left=ce + k2(kv.g_trend_left) * cx + m,
+        right=ce + k2(kv.g_trend_right) * cx + k2(kv.g_drift_right) * m,
+        drift=drift, t=t, model=model, kernels=kv,
     )
-    return PnlMoments(mean_matrix=mean, var_tensor=var, t=t, model=model, kernels=kv)
 
 
 def _weights(mm: PnlMoments, weights: np.ndarray) -> np.ndarray:
@@ -242,8 +231,7 @@ def moments(mm: PnlMoments, weights: np.ndarray) -> tuple:
     w = _weights(mm, weights)
     batch = w.shape[:-2]
     mean = (w * mm.mean_matrix).reshape(batch + (-1,)).sum(axis=-1)
-    wf = w.reshape(batch + (1, -1))
-    variance = (wf @ mm.var_form() @ np.swapaxes(wf, -1, -2))[..., 0, 0]
+    variance = (w * mm.apply(w)).reshape(batch + (-1,)).sum(axis=-1)
     return _unbatch(mean), _unbatch(variance)
 
 
@@ -264,15 +252,12 @@ def stationarity_residual(mm: PnlMoments, weights: np.ndarray):
     """
     w = _weights(mm, weights)
     batch = w.shape[:-2]
-    # the Frobenius norm sums the squares in memory order, as np.linalg.norm
-    # does: a transposed matrix (the sandwich solve's result) column by column
-    stored = np.swapaxes(w, -1, -2) if w.strides[-1] > w.strides[-2] else w
-    stored = stored.reshape(batch + (-1,))
-    norm = np.sqrt(_dot(stored, stored))
+    flat = w.reshape(batch + (-1,))
+    norm = np.sqrt(_dot(flat, flat))
     if np.any(norm == 0.0):
         raise DegenerateForm("weights are identically zero")
-    wf = w.reshape(batch + (-1,)) / norm[..., None]
-    vw = (mm.var_form() @ wf[..., None])[..., 0]
+    wf = flat / norm[..., None]
+    vw = mm.apply(wf.reshape(w.shape)).reshape(batch + (-1,))
     quad = _dot(wf, vw)
     target = mm.mean_matrix.reshape(batch + (-1,))
     mw = _dot(target, wf)
@@ -372,7 +357,4 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     trend_gain, drift_gain = _per_model(kv.trend_gain, 2), _per_model(kv.drift_gain, 2)
     if form == "simple":
         return portfolios.optimal_weight_matrix(ce, cx, m, trend_gain, drift_gain, ridge=0.0)
-    core = trend_gain * cx + drift_gain * m
-    left = ce + _per_model(kv.g_trend_left, 2) * cx + m
-    right = ce + _per_model(kv.g_trend_right, 2) * cx + _per_model(kv.g_drift_right, 2) * m
-    return symmat.solve_sandwich(left, core, right, ridge=0.0)
+    return symmat.solve_sandwich(mm.left, trend_gain * cx + drift_gain * m, mm.right, ridge=0.0)

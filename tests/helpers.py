@@ -210,3 +210,39 @@ def reference_oracle_payload(n, t, rate, models, seed):
             entry[f"ratio_{form}"] = s2 / s2_exact if s2_exact > 0 else float("nan")
         reports.append(entry)
     return {"n": n, "t": t, "eta": rate, "models": reports}
+
+
+# ---------------------------------------------------------------------------
+# the oracle's P&L variance as the full (j1, k1, j2, k2) tensor: the reference
+# the three-matrix variance form must equal to roundoff
+# ---------------------------------------------------------------------------
+
+def reference_var_tensor(models, rate, t):
+    """Cov(r_j1 s_k1, r_j2 s_k2) of a sequence of models of one size, shaped
+    (models, n, n, n, n): eight outer products of the n x n model matrices under
+    the pairings "ac,bd" and "ad,bc", so the variance of r'ws is
+    einsum('jk,jklm,lm', w, tensor, w)."""
+    from trendlab.sharpe_oracle import _kernel_products
+
+    ce, cx, drift, amp, decay = (np.array([getattr(m, name) for m in models]) for name in
+                                 ("noise_cov", "trend_cov", "drift", "trend_amp", "trend_decay"))
+    k = _kernel_products(rate, amp, decay, t)
+    ss, tt, stq, stt, mass = (np.reshape(k[name], (-1, 1, 1, 1, 1)) for name in
+                              ("sig_sig", "trend_trend", "sig_trend_sq", "sig_trend_trend",
+                               "signal_mass"))
+
+    def outer(spec, x, y):
+        left, right = spec.split(",")
+        return np.einsum(f"z{left},z{right}->zabcd", x, y)
+
+    m = drift[:, :, None] * drift[:, None, :]
+    return (
+        ss * outer("ac,bd", ce, ce)
+        + stq * outer("ac,bd", ce, cx)
+        + ss * tt * outer("ac,bd", cx, ce)
+        + stq * tt * outer("ac,bd", cx, cx)
+        + stt**2 * outer("ad,bc", cx, cx)
+        + outer("ac,bd", m, ss[..., 0, 0] * ce + stq[..., 0, 0] * cx)
+        + mass * stt * (outer("ad,bc", m, cx) + outer("bc,ad", m, cx))
+        + mass**2 * outer("bd,ac", m, ce + tt[..., 0, 0] * cx)
+    )

@@ -1,3 +1,4 @@
+import argparse
 import datetime
 import hashlib
 import json
@@ -343,6 +344,24 @@ def test_manifest_records_flag_options_as_supplied(tmp_path):
     body = {"command": "backtest", "seed": 0, "options": options}
     assert manifest["config_hash"] == hashlib.sha256(
         json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """A parser is a reference cycle, so one per call would grow a long-lived process."""
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    base = ["oracle", "--n", "1", "--t", "3"]
+    assert cli.main(base + ["--models", "2", "--outdir", str(tmp_path / "a")]) == 0
+    assert cli.main(base + ["--outdir", str(tmp_path / "b")]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # the first call's --models does not carry over into the second
+    assert len(json.loads((tmp_path / "b" / "oracle.json").read_text())["models"]) == 20
 
 
 def test_oracle_runs_at_the_smallest_t(tmp_path):

@@ -80,7 +80,8 @@ def test_label_permutation_symmetry():
 def test_intermediate_coupling_mixes_outcomes():
     params = herding.AgentSimParams(agents=1000, strategies=50, coupling=1.5,
                                     steps=50, reps=100, seed=3)
-    finals = herding.run(params).fractions[:, -1, :].max(axis=1)
+    result = herding.run(params)
+    finals = (result.counts[:, -1, :] / result.agents).max(axis=1)
     assert (finals > 0.5).sum() > 0       # some runs crown a dominant strategy
     assert (finals < 0.2).sum() > 0       # others stay spread out
 
@@ -101,12 +102,13 @@ def test_final_fractions_slice_the_counts_before_dividing():
     params = herding.AgentSimParams(agents=400, strategies=20, coupling=1.5,
                                     steps=40, reps=40, seed=1)
     result = herding.run(params)
-    want = result.fractions[:, -1, :].max(axis=1)
+    want = (result.counts / result.agents)[:, -1, :].max(axis=1)
     assert np.array_equal((result.counts[:, -1, :] / result.agents).max(axis=1), want)
     grid = [0.5, 1.5]
     curve = herding.transition_curve(params, grid)
     for i, j in enumerate(grid):
-        per_run = herding.run(replace(params, coupling=j, seed=params.seed + i)).fractions[:, -1, :]
+        run = herding.run(replace(params, coupling=j, seed=params.seed + i))
+        per_run = (run.counts / run.agents)[:, -1, :]
         assert curve.max_fraction[i] == per_run.max(axis=1).mean()
         assert curve.stderr[i] == per_run.max(axis=1).std(ddof=1) / np.sqrt(params.reps)
 

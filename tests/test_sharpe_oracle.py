@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import rand_spd, reference_oracle_payload
+from helpers import rand_spd, reference_oracle_payload, reference_var_tensor
 from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
@@ -38,8 +38,9 @@ def geometric_kernels(rate, amp, decay, t):
 
 def test_kernels_vanish_without_trend():
     kv = so.compute_kernels(0.01, 0.0, 0.02, 100)
-    assert kv.noise_trend == kv.trend_noise == kv.trend_trend == kv.trend_cross == 0.0
-    assert kv.g_trend_left == kv.g_trend_right == 0.0
+    k = so._kernel_products(0.01, 0.0, 0.02, 100)
+    assert k["trend_trend"] == k["sig_trend_sq"] == k["sig_trend_trend"] == 0.0
+    assert kv.g_trend_left == kv.g_trend_right == kv.trend_mean == 0.0
     assert kv.trend_gain == 0.0
 
 
@@ -55,10 +56,10 @@ def test_kernels_match_geometric_closed_forms():
     kv = so.compute_kernels(rate, amp, decay, t)
     ss, aa, saas, saa, mass = geometric_kernels(rate, amp, decay, t)
     assert kv.noise_noise == pytest.approx(ss, rel=1e-10)
-    assert kv.noise_trend == pytest.approx(saas, rel=1e-10)
-    assert kv.trend_noise == pytest.approx(ss * aa, rel=1e-10)
-    assert kv.trend_trend == pytest.approx(saas * aa, rel=1e-10)
-    assert kv.trend_cross == pytest.approx(saa * saa, rel=1e-10)
+    assert kv.g_trend_left == pytest.approx(aa, rel=1e-10)
+    assert kv.g_trend_right == pytest.approx(saas / ss, rel=1e-10)
+    assert kv.trend_mean == pytest.approx(saa, rel=1e-10)
+    assert kv.g_drift_right == pytest.approx(mass * mass / ss, rel=1e-10)
     assert kv.signal_mass == pytest.approx(mass, rel=1e-10)
     assert kv.trend_gain == pytest.approx(saa / ss, rel=1e-10)
     assert kv.drift_gain == pytest.approx(mass / ss, rel=1e-10)
@@ -168,16 +169,16 @@ def test_driftless_limit_recovers_reduced_formulas():
     model = ModelParams(n=n, drift=np.zeros(n), noise_cov=base.noise_cov,
                         trend_cov=base.trend_cov, trend_amp=base.trend_amp,
                         trend_decay=base.trend_decay)
-    kv = so.compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    k = so._kernel_products(rate, model.trend_amp, model.trend_decay, t)
+    ss, aa, saas, saa = k["sig_sig"], k["trend_trend"], k["sig_trend_sq"], k["sig_trend_trend"]
     ce, cx = model.noise_cov, model.trend_cov
-    saa = kv.trend_gain * kv.noise_noise
     mean_matrix = saa * cx
     var_tensor = (
-        kv.noise_noise * np.einsum("ac,bd->abcd", ce, ce)
-        + kv.noise_trend * np.einsum("ac,bd->abcd", ce, cx)
-        + kv.trend_noise * np.einsum("ac,bd->abcd", cx, ce)
-        + kv.trend_trend * np.einsum("ac,bd->abcd", cx, cx)
-        + kv.trend_cross * np.einsum("ad,bc->abcd", cx, cx)
+        ss * np.einsum("ac,bd->abcd", ce, ce)
+        + saas * np.einsum("ac,bd->abcd", ce, cx)
+        + ss * aa * np.einsum("ac,bd->abcd", cx, ce)
+        + saas * aa * np.einsum("ac,bd->abcd", cx, cx)
+        + saa * saa * np.einsum("ad,bc->abcd", cx, cx)
     )
     w = rng.standard_normal((n, n))
     mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
@@ -402,7 +403,8 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
     rate, t = 0.02, 80
     models = stack_of_models(rng, n, rate, t)
     mm = so.pnl_moment_tensors(models, rate, t)
-    assert mm.mean_matrix.shape == (5, n, n) and mm.var_tensor.shape == (5,) + (n,) * 4
+    assert mm.mean_matrix.shape == mm.left.shape == mm.right.shape == (5, n, n)
+    assert mm.drift.shape == (5, n)
     assert mm.var_form().shape == (5, n * n, n * n)
     # C-ordered weights, a whole-stack matrix, and the sandwich solve's transposed result
     random_w = rng.standard_normal((5, n, n))
@@ -412,7 +414,9 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
     for i, model in enumerate(models):
         one = so.pnl_moment_tensors(model, rate, t)
         assert np.array_equal(mm.mean_matrix[i], one.mean_matrix)
-        assert np.array_equal(mm.var_tensor[i], one.var_tensor)
+        for name in ("left", "right", "drift"):
+            assert np.array_equal(getattr(mm, name)[i], getattr(one, name)), name
+        assert np.array_equal(mm.var_form()[i], one.var_form())
         for name, value in vars(one.kernels).items():
             assert getattr(mm.kernels, name)[i] == value, name
         assert np.array_equal(exact[i], so.brute_force_optimal(one))
@@ -424,6 +428,41 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
             assert [x[i] for x in so.moments(mm, stacked)] == list(so.moments(one, w))
             assert so.squared_sharpe(mm, stacked)[i] == so.squared_sharpe(one, w)
             assert so.stationarity_residual(mm, stacked)[i] == so.stationarity_residual(one, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_var_form_equals_the_tensor_route(n):
+    """V applied to the basis matrices against the eight-term tensor it replaced."""
+    rng = np.random.default_rng(80 + n)
+    rate, t = 0.02, 80
+    for _ in range(10):
+        models = stack_of_models(rng, n, rate, t)
+        want = reference_var_tensor(models, rate, t).reshape(5, n * n, n * n)
+        stacked = so.pnl_moment_tensors(models, rate, t).var_form()
+        for i, model in enumerate(models):
+            bound = 1e-13 * np.abs(want[i]).max()
+            assert np.abs(stacked[i] - want[i]).max() <= bound
+            assert np.abs(so.pnl_moment_tensors(model, rate, t).var_form() - want[i]).max() <= bound
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_moments_and_residual_equal_the_tensor_route(n):
+    rng = np.random.default_rng(90 + n)
+    rate, t = 0.02, 80
+    models = stack_of_models(rng, n, rate, t)
+    mm = so.pnl_moment_tensors(models, rate, t)
+    vf = reference_var_tensor(models, rate, t).reshape(5, n * n, n * n)
+    for w in (rng.standard_normal((5, n, n)), so.approx_optimal(mm, "sandwich")):
+        _, variance = so.moments(mm, w)
+        residual = so.stationarity_residual(mm, w)
+        for i in range(5):
+            wf = w[i].reshape(-1) / np.linalg.norm(w[i])
+            vw = vf[i] @ wf
+            quad, target = wf @ vw, mm.mean_matrix[i].reshape(-1)
+            mw = target @ wf
+            want = np.abs(target * quad - vw * mw).max() / (abs(mw) * quad)
+            assert variance[i] == pytest.approx(quad * np.linalg.norm(w[i]) ** 2, rel=1e-13)
+            assert residual[i] == pytest.approx(want, rel=1e-13)
 
 
 def test_one_model_readers_return_floats_and_matrices():
@@ -448,32 +487,6 @@ def test_stack_rejects_mismatched_weights_and_sizes():
         so.pnl_moment_tensors([strong_model(rng, 2), strong_model(rng, 3)], 0.02, 40)
     with pytest.raises(InvalidInput):
         so.pnl_moment_tensors([], 0.02, 40)
-
-
-def test_squares_round_as_python_floats_do():
-    """The one-model kernel values squared Python floats; numpy's x**2 need not match."""
-    rng = np.random.default_rng(70)
-    xs = rng.standard_normal(100_000) * np.exp(rng.uniform(-20.0, 20.0, 100_000))
-    assert np.array_equal(so._square(xs), [x**2 for x in xs.tolist()])
-
-
-def test_residual_takes_the_norm_in_memory_order():
-    """np.linalg.norm, which the one-model residual used, sums a matrix's squares
-    in memory order, and the sandwich solve returns its weights transposed."""
-    rng = np.random.default_rng(71)
-    rate, t = 0.02, 200
-    mm = so.pnl_moment_tensors(so.sample_weak_trend_model(rng, 3, rate=rate, t=t, count=20),
-                               rate, t)
-    sandwich = so.approx_optimal(mm, "sandwich")
-    assert sandwich[0].flags.f_contiguous and not sandwich[0].flags.c_contiguous
-    for stack in (sandwich, rng.standard_normal((20, 3, 3))):
-        got = so.stationarity_residual(mm, stack)
-        for i, w in enumerate(stack):
-            wf = (w / np.linalg.norm(w)).reshape(-1)
-            vw = mm.var_form()[i] @ wf
-            quad, mw = float(wf @ vw), float(mm.mean_matrix[i].reshape(-1) @ wf)
-            residual = mm.mean_matrix[i].reshape(-1) * quad - vw * mw
-            assert got[i] == float(np.abs(residual).max() / (abs(mw) * quad))
 
 
 def singular_model():
