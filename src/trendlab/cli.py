@@ -450,10 +450,14 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
     _write_eigenrisk(cfg, *_run_strategies(cfg))
 
 
-# Kernel cells (models x t) per oracle chunk, 8 models at t=2000: each (models, t)
-# kernel array stays under 128 KB whatever --models and --t are.  Chunks twice as
-# large saved about 0.02 s on 300 models at t=2000 but raised peak RSS by over 1 MB.
-_KERNEL_CELLS = 2**14
+# Kernel cells (models x t) per oracle chunk, 32 models at t=2000: each (models, t)
+# kernel array stays under 512 KB whatever --models and --t are.  Benchmark
+# oracle_report (300 models, n=3, t=2000; 10-s runs on a 2-vCPU x86_64 VM, two
+# seeds) read wall_s / peak_rss_mb 0.092-0.115 s / 41.6-41.7 MB at 2**14,
+# 0.059-0.082 / 42.0-42.1 at 2**15, 0.063-0.072 / 42.5 at 2**16, 0.043-0.055 /
+# 43.5-43.8 at 2**17 and 0.037-0.052 / 45.7 at 2**18: past 2**16 each doubling
+# saves less time than it costs in RSS.
+_KERNEL_CELLS = 2**16
 
 
 def _cmd_oracle(cfg: RunConfig) -> None:

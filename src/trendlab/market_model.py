@@ -20,25 +20,74 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symmat
-from .errors import InvalidIndex, InvalidInput, InvalidMatrix, InvalidModel
+from .errors import InvalidIndex, InvalidInput, InvalidModel
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
 _EPOCH = datetime.date(2000, 1, 3)  # a Monday; panels without dates get weekday dates
 
 
-def _as_psd(name: str, m: np.ndarray, n: int) -> np.ndarray:
+class _Faults:
+    """The checks of a stack of models in one-model check order: each check adds the
+    models it rejects and the message a rejected model i raises."""
+
+    def __init__(self, count: int):
+        self.count, self.masks, self.messages = count, [], []
+
+    def add(self, bad, message) -> None:
+        self.masks.append(np.broadcast_to(bad, (self.count,)))
+        self.messages.append(message)
+        if self.masks[-1].all():  # model 0 fails here or earlier: no later check matters
+            self.raise_first()
+
+    def raise_first(self) -> None:
+        """InvalidModel for the first rejected model, with its first failed check."""
+        bad = np.array(self.masks)
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            raise InvalidModel(self.messages[int(bad[:, i].argmax())](i))
+
+
+def _as_psd(name: str, m: np.ndarray, n: int, faults: _Faults) -> np.ndarray:
+    """A stack of (n, n) covariances, one per model, symmetrized where round-off
+    left them asymmetric."""
     a = np.asarray(m, dtype=float)
-    if a.shape != (n, n):
-        raise InvalidModel(f"{name} must have shape ({n},{n}), got {a.shape}")
-    try:
-        a = symmat.check_symmetric(a)
-    except InvalidMatrix as e:
-        raise InvalidModel(f"{name}: {e}") from None
-    vals = np.linalg.eigvalsh(a)
-    if vals.min() < -1e-10 * max(1.0, vals.max()):
-        raise InvalidModel(f"{name} is not positive semi-definite (min eig {vals.min():.3e})")
+    faults.add(a.shape[1:] != (n, n),
+               lambda i: f"{name} must have shape ({n},{n}), got {a.shape[1:]}")
+    a, symmetry = symmat.symmetry_faults(a)
+    for message, bad in symmetry.items():
+        faults.add(bad, lambda i, message=message: f"{name}: {message}")
+    rejected = np.logical_or.reduce(list(symmetry.values()))[:, None, None]
+    vals = np.linalg.eigvalsh(np.where(rejected, 0.0, a))
+    low = vals.min(axis=-1)
+    faults.add(low < -1e-10 * np.maximum(1.0, vals.max(axis=-1)),
+               lambda i: f"{name} is not positive semi-definite (min eig {low[i]:.3e})")
     return a
+
+
+def _check_models(n: int, drift, noise_cov, trend_cov, trend_amp, trend_decay,
+                  asset_classes) -> tuple:
+    """Validate z models of n assets at once: (z, n) drifts, (z, n, n) covariances,
+    z amplitudes and decays, and asset classes shared by all.  Returns the drifts,
+    the symmetrized covariances and the classes; the first rejected model raises
+    the InvalidModel its own ModelParams would."""
+    if n < 1:
+        raise InvalidModel("need at least one asset")
+    faults = _Faults(len(trend_decay))
+    drift = np.asarray(drift, dtype=float)
+    faults.add(drift.shape[1:] != (n,) or ~np.isfinite(drift).all(axis=1),
+               lambda i: f"drift must be a finite vector of length {n}")
+    noise_cov = _as_psd("noise_cov", noise_cov, n, faults)
+    trend_cov = _as_psd("trend_cov", trend_cov, n, faults)
+    amp, decay = np.asarray(trend_amp), np.asarray(trend_decay)
+    faults.add(~(amp >= 0.0), lambda i: f"trend_amp must be non-negative, got {trend_amp[i]}")
+    faults.add(~((0.0 < decay) & (decay <= 1.0)),
+               lambda i: f"trend_decay must be in (0,1], got {trend_decay[i]}")
+    classes = tuple(asset_classes) or ("stock",) * n
+    faults.add(len(classes) != n or any(c not in ASSET_CLASSES for c in classes),
+               lambda i: f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
+    faults.raise_first()
+    return drift, noise_cov, trend_cov, classes
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -63,22 +112,32 @@ class ModelParams:
     asset_classes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidModel("need at least one asset")
-        drift = np.asarray(self.drift, dtype=float).reshape(-1)
-        if drift.shape != (self.n,) or not np.isfinite(drift).all():
-            raise InvalidModel(f"drift must be a finite vector of length {self.n}")
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "noise_cov", _as_psd("noise_cov", self.noise_cov, self.n))
-        object.__setattr__(self, "trend_cov", _as_psd("trend_cov", self.trend_cov, self.n))
-        if not self.trend_amp >= 0.0:
-            raise InvalidModel(f"trend_amp must be non-negative, got {self.trend_amp}")
-        if not 0.0 < self.trend_decay <= 1.0:
-            raise InvalidModel(f"trend_decay must be in (0,1], got {self.trend_decay}")
-        classes = tuple(self.asset_classes) or ("stock",) * self.n
-        if len(classes) != self.n or any(c not in ASSET_CLASSES for c in classes):
-            raise InvalidModel(f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
+        drift, noise_cov, trend_cov, classes = _check_models(
+            self.n, np.asarray(self.drift, dtype=float).reshape(1, -1),
+            np.asarray(self.noise_cov, dtype=float)[None],
+            np.asarray(self.trend_cov, dtype=float)[None],
+            (self.trend_amp,), (self.trend_decay,), self.asset_classes)
+        object.__setattr__(self, "drift", drift[0])
+        object.__setattr__(self, "noise_cov", noise_cov[0])
+        object.__setattr__(self, "trend_cov", trend_cov[0])
         object.__setattr__(self, "asset_classes", classes)
+
+    @classmethod
+    def stack(cls, n: int, drift, noise_cov, trend_cov, trend_amp, trend_decay,
+              asset_classes=()) -> list:
+        """One model per entry of (z, n) drifts, (z, n, n) covariances and z amplitudes
+        and decays, checked in one pass over the stacks: each model is the one its own
+        constructor gives, and the first rejected model raises what that would."""
+        amp, decay = np.asarray(trend_amp, dtype=float), np.asarray(trend_decay, dtype=float)
+        drift, noise_cov, trend_cov, classes = _check_models(n, drift, noise_cov, trend_cov,
+                                                             amp, decay, asset_classes)
+        models = []
+        for fields in zip(drift, noise_cov, trend_cov, amp.tolist(), decay.tolist()):
+            model = object.__new__(cls)  # checked above: no __post_init__ per model
+            model.__dict__.update(zip(("drift", "noise_cov", "trend_cov", "trend_amp",
+                                       "trend_decay"), fields), n=n, asset_classes=classes)
+            models.append(model)
+        return models
 
     def burn_in(self) -> int:
         """Days to discard before treating the trend as stationary."""

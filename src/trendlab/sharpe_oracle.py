@@ -24,6 +24,7 @@ the shared-kernel model.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -79,11 +80,11 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     """Equal-time products of the signal and trend kernels, in O(t).
 
     amp and decay are one value each, or arrays broadcast together; each
-    product comes out as a float, or as an array of that shape.
-    The signal kernel applied to the trend kernel at shock age k is
-    amp * sum_{i<=k} p**i q**(k-i) = amp * a**k * cumsum((b/a)**j)[k] with
-    a = max(p, q), b = min(p, q): every summed term lies in [0, 1], so p ~ q
-    needs no division by p - q, and q = 0 (decay 1) no special case.
+    product comes out as a float, or as an array of that shape.  The trend
+    kernel carries one factor amp, so the products that read it twice are the
+    unit-amplitude ones times amp^2, and the O(t) pass runs at unit amplitude:
+    the last decays it ran for are kept, so sizing a model's amplitude and then
+    building its moments makes one pass.
     """
     if t < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
@@ -93,19 +94,34 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     bad = ~((0.0 < decay) & (decay <= 1.0))
     if bad.any():
         raise InvalidInput(f"decay must be in (0,1], got {decay[bad][0]}")
-    shape = decay.shape
+    amp_sq = amp * amp
+    unit = _unit_kernel_products(rate, t, decay.tobytes())
+    return {name: _unbatch(value.reshape(decay.shape) * amp_sq if np.ndim(value)
+                           else np.full(decay.shape, value))
+            for name, value in unit.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
+    """The kernel products at amplitude 1: one entry per decay (float64 bytes) for
+    those that read the trend kernel, a float for those of the signal kernel alone.
+
+    The signal kernel applied to the trend kernel at shock age k is
+    sum_{i<=k} p**i q**(k-i) = a**k * cumsum((b/a)**j)[k] with
+    a = max(p, q), b = min(p, q): every summed term lies in [0, 1], so p ~ q
+    needs no division by p - q, and q = 0 (decay 1) no special case.
+    """
     p = 1.0 - rate
-    q = 1.0 - decay.reshape(-1, 1)
-    amp = amp.reshape(-1, 1)
+    q = 1.0 - np.frombuffer(decay).reshape(-1, 1)
     ages = np.arange(t - 1, dtype=float)  # t - t' - 1 for t' = t-1 .. 1
     sig = p**ages
     # signal kernel applied to the trend kernel, one entry per shock age
     # (SA)(t, t') = sum over intermediate days between t' and t, built in place
     # so a stack holds two (models, t) arrays at a time; a**k is sig unless q > p
-    scaled = amp * sig
+    scaled = np.broadcast_to(sig, (len(q), t - 1)).copy()
     rises = q[:, 0] > p
     if rises.any():
-        scaled[rises] = amp[rises] * q[rises] ** ages
+        scaled[rises] = q[rises] ** ages
     terms = (np.minimum(p, q) / np.maximum(p, q)) ** ages
     np.cumsum(terms, axis=-1, out=terms)
     np.multiply(scaled, terms, out=terms)
@@ -114,15 +130,13 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     conv[:, 1:] = terms[:, :-1]
     del terms
     trend = q**ages
-    np.multiply(amp, trend, out=trend)
-    products = {
-        "sig_sig": np.full(len(q), sig @ sig),
+    return {
+        "sig_sig": float(sig @ sig),
         "trend_trend": _dot(trend, trend),
         "sig_trend_sq": _dot(conv, conv),
         "sig_trend_trend": _dot(conv, trend),
-        "signal_mass": np.full(len(q), sig.sum()),
+        "signal_mass": float(sig.sum()),
     }
-    return {name: _unbatch(value.reshape(shape)) for name, value in products.items()}
 
 
 def compute_kernels(rate: float, amp, decay, t: int) -> KernelValues:
@@ -156,7 +170,8 @@ def _model_arrays(model) -> tuple:
 
 @dataclass(frozen=True)
 class PnlMoments:
-    """One-day P&L moments at time t, with the model(s) and kernels they come from.
+    """One-day P&L moments of the model(s) at one time t, with the kernel values
+    at t that weight them.
 
     The P&L r'ws of a weight matrix w (rows: traded assets, columns: signal
     assets) is a bilinear form in the jointly Gaussian return r and signal s,
@@ -176,7 +191,6 @@ class PnlMoments:
     left: np.ndarray
     right: np.ndarray
     drift: np.ndarray
-    t: int
     model: ModelParams | tuple[ModelParams, ...]
     kernels: KernelValues
 
@@ -214,7 +228,7 @@ def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
         mean_matrix=k2(kv.trend_mean) * cx + k2(kv.signal_mass) * m,
         left=ce + k2(kv.g_trend_left) * cx + m,
         right=ce + k2(kv.g_trend_right) * cx + k2(kv.g_drift_right) * m,
-        drift=drift, t=t, model=model, kernels=kv,
+        drift=drift, model=model, kernels=kv,
     )
 
 
@@ -312,7 +326,7 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
 
     count=None gives one ModelParams, count=k a list of k models: each model
     takes its draws from rng in turn, as k one-model calls would, and the
-    arithmetic then runs once over the stack.
+    arithmetic and the model checks then run once over the stack.
     """
     draws = []
     for _ in range(1 if count is None else count):
@@ -335,9 +349,7 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     unit = _kernel_products(rate, 1.0, decay, t)
     amp = np.sqrt(correction * unit["sig_sig"] / unit["sig_trend_sq"])
 
-    models = [ModelParams(n=n, drift=drift[i], noise_cov=noise_cov[i], trend_cov=trend_cov[i],
-                          trend_amp=float(amp[i]), trend_decay=float(decay[i]))
-              for i in range(len(draws))]
+    models = ModelParams.stack(n, drift, noise_cov, trend_cov, amp, decay)
     return models[0] if count is None else models
 
 

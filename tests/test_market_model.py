@@ -146,3 +146,85 @@ def test_index_validation():
         mm.theoretical_covariance(params, 3, 0)
     with pytest.raises(InvalidIndex):
         mm.stationary_covariance(params, -1)
+
+
+def good_model_fields(rng, n=2):
+    return dict(drift=rng.uniform(-0.01, 0.01, n), noise_cov=rand_spd(rng, n),
+                trend_cov=rand_spd(rng, n, 0.3), trend_amp=rng.uniform(0.1, 0.5),
+                trend_decay=rng.uniform(0.01, 0.5))
+
+
+# one bad field each: the cases of test_model_validation, a non-finite drift and
+# a non-symmetric and a non-finite matrix
+BAD_FIELDS = {
+    "not-psd": {"noise_cov": np.array([[1.0, 2.0], [2.0, 1.0]])},
+    "decay-0": {"trend_decay": 0.0},
+    "amp-negative": {"trend_amp": -0.1},
+    "drift-nan": {"drift": np.array([0.0, np.nan])},
+    "not-symmetric": {"trend_cov": np.array([[1.0, 0.5], [0.2, 1.0]])},
+    "cov-inf": {"trend_cov": np.array([[np.inf, 0.0], [0.0, 1.0]])},
+}
+
+
+def one_model_message(fields, asset_classes=()):
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams(n=2, asset_classes=asset_classes, **fields)
+    return str(caught.value)
+
+
+def stack_fields(models):
+    return {name: np.array([m[name] for m in models]) for name in models[0]}
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("case", list(BAD_FIELDS))
+def test_stacked_check_rejects_what_one_model_rejects(case, where):
+    rng = np.random.default_rng(31)
+    models = [good_model_fields(rng) for _ in range(5)]
+    models[where].update(BAD_FIELDS[case])
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams.stack(2, **stack_fields(models))
+    assert str(caught.value) == one_model_message(models[where])
+
+
+def test_stacked_check_raises_for_the_first_bad_model():
+    rng = np.random.default_rng(32)
+    models = [good_model_fields(rng) for _ in range(5)]
+    models[1].update(BAD_FIELDS["decay-0"])  # a late check on an early model wins
+    models[3].update(BAD_FIELDS["drift-nan"])
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams.stack(2, **stack_fields(models))
+    assert str(caught.value) == one_model_message(models[1])
+    models[1].update(BAD_FIELDS["not-symmetric"])  # of one model, the first check wins
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams.stack(2, **stack_fields(models))
+    assert str(caught.value) == one_model_message(models[1])
+
+
+@pytest.mark.parametrize("fields, classes", [
+    ({}, ("stock", "cash")),
+    ({"noise_cov": np.eye(3)}, ()),
+    ({"drift": np.zeros(3)}, ()),
+], ids=["asset-classes", "cov-shape", "drift-length"])
+def test_stacked_check_rejects_shared_faults_as_one_model(fields, classes):
+    rng = np.random.default_rng(33)
+    models = [{**good_model_fields(rng), **fields} for _ in range(3)]
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams.stack(2, **stack_fields(models), asset_classes=classes)
+    assert str(caught.value) == one_model_message(models[0], classes)
+
+
+def test_stacked_models_equal_one_model_construction():
+    rng = np.random.default_rng(34)
+    models = [good_model_fields(rng) for _ in range(4)]
+    skew = np.array([[0.0, 1e-14], [0.0, 0.0]])  # round-off asymmetry, symmetrized
+    models[1]["noise_cov"] = models[1]["noise_cov"] + skew
+    models[2]["trend_cov"] = models[2]["trend_cov"] - skew
+    stacked = mm.ModelParams.stack(2, **stack_fields(models))
+    assert not np.array_equal(stacked[1].noise_cov, models[1]["noise_cov"])
+    for got, fields in zip(stacked, models):
+        want = mm.ModelParams(n=2, **fields)
+        for name in ("drift", "noise_cov", "trend_cov"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.n, got.trend_amp, got.trend_decay, got.asset_classes) == \
+            (want.n, want.trend_amp, want.trend_decay, want.asset_classes)

@@ -362,20 +362,23 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
 
 def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
     calls = collections.Counter()
-    for name in ("pnl_moment_tensors", "_kernel_products"):
-        def counted(*args, _name=name, _real=getattr(so, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    real = so.pnl_moment_tensors
 
-        monkeypatch.setattr(so, name, counted)
+    def counted(*args, **kwargs):
+        calls["pnl_moment_tensors"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(so, "pnl_moment_tensors", counted)
+    so._unit_kernel_products.cache_clear()
     t = cli._KERNEL_CELLS // 3
     chunk = cli._KERNEL_CELLS // t
     assert chunk == 3
     assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", str(chunk + 1),
                      "--outdir", str(tmp_path / "oracle")]) == 0
-    # a full chunk and a one-model chunk; the second kernel pass per chunk is
-    # the sampler's own amplitude sizing
-    assert calls == {"pnl_moment_tensors": 2, "_kernel_products": 4}
+    # a full chunk and a one-model chunk, each with one O(t) kernel pass: the
+    # moments reuse the pass that sized the sampler's amplitudes
+    assert calls == {"pnl_moment_tensors": 2}
+    assert so._unit_kernel_products.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
