@@ -32,13 +32,13 @@ from .symmat import eigendecompose
 TRADING_DAYS = 252.0
 _CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked array
 
-_BOOKS = {  # kind -> its book on a block of days, from (corr, cov, signals, vols, classes, ridge)
+_BOOKS = {  # kind -> positions on a block of days, from (corr, cov, signals, vols, classes, ridge)
     "rp": lambda c, cov, s, v, cls, r: portfolios.risk_parity(cov, v, cls, r),
     "nm": lambda c, cov, s, v, cls, r: portfolios.naive_markowitz(cov, s, r),
     "arp": lambda c, cov, s, v, cls, r: portfolios.agnostic_risk_parity(c, v, s, r),
     "torp": lambda c, cov, s, v, cls, r: portfolios.trend_on_risk_parity(cov, v, s, cls, r),
     "ew": lambda c, cov, s, v, cls, r: portfolios.equally_weighted(v),
-    "zero": lambda c, cov, s, v, cls, r: portfolios.PortfolioWeights(np.zeros_like(v), "zero"),
+    "zero": lambda c, cov, s, v, cls, r: np.zeros_like(v),
 }
 STRATEGY_KINDS = tuple(_BOOKS)
 
@@ -108,16 +108,14 @@ class BacktestResult:
 
 
 def _positions(cfg: StrategyConfig, corr, cov, sig, vols, classes) -> np.ndarray:
-    """One book's positions on k blocks of w days: signals and vols (k, w, n), the
-    cleaned correlation of each block (k, 1, n, n) and the daily covariances
-    (k, w, n, n), both None for a book that does not read them; vol_scale
-    rescales each day that holds a position to that volatility."""
-    book = _BOOKS[cfg.kind](corr, cov, sig, vols, classes, cfg.ridge)
-    if cfg.vol_scale is None:
-        return book.positions
-    pos, live = book.positions.copy(), book.gross > 0.0
-    pos[live] = portfolios.vol_target(portfolios.PortfolioWeights(pos[live], cfg.kind),
-                                      cov[live], cfg.vol_scale).positions
+    """One book's positions on k blocks of w days, a (k, w, n) array: signals and vols
+    (k, w, n), the cleaned correlation of each block (k, 1, n, n) and the daily
+    covariances (k, w, n, n), both None for a book that does not read them;
+    vol_scale rescales each day that holds a position to that volatility."""
+    pos = _BOOKS[cfg.kind](corr, cov, sig, vols, classes, cfg.ridge)
+    if cfg.vol_scale is not None:
+        live = np.abs(pos).sum(axis=-1) > 0.0
+        pos[live] = portfolios.vol_target(pos[live], cov[live], cfg.vol_scale)
     return pos
 
 

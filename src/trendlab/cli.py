@@ -507,6 +507,8 @@ def _cmd_agents(cfg: RunConfig) -> None:
 
 def _cmd_mix(cfg: RunConfig) -> None:
     names, _, data = _read_table(cfg.options["pnl"], "pnl")
+    if len(names) < 2:
+        raise IngestError("pnl file needs at least two strategy columns", line=1)
     if len(data) < 2:
         raise IngestError("pnl file needs at least two rows")
     pair = cfg.options["pair"] or names[:2]

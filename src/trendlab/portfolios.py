@@ -2,8 +2,11 @@
 
 Five basic books (risk parity, naive Markowitz, agnostic risk parity,
 trend-on-risk-parity, equally weighted), the paper's optimal signal-weight
-matrix and volatility targeting.  Constructors return unit-gross positions
-by default; pass normalize=False for the raw linear form (linear in the
+matrix and volatility targeting.  A book is a plain float array of
+positions: (n,) for one day, (..., n) for days under a batch shape.  The
+constructors and vol_target return one, and raise InvalidInput rather than
+return a non-finite entry.  Constructors return unit-gross positions by
+default; pass normalize=False for the raw linear form (linear in the
 signal), and use vol_target to set the actual size.  Each takes one day or
 days under any leading batch shape, row by row equal to the one-day calls:
 signals and vols (..., n), covariances (..., n, n), and for ARP a
@@ -25,41 +28,19 @@ FX enters risk parity books only through inverse-covariance cross terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import symmat
-from .errors import (
-    CannotScale,
-    DegenerateVolatility,
-    InvalidInput,
-    ZeroTargetVector,
-)
+from .errors import CannotScale, DegenerateVolatility, InvalidInput, ZeroTargetVector
 
 
-@dataclass(frozen=True)
-class PortfolioWeights:
-    """Positions of one day, or of days under a batch shape with one row per day."""
-
-    positions: np.ndarray
-    kind: str
-    gross: float | np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        if not np.isfinite(p).all():
-            raise InvalidInput("positions contain non-finite entries")
-        gross = np.abs(p).sum(axis=-1)
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "gross", float(gross) if p.ndim == 1 else gross)
-
-
-def _finish(raw: np.ndarray, kind: str, normalize: bool) -> PortfolioWeights:
+def _finish(raw: np.ndarray, normalize: bool) -> np.ndarray:
     if normalize:
         gross = np.abs(raw).sum(axis=-1, keepdims=True)
         raw = raw / np.where(gross > 0.0, gross, 1.0)
-    return PortfolioWeights(positions=raw, kind=kind)
+    if not np.isfinite(raw).all():
+        raise InvalidInput("positions contain non-finite entries")
+    return raw
 
 
 def class_target(classes) -> np.ndarray:
@@ -83,17 +64,17 @@ def _risk_parity_book(cov, vols, classes, ridge) -> np.ndarray:
     return symmat.solve(cov, v * target, ridge)
 
 
-def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> PortfolioWeights:
+def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> np.ndarray:
     """Static book: inverse covariance applied to the vol-weighted class target."""
-    return _finish(_risk_parity_book(cov, vols, classes, ridge), "rp", normalize)
+    return _finish(_risk_parity_book(cov, vols, classes, ridge), normalize)
 
 
-def naive_markowitz(cov, signal, ridge=None, normalize=True) -> PortfolioWeights:
+def naive_markowitz(cov, signal, ridge=None, normalize=True) -> np.ndarray:
     """Inverse covariance applied to the trend signal."""
-    return _finish(symmat.solve(cov, signal, ridge), "nm", normalize)
+    return _finish(symmat.solve(cov, signal, ridge), normalize)
 
 
-def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> PortfolioWeights:
+def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.ndarray:
     """Inverse-vol sandwich around the inverse square root of the correlation."""
     corr = np.asarray(corr, dtype=float)
     v = _vols_vector(vols, corr.shape[-1])
@@ -101,22 +82,22 @@ def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> Port
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
     scaled = (np.asarray(signal, dtype=float) / v)[..., None]
     raw = (symmat.inv_sqrt(corr, ridge) @ scaled)[..., 0] / v
-    return _finish(raw, "arp", normalize)
+    return _finish(raw, normalize)
 
 
-def trend_on_risk_parity(cov, vols, signal, classes, ridge=None, normalize=True) -> PortfolioWeights:
+def trend_on_risk_parity(cov, vols, signal, classes, ridge=None, normalize=True) -> np.ndarray:
     """Risk-parity book traded long or short by the signal projected on it."""
     book = _risk_parity_book(cov, vols, classes, ridge)
     projection = (book * np.asarray(signal, dtype=float)).sum(axis=-1, keepdims=True)
-    return _finish(projection * book, "torp", normalize)
+    return _finish(projection * book, normalize)
 
 
-def equally_weighted(vols, normalize=True) -> PortfolioWeights:
+def equally_weighted(vols, normalize=True) -> np.ndarray:
     """Equal volatility-adjusted exposure on every asset, FX included."""
     v = np.asarray(vols, dtype=float)
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
-    return _finish(1.0 / v, "ew", normalize)
+    return _finish(1.0 / v, normalize)
 
 
 def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, ridge=None) -> np.ndarray:
@@ -134,13 +115,13 @@ def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, r
     return symmat.solve_sandwich(cov, core, cov, ridge)
 
 
-def vol_target(weights: PortfolioWeights, cov, target: float) -> PortfolioWeights:
+def vol_target(positions, cov, target: float) -> np.ndarray:
     """Rescale positions so the portfolio volatility under cov equals target, day by day."""
     if target <= 0.0:
         raise InvalidInput(f"target must be positive, got {target}")
-    p = weights.positions
+    p = np.asarray(positions, dtype=float)
     exposure = (np.asarray(cov, dtype=float) @ p[..., None])[..., 0]
     variance = (p * exposure).sum(axis=-1, keepdims=True)
     if (variance <= 0.0).any():
         raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled to {target}")
-    return PortfolioWeights(positions=p * (target / np.sqrt(variance)), kind=weights.kind)
+    return _finish(p * (target / np.sqrt(variance)), normalize=False)

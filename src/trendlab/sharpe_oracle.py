@@ -161,6 +161,7 @@ def _model_arrays(model) -> tuple:
     names = ("noise_cov", "trend_cov", "drift", "trend_amp", "trend_decay")
     if isinstance(model, ModelParams):
         return tuple(getattr(model, name) for name in names)
+    model = tuple(model)
     if not model:
         raise InvalidInput("a stack needs at least one model")
     if len({m.n for m in model}) > 1:
@@ -182,16 +183,19 @@ class PnlMoments:
         V w = ss * left w right + M w' M - 2 mass^2 (mu' w mu) mu mu'
 
     where M = mean_matrix, ss = noise_noise, mass = signal_mass and mu = drift.
-    left and right are also the two inverted factors of the sandwich weights.
-    For a stack, `model` is the tuple of models and the arrays carry a leading
-    model axis: mean_matrix, left and right (z, n, n), drift (z, n).
+    left and right are also the two inverted factors of the sandwich weights,
+    and noise_cov, trend_cov and drift are the model's own, which the
+    approximate weights read.  For a stack the arrays carry a leading model
+    axis: mean_matrix, left, right, noise_cov and trend_cov (z, n, n), drift
+    (z, n).
     """
 
     mean_matrix: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    noise_cov: np.ndarray
+    trend_cov: np.ndarray
     drift: np.ndarray
-    model: ModelParams | tuple[ModelParams, ...]
     kernels: KernelValues
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -215,8 +219,6 @@ class PnlMoments:
 def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
                        t: int) -> PnlMoments:
     """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
-    if not isinstance(model, ModelParams):
-        model = tuple(model)
     ce, cx, drift, amp, decay = _model_arrays(model)
     kv = compute_kernels(rate, amp, decay, t)
 
@@ -228,7 +230,7 @@ def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
         mean_matrix=k2(kv.trend_mean) * cx + k2(kv.signal_mass) * m,
         left=ce + k2(kv.g_trend_left) * cx + m,
         right=ce + k2(kv.g_trend_right) * cx + k2(kv.g_drift_right) * m,
-        drift=drift, model=model, kernels=kv,
+        noise_cov=ce, trend_cov=cx, drift=drift, kernels=kv,
     )
 
 
@@ -363,10 +365,11 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     """
     if form not in ("simple", "sandwich"):
         raise InvalidInput(f"unknown form {form!r}")
-    ce, cx, drift, _, _ = _model_arrays(mm.model)
-    m = drift[..., :, None] * drift[..., None, :]
+    m = mm.drift[..., :, None] * mm.drift[..., None, :]
     kv = mm.kernels
     trend_gain, drift_gain = _per_model(kv.trend_gain, 2), _per_model(kv.drift_gain, 2)
     if form == "simple":
-        return portfolios.optimal_weight_matrix(ce, cx, m, trend_gain, drift_gain, ridge=0.0)
-    return symmat.solve_sandwich(mm.left, trend_gain * cx + drift_gain * m, mm.right, ridge=0.0)
+        return portfolios.optimal_weight_matrix(mm.noise_cov, mm.trend_cov, m, trend_gain,
+                                                drift_gain, ridge=0.0)
+    return symmat.solve_sandwich(mm.left, trend_gain * mm.trend_cov + drift_gain * m, mm.right,
+                                 ridge=0.0)

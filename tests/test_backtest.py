@@ -42,6 +42,19 @@ def test_zero_strategy_has_undefined_sharpe():
         res.sharpe
 
 
+def test_every_book_is_a_position_array():
+    rng = np.random.default_rng(4)
+    k, w, n = 2, 3, 4
+    corr = np.stack([np.corrcoef(rng.standard_normal((30, n)), rowvar=False)
+                     for _ in range(k)])[:, None]
+    vols = rng.uniform(0.5, 2.0, size=(k, w, n))
+    cov = corr * (vols[..., :, None] * vols[..., None, :])
+    sig = rng.standard_normal((k, w, n))
+    for kind, book in bt._BOOKS.items():
+        pos = book(corr, cov, sig, vols, ("stock", "bond", "stock", "fx"), None)
+        assert type(pos) is np.ndarray and pos.shape == (k, w, n), kind
+
+
 def test_panel_must_clear_warmup():
     with pytest.raises(InsufficientData):
         bt.run(white_panel(2, 100, 2), bt.StrategyConfig(kind="ew", warmup=100, **FAST))
@@ -78,7 +91,7 @@ def test_backtest_positions_match_portfolio_constructors():
     res = bt.run(panel, cfg)
     positions, _, _ = reference_run(
         panel, cfg, lambda cfg, corr, vols, sig, classes:
-        portfolios.agnostic_risk_parity(corr, vols, sig).positions)
+        portfolios.agnostic_risk_parity(corr, vols, sig))
     assert np.abs(positions[50:] - res.positions[50:]).max() < 1e-12
 
 

@@ -603,6 +603,17 @@ def test_mix_pair_must_name_two_different_strategies(tmp_path, capsys):
     assert run_cli("mix", "--pnl", str(pnl), "--pair", "b,a", "--outdir", str(out)) == 0
 
 
+@pytest.mark.parametrize("pair", [(), ("--pair", "a,b")], ids=["default", "named"])
+def test_mix_on_one_strategy_column_is_a_data_error(tmp_path, capsys, pair):
+    pnl = tmp_path / "pnl.csv"
+    pnl.write_text("\n".join(["date,a"] + [row.rsplit(",", 1)[0] for row in seeded_pnl_rows(33)])
+                   + "\n")
+    out = tmp_path / "mix"
+    assert run_cli("mix", "--pnl", str(pnl), *pair, "--outdir", str(out)) == 3
+    assert last_error(capsys) == "error: data: line 1: pnl file needs at least two strategy columns"
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     panel = tmp_path / "solo.csv"
     panel.write_text("date,asset_1\n2020-01-01,0.1\n")  # no sidecar

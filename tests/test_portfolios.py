@@ -21,17 +21,16 @@ def cosine(a, b):
 
 def test_risk_parity_identity_case():
     w = pf.risk_parity(np.eye(3), np.ones(3), STOCKS3)
-    assert np.allclose(w.positions, np.full(3, 1.0 / 3.0))
-    assert w.gross == pytest.approx(1.0)
-    assert w.kind == "rp"
+    assert np.allclose(w, np.full(3, 1.0 / 3.0))
+    assert np.abs(w).sum() == pytest.approx(1.0)
 
 
 def test_risk_parity_symmetric_two_assets():
     c = np.array([[1.0, 0.5], [0.5, 1.0]])
     w = pf.risk_parity(c, np.ones(2), ("stock", "stock"), ridge=0.0)
-    assert np.allclose(w.positions, [0.5, 0.5])
+    assert np.allclose(w, [0.5, 0.5])
     raw = pf.risk_parity(c, np.ones(2), ("stock", "stock"), ridge=0.0, normalize=False)
-    assert np.allclose(raw.positions, [2.0 / 3.0, 2.0 / 3.0])
+    assert np.allclose(raw, [2.0 / 3.0, 2.0 / 3.0])
 
 
 def test_risk_parity_fx_couples_through_inverse():
@@ -42,8 +41,8 @@ def test_risk_parity_fx_couples_through_inverse():
     w = pf.risk_parity(c, vols, classes, ridge=0.0, normalize=False)
     target = vols * np.array([1.0, 1.0, 0.0])
     want = np.linalg.solve(c, target)  # independent route
-    assert np.abs(w.positions - want).max() < 1e-9
-    assert w.positions[2] != 0.0  # FX held through cross terms
+    assert np.abs(w - want).max() < 1e-9
+    assert w[2] != 0.0  # FX held through cross terms
 
 
 def test_risk_parity_all_fx_rejected():
@@ -55,13 +54,13 @@ def test_naive_markowitz_identity_and_eigenvector():
     rng = np.random.default_rng(1)
     s = rng.standard_normal(4)
     w = pf.naive_markowitz(np.eye(4), s, ridge=0.0, normalize=False)
-    assert np.allclose(w.positions, s)
+    assert np.allclose(w, s)
 
     c = rand_spd(rng, 4)
     pairs = symmat.eigendecompose(c)
     u1 = pairs.eigenvectors[:, 1]
     w = pf.naive_markowitz(c, u1, ridge=0.0, normalize=False)
-    assert np.abs(w.positions - u1 / pairs.eigenvalues[1]).max() < 1e-9
+    assert np.abs(w - u1 / pairs.eigenvalues[1]).max() < 1e-9
 
 
 def test_naive_markowitz_spectral_route():
@@ -74,7 +73,7 @@ def test_naive_markowitz_spectral_route():
         for k in range(5)
     )
     w = pf.naive_markowitz(c, s, ridge=0.0, normalize=False)
-    assert np.abs(w.positions - spectral).max() < 1e-9
+    assert np.abs(w - spectral).max() < 1e-9
 
 
 def test_arp_reduces_to_markowitz_for_identity_correlation():
@@ -82,10 +81,10 @@ def test_arp_reduces_to_markowitz_for_identity_correlation():
     s = rng.standard_normal(4)
     vols = np.array([0.5, 1.0, 2.0, 4.0])
     w = pf.agnostic_risk_parity(np.eye(4), vols, s, ridge=0.0, normalize=False)
-    assert np.allclose(w.positions, s / vols**2)
+    assert np.allclose(w, s / vols**2)
     nm = pf.naive_markowitz(np.eye(4), s, ridge=0.0)
     arp = pf.agnostic_risk_parity(np.eye(4), np.ones(4), s, ridge=0.0)
-    assert np.array_equal(nm.positions, arp.positions)
+    assert np.array_equal(nm, arp)
 
 
 def test_arp_eigen_action():
@@ -97,7 +96,7 @@ def test_arp_eigen_action():
     pairs = symmat.eigendecompose(corr)
     u2 = pairs.eigenvectors[:, 2]
     w = pf.agnostic_risk_parity(corr, np.ones(5), u2, ridge=0.0, normalize=False)
-    assert np.abs(w.positions - u2 / np.sqrt(pairs.eigenvalues[2])).max() < 1e-9
+    assert np.abs(w - u2 / np.sqrt(pairs.eigenvalues[2])).max() < 1e-9
 
 
 def test_arp_equalizes_unconditional_mode_risk():
@@ -126,7 +125,7 @@ def test_arp_rejects_zero_volatility():
 def test_torp_uniform_case():
     s = np.array([0.3, -0.1, 0.5])
     w = pf.trend_on_risk_parity(np.eye(3), np.ones(3), s, STOCKS3, ridge=0.0, normalize=False)
-    assert np.allclose(w.positions, s.sum() * np.ones(3))
+    assert np.allclose(w, s.sum() * np.ones(3))
 
 
 def test_torp_orthogonal_signal_is_flat():
@@ -137,7 +136,7 @@ def test_torp_orthogonal_signal_is_flat():
     s = rng.standard_normal(3)
     s = s - (s @ book) / (book @ book) * book
     w = pf.trend_on_risk_parity(c, vols, s, STOCKS3, ridge=0.0, normalize=False)
-    assert np.abs(w.positions).max() < 1e-9
+    assert np.abs(w).max() < 1e-9
 
 
 def test_torp_collinear_with_risk_parity():
@@ -148,24 +147,24 @@ def test_torp_collinear_with_risk_parity():
         s = rng.standard_normal(3)
         rp = pf.risk_parity(c, vols, STOCKS3, ridge=0.0)
         torp = pf.trend_on_risk_parity(c, vols, s, STOCKS3, ridge=0.0)
-        assert abs(abs(cosine(rp.positions, torp.positions)) - 1.0) < 1e-10
+        assert abs(abs(cosine(rp, torp)) - 1.0) < 1e-10
 
 
 def test_torp_sign_follows_projection():
     c = np.eye(2)
     up = pf.trend_on_risk_parity(c, np.ones(2), np.array([1.0, 1.0]), ("stock", "stock"), ridge=0.0)
     down = pf.trend_on_risk_parity(c, np.ones(2), np.array([-1.0, -1.0]), ("stock", "stock"), ridge=0.0)
-    assert np.allclose(up.positions, -down.positions)
-    assert up.positions[0] > 0.0
+    assert np.allclose(up, -down)
+    assert up[0] > 0.0
 
 
 def test_equally_weighted():
-    assert np.allclose(pf.equally_weighted(np.ones(4)).positions, np.full(4, 0.25))
+    assert np.allclose(pf.equally_weighted(np.ones(4)), np.full(4, 0.25))
     w = pf.equally_weighted(np.array([1.0, 2.0]))
-    assert np.allclose(w.positions, np.array([1.0, 0.5]) / 1.5)
+    assert np.allclose(w, np.array([1.0, 0.5]) / 1.5)
     rng = np.random.default_rng(8)
     vols = rng.uniform(0.1, 3.0, size=6)
-    assert pf.equally_weighted(vols).gross == pytest.approx(1.0)
+    assert np.abs(pf.equally_weighted(vols)).sum() == pytest.approx(1.0)
     with pytest.raises(DegenerateVolatility):
         pf.equally_weighted(np.array([1.0, 0.0]))
 
@@ -176,7 +175,7 @@ def test_weight_matrix_markowitz_limit():
     omega = pf.optimal_weight_matrix(c, c, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
     assert np.abs(omega - symmat.inverse(c, 0.0)).max() < 1e-9
     s = rng.standard_normal(3)
-    nm = pf.naive_markowitz(c, s, ridge=0.0, normalize=False).positions
+    nm = pf.naive_markowitz(c, s, ridge=0.0, normalize=False)
     assert np.abs(omega @ s - nm).max() < 1e-9
 
 
@@ -250,26 +249,39 @@ def test_weight_matrix_limits_are_the_books():
         for kind, (trend_cov, drift_outer, book) in limits.items():
             omega = pf.optimal_weight_matrix(cov, trend_cov, drift_outer, 0.8, 1.7, ridge=0.0)
             pos = omega @ s
-            assert np.abs(pos / np.abs(pos).sum() - book.positions).max() < 1e-12, (case, kind)
+            assert np.abs(pos / np.abs(pos).sum() - book).max() < 1e-12, (case, kind)
 
 
 def test_vol_target():
     c = np.eye(2)
-    w = pf.PortfolioWeights(positions=np.array([2.0, 0.0]), kind="ew")
+    w = np.array([2.0, 0.0])
     scaled = pf.vol_target(w, c, 1.0)  # variance 4 -> scale by 0.5
-    assert np.allclose(scaled.positions, [1.0, 0.0])
+    assert np.allclose(scaled, [1.0, 0.0])
     again = pf.vol_target(scaled, c, 1.0)
-    assert np.array_equal(again.positions, scaled.positions)
+    assert np.array_equal(again, scaled)
 
     rng = np.random.default_rng(14)
     cov = rand_spd(rng, 5)
-    w = pf.PortfolioWeights(positions=rng.standard_normal(5), kind="nm")
+    w = rng.standard_normal(5)
     out = pf.vol_target(w, cov, 0.37)
-    assert abs(np.sqrt(out.positions @ cov @ out.positions) - 0.37) < 1e-10
+    assert abs(np.sqrt(out @ cov @ out) - 0.37) < 1e-10
     with pytest.raises(CannotScale):
-        pf.vol_target(pf.PortfolioWeights(positions=np.zeros(5), kind="nm"), cov, 1.0)
+        pf.vol_target(np.zeros(5), cov, 1.0)
     with pytest.raises(InvalidInput):
         pf.vol_target(w, cov, 0.0)
+
+
+def test_non_finite_positions_are_rejected():
+    """The solve overflows to inf, and unit gross turns that into nan: neither comes out."""
+    for normalize in (True, False):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            pf.naive_markowitz(1e-300 * np.eye(2), np.array([1e300, 1e300]), ridge=0.0,
+                               normalize=normalize)
+    # a finite book whose scale overflows (numpy warns of it), and a non-finite book
+    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="non-finite"):
+        pf.vol_target(np.ones(1), np.array([[1e-300]]), 1e200)
+    with pytest.raises(InvalidInput, match="non-finite"):
+        pf.vol_target(np.array([np.nan, 1.0]), np.eye(2), 1.0)
 
 
 def test_signal_scaling_properties():
@@ -287,18 +299,18 @@ def test_signal_scaling_properties():
         lambda sig, norm: pf.trend_on_risk_parity(cov, vols, sig, STOCKS3 + ("stock",),
                                                   ridge=0.0, normalize=norm),
     ):
-        raw1 = build(s, False).positions
-        raw2 = build(c * s, False).positions
+        raw1 = build(s, False)
+        raw2 = build(c * s, False)
         assert np.abs(raw2 - c * raw1).max() < 1e-9 * np.abs(raw2).max()
-        vt1 = pf.vol_target(build(s, True), cov, 1.0).positions
-        vt2 = pf.vol_target(build(c * s, True), cov, 1.0).positions
+        vt1 = pf.vol_target(build(s, True), cov, 1.0)
+        vt2 = pf.vol_target(build(c * s, True), cov, 1.0)
         assert np.abs(vt1 - vt2).max() < 1e-10
 
 
 def test_zero_signal_keeps_zero_positions():
     w = pf.naive_markowitz(np.eye(3), np.zeros(3), ridge=0.0)
-    assert w.gross == 0.0
-    assert np.array_equal(w.positions, np.zeros(3))
+    assert np.abs(w).sum() == 0.0
+    assert np.array_equal(w, np.zeros(3))
 
 
 def test_flat_asset_books_equal_the_listed_solve():
@@ -327,7 +339,7 @@ def test_flat_asset_books_equal_the_listed_solve():
                 "rp": pf.risk_parity(cov, vols, classes, normalize=False),
                 "torp": pf.trend_on_risk_parity(cov, vols, s, classes, normalize=False)}
         for kind, want in wants.items():
-            got = gots[kind].positions
+            got = gots[kind]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, kind)
 
 
@@ -354,15 +366,13 @@ def test_block_equals_one_day_calls():
             for ridge in (None, 0.0, 1e-3):
                 block = build(cov, vols, sig, ridge)
                 days = [build(cov[t], vols[t], sig[t], ridge) for t in range(m)]
-                assert block.positions.shape == (m, n) and block.kind == kind
-                assert np.array_equal(block.positions, np.stack([b.positions for b in days]))
-                assert np.array_equal(block.gross, [b.gross for b in days])
-            live = block.gross > 0.0
-            scaled = pf.vol_target(pf.PortfolioWeights(block.positions[live], kind),
-                                   cov[live], 0.3)
-            one_day = [pf.vol_target(b, cov[t], 0.3).positions
-                       for t, b in enumerate(days) if b.gross > 0.0]
-            assert np.array_equal(scaled.positions, np.stack(one_day))
+                assert type(block) is np.ndarray and block.shape == (m, n), kind
+                assert np.array_equal(block, np.stack(days))
+            live = np.abs(block).sum(-1) > 0.0
+            scaled = pf.vol_target(block[live], cov[live], 0.3)
+            one_day = [pf.vol_target(b, cov[t], 0.3)
+                       for t, b in enumerate(days) if np.abs(b).sum() > 0.0]
+            assert np.array_equal(scaled, np.stack(one_day))
 
 
 def test_blocks_of_days_equal_one_day_calls():
@@ -380,21 +390,21 @@ def test_blocks_of_days_equal_one_day_calls():
         "arp": lambda c, cv, v, s: pf.agnostic_risk_parity(c, v, s),
         "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(cv, v, s, classes),
         "ew": lambda c, cv, v, s: pf.equally_weighted(v),
-        "omega": lambda c, cv, v, s: pf.PortfolioWeights(
-            positions=(pf.optimal_weight_matrix(
-                cv, np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :], 1.0, 0.5)
-                @ s[..., None])[..., 0], kind="omega"),
+        "omega": lambda c, cv, v, s: (pf.optimal_weight_matrix(
+            cv, np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :], 1.0, 0.5)
+            @ s[..., None])[..., 0],
     }
     for kind, build in builds.items():
         blocks = build(corr[:, None], cov, vols, sig)
-        assert blocks.positions.shape == (k, w, n) and blocks.gross.shape == (k, w)
+        assert type(blocks) is np.ndarray and blocks.shape == (k, w, n), kind
         for b in range(k):
             for t in range(w):
                 day = build(corr[b], cov[b, t], vols[b, t], sig[b, t])
-                assert np.array_equal(blocks.positions[b, t], day.positions), (kind, b, t)
-        scaled = pf.vol_target(blocks, cov, 0.3).positions
+                assert np.array_equal(blocks[b, t], day), (kind, b, t)
+        scaled = pf.vol_target(blocks, cov, 0.3)
+        assert type(scaled) is np.ndarray
         assert np.array_equal(scaled[1, 2], pf.vol_target(
-            build(corr[1], cov[1, 2], vols[1, 2], sig[1, 2]), cov[1, 2], 0.3).positions)
+            build(corr[1], cov[1, 2], vols[1, 2], sig[1, 2]), cov[1, 2], 0.3))
 
 
 def test_indefinite_covariance_is_not_positive_definite():

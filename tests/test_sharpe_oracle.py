@@ -229,7 +229,7 @@ def test_proportional_trend_reduces_to_markowitz_weights():
     for _ in range(5):
         s = rng.standard_normal(2)
         pos = best @ s
-        nm = pf.naive_markowitz(ce, s, ridge=0.0, normalize=False).positions
+        nm = pf.naive_markowitz(ce, s, ridge=0.0, normalize=False)
         cos = (pos @ nm) / (np.linalg.norm(pos) * np.linalg.norm(nm))
         assert abs(abs(cos) - 1.0) < 1e-8
 
@@ -362,13 +362,18 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
 
 def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
     calls = collections.Counter()
-    real = so.pnl_moment_tensors
 
-    def counted(*args, **kwargs):
-        calls["pnl_moment_tensors"] += 1
-        return real(*args, **kwargs)
+    def count(name):
+        real = getattr(so, name)
 
-    monkeypatch.setattr(so, "pnl_moment_tensors", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(so, name, counted)
+
+    count("pnl_moment_tensors")
+    count("_model_arrays")
     so._unit_kernel_products.cache_clear()
     t = cli._KERNEL_CELLS // 3
     chunk = cli._KERNEL_CELLS // t
@@ -376,8 +381,9 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
     assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", str(chunk + 1),
                      "--outdir", str(tmp_path / "oracle")]) == 0
     # a full chunk and a one-model chunk, each with one O(t) kernel pass: the
-    # moments reuse the pass that sized the sampler's amplitudes
-    assert calls == {"pnl_moment_tensors": 2}
+    # moments reuse the pass that sized the sampler's amplitudes, and both
+    # approximate forms read the model stacks the moments hold
+    assert calls == {"pnl_moment_tensors": 2, "_model_arrays": 2}
     assert so._unit_kernel_products.cache_info().misses == 2
 
 
