@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -450,44 +450,51 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
     _write_eigenrisk(cfg, *_run_strategies(cfg))
 
 
-# Kernel cells (models x t) per oracle chunk, 32 models at t=2000: each (models, t)
-# kernel array stays under 512 KB whatever --models and --t are.  Benchmark
-# oracle_report (300 models, n=3, t=2000; 10-s runs on a 2-vCPU x86_64 VM, two
-# seeds) read wall_s / peak_rss_mb 0.092-0.115 s / 41.6-41.7 MB at 2**14,
-# 0.059-0.082 / 42.0-42.1 at 2**15, 0.063-0.072 / 42.5 at 2**16, 0.043-0.055 /
-# 43.5-43.8 at 2**17 and 0.037-0.052 / 45.7 at 2**18: past 2**16 each doubling
-# saves less time than it costs in RSS.
-_KERNEL_CELLS = 2**16
+# Models per oracle stack: one sampler pass, one model check, one moment build
+# and one stacked solve each.  Each stacked call has a fixed cost of a few ms and
+# the n <= 3 arrays are small, so one stack holds a typical run (the benchmark's
+# 300 models); the (models, t) kernel arrays are bounded on their own, by
+# sharpe_oracle._KERNEL_CELLS.  The cap bounds what a stack holds at once, its
+# models and its (models, n^2, n^2) exact solve: `--n 3 --t 2000 --models 20000`
+# peaked at 103.6 MB RSS in chunks of 32 models, 104.8 MB in stacks of 1024 and
+# 122.2 MB in one stack (2-vCPU x86_64 VM, numpy 2.4).
+_STACK_MODELS = 1024
+
+
+def _oracle_reports(models: list, rate: float, t: int) -> list:
+    """One oracle.json entry per model of a stack, from one moment build."""
+    mm = sharpe_oracle.pnl_moment_tensors(models, rate, t)
+    exact = sharpe_oracle.brute_force_optimal(mm)
+    s2_exact = sharpe_oracle.squared_sharpe(mm, exact)
+    columns = {
+        "sharpe2_exact": s2_exact,
+        "residual_exact": sharpe_oracle.stationarity_residual(mm, exact),
+    }
+    for form in ("simple", "sandwich"):
+        w = sharpe_oracle.approx_optimal(mm, form=form)
+        s2 = sharpe_oracle.squared_sharpe(mm, w)
+        columns[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
+        columns[f"sharpe2_{form}"] = s2
+        columns[f"ratio_{form}"] = np.divide(s2, s2_exact, out=np.full(len(models), np.nan),
+                                             where=s2_exact > 0)
+    reports = []
+    for i, model in enumerate(models):
+        entry = {"model_hash": hashlib.sha256(model.noise_cov.tobytes()
+                                              + model.trend_cov.tobytes()
+                                              + model.drift.tobytes()).hexdigest()[:16]}
+        entry.update((name, float(values[i])) for name, values in columns.items())
+        reports.append(entry)
+    return reports
 
 
 def _cmd_oracle(cfg: RunConfig) -> None:
     n, t, rate = cfg.options["n"], cfg.options["t"], cfg.options["eta"]
     rng = np.random.default_rng(cfg.seed)
-    total, chunk = cfg.options["models"], max(1, _KERNEL_CELLS // t)
-    reports = []
-    for start in range(0, total, chunk):
-        models = sharpe_oracle.sample_weak_trend_model(rng, n, rate=rate, t=t,
-                                                       count=min(chunk, total - start))
-        mm = sharpe_oracle.pnl_moment_tensors(models, rate, t)
-        exact = sharpe_oracle.brute_force_optimal(mm)
-        s2_exact = sharpe_oracle.squared_sharpe(mm, exact)
-        columns = {
-            "sharpe2_exact": s2_exact,
-            "residual_exact": sharpe_oracle.stationarity_residual(mm, exact),
-        }
-        for form in ("simple", "sandwich"):
-            w = sharpe_oracle.approx_optimal(mm, form=form)
-            s2 = sharpe_oracle.squared_sharpe(mm, w)
-            columns[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
-            columns[f"sharpe2_{form}"] = s2
-            columns[f"ratio_{form}"] = np.divide(s2, s2_exact, out=np.full(len(models), np.nan),
-                                                 where=s2_exact > 0)
-        for i, model in enumerate(models):
-            entry = {"model_hash": hashlib.sha256(model.noise_cov.tobytes()
-                                                  + model.trend_cov.tobytes()
-                                                  + model.drift.tobytes()).hexdigest()[:16]}
-            entry.update((name, float(values[i])) for name, values in columns.items())
-            reports.append(entry)
+    total, reports = cfg.options["models"], []
+    for start in range(0, total, _STACK_MODELS):
+        # a stack's models and arrays are freed before the next stack is sampled
+        reports += _oracle_reports(sharpe_oracle.sample_weak_trend_model(
+            rng, n, rate=rate, t=t, count=min(_STACK_MODELS, total - start)), rate, t)
     _write_json(cfg.outdir / "oracle.json", {"n": n, "t": t, "eta": rate, "models": reports})
 
 
@@ -495,8 +502,10 @@ def _cmd_agents(cfg: RunConfig) -> None:
     opts = cfg.options
     params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
                                     steps=opts["T"], reps=opts["M"], seed=cfg.seed)
-    result = herding.run(params)
-    fractions = result.counts[0] / result.agents  # one representative repetition
+    # one representative repetition: the first of M draws from the seed's first
+    # SeedSequence child, so it is the same repetition whatever M is
+    result = herding.run(replace(params, reps=1))
+    fractions = result.counts[0] / result.agents
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
     _write_csv(cfg.outdir / "trajectory.csv", header, fractions, labels=range(len(fractions)))
 

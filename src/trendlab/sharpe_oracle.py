@@ -15,8 +15,10 @@ a sandwich form with corrected factors; both are two symmat solves.
 A `PnlMoments` is built for one model or for a stack of models of one size,
 and every reader takes either: a stack gives arrays with a leading model axis,
 each model's entry exactly its own one-model result, and one model gives
-floats and (n, n) matrices.  The `oracle` command builds one stack per chunk
-of models, so it makes one moment pass per chunk.
+floats and (n, n) matrices.  The `oracle` command builds one stack of up to
+`cli._STACK_MODELS` models at a time, so it makes one moment pass per stack;
+only the O(t) kernel pass under it splits a stack into blocks of
+`_KERNEL_CELLS // t` models, to bound its (models, t) arrays.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -101,24 +103,47 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
             for name, value in unit.items()}
 
 
+# Cells (models x t) of each (models, t) array the O(t) kernel pass holds: a stack
+# runs in blocks of _KERNEL_CELLS // t models (one when t is larger), so each
+# array stays at 512 KB whatever the stack size and t are.  The block size barely
+# moves the time: `oracle --n 3 --t 2000 --models 300` took a median 20-23 ms
+# with blocks of 2**14 to 2**16 cells (40 runs each, 2-vCPU x86_64 VM).
+_KERNEL_CELLS = 2**16
+
+
 @functools.lru_cache(maxsize=1)
 def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
     """The kernel products at amplitude 1: one entry per decay (float64 bytes) for
     those that read the trend kernel, a float for those of the signal kernel alone.
+    The decays run in blocks of _KERNEL_CELLS // t, each row with the arithmetic
+    of a one-decay call."""
+    p = 1.0 - rate
+    q = 1.0 - np.frombuffer(decay).reshape(-1, 1)
+    ages = np.arange(t - 1, dtype=float)  # t - t' - 1 for t' = t-1 .. 1
+    sig = p**ages
+    block = max(1, _KERNEL_CELLS // t)
+    parts = [_trend_kernel_block(p, q[i:i + block], ages, sig)
+             for i in range(0, max(1, len(q)), block)]
+    return {
+        "sig_sig": float(sig @ sig),
+        **{name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
+        "signal_mass": float(sig.sum()),
+    }
+
+
+def _trend_kernel_block(p: float, q: np.ndarray, ages: np.ndarray, sig: np.ndarray) -> dict:
+    """The unit-amplitude products that read the trend kernel, one per row of the
+    (models, 1) block q = 1 - decay.
 
     The signal kernel applied to the trend kernel at shock age k is
     sum_{i<=k} p**i q**(k-i) = a**k * cumsum((b/a)**j)[k] with
     a = max(p, q), b = min(p, q): every summed term lies in [0, 1], so p ~ q
     needs no division by p - q, and q = 0 (decay 1) no special case.
     """
-    p = 1.0 - rate
-    q = 1.0 - np.frombuffer(decay).reshape(-1, 1)
-    ages = np.arange(t - 1, dtype=float)  # t - t' - 1 for t' = t-1 .. 1
-    sig = p**ages
     # signal kernel applied to the trend kernel, one entry per shock age
     # (SA)(t, t') = sum over intermediate days between t' and t, built in place
-    # so a stack holds two (models, t) arrays at a time; a**k is sig unless q > p
-    scaled = np.broadcast_to(sig, (len(q), t - 1)).copy()
+    # so a block holds two (models, t) arrays at a time; a**k is sig unless q > p
+    scaled = np.broadcast_to(sig, (len(q), len(ages))).copy()
     rises = q[:, 0] > p
     if rises.any():
         scaled[rises] = q[rises] ** ages
@@ -131,11 +156,9 @@ def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
     del terms
     trend = q**ages
     return {
-        "sig_sig": float(sig @ sig),
         "trend_trend": _dot(trend, trend),
         "sig_trend_sq": _dot(conv, conv),
         "sig_trend_trend": _dot(conv, trend),
-        "signal_mass": float(sig.sum()),
     }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_calendar, reference_csv_text, reference_read_table
-from trendlab import cli
+from trendlab import cli, herding
 from trendlab.errors import IngestError
 from trendlab.market_model import ReturnsPanel
 from trendlab.symmat import eigendecompose
@@ -170,6 +170,25 @@ def test_agents_command_grid_rows(tmp_path):
     trajectory = read_rows(out / "trajectory.csv")
     assert trajectory[0] == "t," + ",".join(f"S{k+1}" for k in range(8))
     assert len(trajectory) == 1 + 11
+
+
+def test_agents_command_simulates_one_repetition_for_the_trajectory(tmp_path, monkeypatch):
+    reps = []
+    real_run = herding.run
+
+    def recorded(params):
+        reps.append(params.reps)
+        return real_run(params)
+
+    monkeypatch.setattr(herding, "run", recorded)
+    argv = ["agents", "--A", "60", "--N", "8", "--T", "10", "--jgrid", "0:2:4", "--seed", "3"]
+    assert run_cli(*argv, "--M", "4", "--outdir", str(tmp_path / "m4")) == 0
+    # the trajectory's one repetition, then M per grid point of the transition curve
+    assert reps == [1, 4, 4, 4]
+    # repetition 0 draws from the seed's first SeedSequence child whatever M is
+    assert run_cli(*argv, "--M", "1", "--outdir", str(tmp_path / "m1")) == 0
+    assert ((tmp_path / "m4" / "trajectory.csv").read_bytes()
+            == (tmp_path / "m1" / "trajectory.csv").read_bytes())
 
 
 def test_mix_command(tmp_path):

@@ -360,7 +360,22 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
     assert written["oracle.json"]["models"] == want
 
 
+def record_kernel_blocks(monkeypatch) -> list:
+    """(models, t) of every block the O(t) kernel pass builds from now on."""
+    blocks = []
+    real = so._trend_kernel_block
+
+    def recorded(p, q, ages, sig):
+        blocks.append((len(q), len(ages) + 1))
+        return real(p, q, ages, sig)
+
+    monkeypatch.setattr(so, "_trend_kernel_block", recorded)
+    so._unit_kernel_products.cache_clear()
+    return blocks
+
+
 def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
+    """A chunk is the models of one stack: up to cli._STACK_MODELS of them."""
     calls = collections.Counter()
 
     def count(name):
@@ -374,24 +389,30 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
 
     count("pnl_moment_tensors")
     count("_model_arrays")
-    so._unit_kernel_products.cache_clear()
-    t = cli._KERNEL_CELLS // 3
-    chunk = cli._KERNEL_CELLS // t
-    assert chunk == 3
-    assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", str(chunk + 1),
+    t = 50
+    monkeypatch.setattr(cli, "_STACK_MODELS", 3)
+    monkeypatch.setattr(so, "_KERNEL_CELLS", 2 * t)
+    blocks = record_kernel_blocks(monkeypatch)
+    assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", "4",
                      "--outdir", str(tmp_path / "oracle")]) == 0
-    # a full chunk and a one-model chunk, each with one O(t) kernel pass: the
+    # a full stack and a one-model stack, each with one O(t) kernel pass: the
     # moments reuse the pass that sized the sampler's amplitudes, and both
     # approximate forms read the model stacks the moments hold
     assert calls == {"pnl_moment_tensors": 2, "_model_arrays": 2}
     assert so._unit_kernel_products.cache_info().misses == 2
+    # only the kernel pass splits a stack, in blocks of _KERNEL_CELLS // t models
+    assert blocks == [(2, t), (1, t), (1, t)]
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_oracle_json_equals_the_per_model_loop(tmp_path, n, extra):
-    t, rate, seed = cli._KERNEL_CELLS // 4, 0.02, 17
-    models = cli._KERNEL_CELLS // t + extra
+def test_oracle_json_equals_the_per_model_loop(tmp_path, monkeypatch, n, extra):
+    """Model counts one below, at and one above the stack size, with kernel blocks
+    of 3 models, so the last stack is ragged and so is a stack's last block."""
+    t, rate, seed, stack = 500, 0.02, 17, 4
+    monkeypatch.setattr(cli, "_STACK_MODELS", stack)
+    monkeypatch.setattr(so, "_KERNEL_CELLS", 3 * t)
+    models = stack + extra
     out = tmp_path / "oracle"
     assert cli.main(["oracle", "--n", str(n), "--t", str(t), "--eta", str(rate),
                      "--models", str(models), "--seed", str(seed), "--outdir", str(out)]) == 0
@@ -543,3 +564,30 @@ def test_stacked_kernel_products_equal_one_decay_at_a_time():
     for i in range(6):
         one = so._kernel_products(0.02, float(amp[i]), float(decay[i]), 300)
         assert {name: value[i] for name, value in got.items()} == one
+
+
+@pytest.mark.parametrize("t, extra", [(2000, -1), (2000, 0), (2000, 1), (so._KERNEL_CELLS + 7, 2)],
+                         ids=["block-1", "block", "block+1", "t>cells"])
+def test_blocked_kernel_pass_equals_one_decay_at_a_time(t, extra):
+    block = max(1, so._KERNEL_CELLS // t)
+    rng = np.random.default_rng(70 + extra)
+    decay = rng.uniform(0.005, 0.5, block + extra)
+    decay[:2] = 0.02, 1.0  # decay == rate, and the one-spike trend kernel
+    got = so._unit_kernel_products(0.02, t, decay.tobytes())
+    for i in range(len(decay)):
+        one = so._unit_kernel_products(0.02, t, decay[i:i + 1].tobytes())
+        for name, value in one.items():
+            entry = got[name][i:i + 1] if np.ndim(value) else got[name]
+            assert np.array_equal(entry, value), name
+
+
+@pytest.mark.parametrize("models, t", [(1, 3), (33, 2000), (100, 2000), (5, so._KERNEL_CELLS),
+                                      (2, so._KERNEL_CELLS + 7), (so._KERNEL_CELLS // 3 + 1, 3)])
+def test_kernel_pass_blocks_stay_within_the_cell_bound(monkeypatch, models, t):
+    blocks = record_kernel_blocks(monkeypatch)
+    decay = np.random.default_rng(models).uniform(0.01, 0.5, models)
+    got = so._kernel_products(0.02, 1.0, decay, t)
+    assert got["trend_trend"].shape == (models,)
+    assert sum(size for size, _ in blocks) == models
+    assert all(size * cells_t <= so._KERNEL_CELLS or size == 1 for size, cells_t in blocks)
+    assert len(blocks) == -(-models // max(1, so._KERNEL_CELLS // t))
