@@ -456,8 +456,8 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
 # 300 models); the (models, t) kernel arrays are bounded on their own, by
 # sharpe_oracle._KERNEL_CELLS.  The cap bounds what a stack holds at once, its
 # models and its (models, n^2, n^2) exact solve: `--n 3 --t 2000 --models 20000`
-# peaked at 103.6 MB RSS in chunks of 32 models, 104.8 MB in stacks of 1024 and
-# 122.2 MB in one stack (2-vCPU x86_64 VM, numpy 2.4).
+# peaked at 103.1-103.6 MB RSS in chunks of 32 models, 104.7-104.8 MB in stacks of
+# 1024 and 122.2 MB in one stack (five seeds, 2-vCPU x86_64 VM, numpy 2.4).
 _STACK_MODELS = 1024
 
 

@@ -178,7 +178,7 @@ def reference_calendar(n_days):
 
 
 # ---------------------------------------------------------------------------
-# the oracle command one model at a time: the reference the chunked command
+# the oracle command one model at a time: the reference the stacked command
 # must equal byte for byte
 # ---------------------------------------------------------------------------
 
