@@ -296,7 +296,6 @@ def strategy_correlations(results) -> np.ndarray:
 class MixResult:
     weights: np.ndarray
     sharpe: float
-    labels: tuple[str, ...]
 
 
 def _mix_sharpe(x: np.ndarray, w: np.ndarray) -> float:
@@ -349,18 +348,18 @@ def optimal_mix(results) -> MixResult:
     best = int(np.argmax(sharpes))
     if sharpes[-1] >= sharpes[best] - 1e-12:
         best = -1
-    labels = tuple(getattr(r, "strategy", "") or str(i) for i, r in enumerate(results))
-    return MixResult(weights=candidates[best], sharpe=sharpes[best], labels=labels)
+    return MixResult(weights=candidates[best], sharpe=sharpes[best])
 
 
 def sweep_mix_curve(results, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
-    """Sharpe of the two-strategy mix along the weight grid of the second one."""
+    """Sharpe of the two-strategy mix along the weight grid of the second one: every
+    multiple of step below 1, and 1 itself."""
     if len(results) != 2:
         raise InvalidInput("sweep needs exactly two strategies")
     if not 0.0 < step <= 0.5:
         raise InvalidInput(f"grid step must be in (0, 0.5], got {step}")
     x = _unit_vol_active(results)
-    grid = np.arange(0.0, 1.0 + 0.5 * step, step)
-    grid[-1] = 1.0
+    grid = np.arange(0.0, 1.0, step)
+    grid = np.append(grid[grid < 1.0 - 1e-12], 1.0)  # a multiple within round-off of 1 is 1
     sharpes = np.array([_mix_sharpe(x, np.array([1.0 - w, w])) for w in grid])
     return grid, sharpes

@@ -305,7 +305,8 @@ def _matrix(name: str, value) -> np.ndarray:
 
 
 def _grid(name: str, value) -> np.ndarray:
-    """start:step:stop coupling grid, inclusive of both ends."""
+    """start:step:stop coupling grid: start and each step after it up to stop, so stop
+    itself only when step divides stop - start."""
     parts = _text(name, value).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must look like start:step:stop, got {value!r}")
@@ -461,7 +462,7 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
 _STACK_MODELS = 1024
 
 
-def _oracle_reports(models: list, rate: float, t: int) -> list:
+def _oracle_reports(models: ModelParams, rate: float, t: int) -> list:
     """One oracle.json entry per model of a stack, from one moment build."""
     mm = sharpe_oracle.pnl_moment_tensors(models, rate, t)
     exact = sharpe_oracle.brute_force_optimal(mm)
@@ -475,13 +476,11 @@ def _oracle_reports(models: list, rate: float, t: int) -> list:
         s2 = sharpe_oracle.squared_sharpe(mm, w)
         columns[f"residual_{form}"] = sharpe_oracle.stationarity_residual(mm, w)
         columns[f"sharpe2_{form}"] = s2
-        columns[f"ratio_{form}"] = np.divide(s2, s2_exact, out=np.full(len(models), np.nan),
+        columns[f"ratio_{form}"] = np.divide(s2, s2_exact, out=np.full_like(s2, np.nan),
                                              where=s2_exact > 0)
     reports = []
-    for i, model in enumerate(models):
-        entry = {"model_hash": hashlib.sha256(model.noise_cov.tobytes()
-                                              + model.trend_cov.tobytes()
-                                              + model.drift.tobytes()).hexdigest()[:16]}
+    for i, row in enumerate(zip(models.noise_cov, models.trend_cov, models.drift)):
+        entry = {"model_hash": hashlib.sha256(b"".join(a.tobytes() for a in row)).hexdigest()[:16]}
         entry.update((name, float(values[i])) for name, values in columns.items())
         reports.append(entry)
     return reports

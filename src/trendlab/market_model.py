@@ -48,10 +48,9 @@ class _Faults:
             raise InvalidModel(self.messages[int(bad[:, i].argmax())](i))
 
 
-def _as_psd(name: str, m: np.ndarray, n: int, faults: _Faults) -> np.ndarray:
+def _as_psd(name: str, a: np.ndarray, n: int, faults: _Faults) -> np.ndarray:
     """A stack of (n, n) covariances, one per model, symmetrized where round-off
     left them asymmetric."""
-    a = np.asarray(m, dtype=float)
     faults.add(a.shape[1:] != (n, n),
                lambda i: f"{name} must have shape ({n},{n}), got {a.shape[1:]}")
     a, symmetry = symmat.symmetry_faults(a)
@@ -65,29 +64,33 @@ def _as_psd(name: str, m: np.ndarray, n: int, faults: _Faults) -> np.ndarray:
     return a
 
 
-def _check_models(n: int, drift, noise_cov, trend_cov, trend_amp, trend_decay,
-                  asset_classes) -> tuple:
-    """Validate z models of n assets at once: (z, n) drifts, (z, n, n) covariances,
-    z amplitudes and decays, and asset classes shared by all.  Returns the drifts,
-    the symmetrized covariances and the classes; the first rejected model raises
-    the InvalidModel its own ModelParams would."""
+# the fields that hold one entry per model in a stack
+_MODEL_FIELDS = ("drift", "noise_cov", "trend_cov", "trend_amp", "trend_decay")
+
+
+def _check_models(n: int, drift, noise_cov, trend_cov, amp, decay, asset_classes) -> tuple:
+    """Validate z models of n assets at once: float arrays of (z, n) drifts,
+    (z, n, n) covariances and z amplitudes and decays, and asset classes shared
+    by all.  Returns the five fields, covariances symmetrized, and the classes;
+    the first rejected model raises the InvalidModel its own ModelParams would."""
     if n < 1:
         raise InvalidModel("need at least one asset")
-    faults = _Faults(len(trend_decay))
-    drift = np.asarray(drift, dtype=float)
+    z = len(decay)
+    if z == 0 or any(x.shape[:1] != (z,) for x in (drift, noise_cov, trend_cov, amp)):
+        raise InvalidModel("a stack needs one or more models and one entry of each field per model")
+    faults = _Faults(z)
     faults.add(drift.shape[1:] != (n,) or ~np.isfinite(drift).all(axis=1),
                lambda i: f"drift must be a finite vector of length {n}")
     noise_cov = _as_psd("noise_cov", noise_cov, n, faults)
     trend_cov = _as_psd("trend_cov", trend_cov, n, faults)
-    amp, decay = np.asarray(trend_amp), np.asarray(trend_decay)
-    faults.add(~(amp >= 0.0), lambda i: f"trend_amp must be non-negative, got {trend_amp[i]}")
+    faults.add(~(amp >= 0.0), lambda i: f"trend_amp must be non-negative, got {amp[i]}")
     faults.add(~((0.0 < decay) & (decay <= 1.0)),
-               lambda i: f"trend_decay must be in (0,1], got {trend_decay[i]}")
+               lambda i: f"trend_decay must be in (0,1], got {decay[i]}")
     classes = tuple(asset_classes) or ("stock",) * n
     faults.add(len(classes) != n or any(c not in ASSET_CLASSES for c in classes),
                lambda i: f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
     faults.raise_first()
-    return drift, noise_cov, trend_cov, classes
+    return drift, noise_cov, trend_cov, amp, decay, classes
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -101,7 +104,11 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full specification of the generative return model."""
+    """Full specification of the generative return model: one model, or a stack of
+    models of one size n with (z, n) drifts, (z, n, n) covariances and z amplitudes
+    and decays.  A stack is checked in one pass, and its first rejected model raises
+    what its own one-model ModelParams would.  simulate, burn_in,
+    theoretical_covariance and stationary_covariance take one model."""
 
     n: int
     drift: np.ndarray
@@ -112,36 +119,25 @@ class ModelParams:
     asset_classes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        drift, noise_cov, trend_cov, classes = _check_models(
-            self.n, np.asarray(self.drift, dtype=float).reshape(1, -1),
-            np.asarray(self.noise_cov, dtype=float)[None],
-            np.asarray(self.trend_cov, dtype=float)[None],
-            (self.trend_amp,), (self.trend_decay,), self.asset_classes)
-        object.__setattr__(self, "drift", drift[0])
-        object.__setattr__(self, "noise_cov", noise_cov[0])
-        object.__setattr__(self, "trend_cov", trend_cov[0])
+        one = np.ndim(self.trend_decay) == 0  # one model is checked as a stack of one
+        fields = [np.asarray(getattr(self, name), dtype=float) for name in _MODEL_FIELDS]
+        if one:
+            fields = [x[None] for x in fields]
+        *checked, classes = _check_models(self.n, *fields, self.asset_classes)
+        for name, value in zip(_MODEL_FIELDS, checked):
+            object.__setattr__(self, name, value[0] if one else value)
         object.__setattr__(self, "asset_classes", classes)
-
-    @classmethod
-    def stack(cls, n: int, drift, noise_cov, trend_cov, trend_amp, trend_decay,
-              asset_classes=()) -> list:
-        """One model per entry of (z, n) drifts, (z, n, n) covariances and z amplitudes
-        and decays, checked in one pass over the stacks: each model is the one its own
-        constructor gives, and the first rejected model raises what that would."""
-        amp, decay = np.asarray(trend_amp, dtype=float), np.asarray(trend_decay, dtype=float)
-        drift, noise_cov, trend_cov, classes = _check_models(n, drift, noise_cov, trend_cov,
-                                                             amp, decay, asset_classes)
-        models = []
-        for fields in zip(drift, noise_cov, trend_cov, amp.tolist(), decay.tolist()):
-            model = object.__new__(cls)  # checked above: no __post_init__ per model
-            model.__dict__.update(zip(("drift", "noise_cov", "trend_cov", "trend_amp",
-                                       "trend_decay"), fields), n=n, asset_classes=classes)
-            models.append(model)
-        return models
 
     def burn_in(self) -> int:
         """Days to discard before treating the trend as stationary."""
-        return int(np.ceil(5.0 / self.trend_decay))
+        return int(np.ceil(5.0 / _one_model(self).trend_decay))
+
+
+def _one_model(params: ModelParams) -> ModelParams:
+    """params itself, which must be one model: a stack has no single panel or covariance."""
+    if np.ndim(params.trend_decay):
+        raise InvalidInput(f"need one model, got a stack of {len(params.trend_decay)}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -192,6 +188,7 @@ def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:
     autocorrelation than the stationary regime; callers that need
     stationarity should drop params.burn_in() leading rows.
     """
+    _one_model(params)
     if n_days < 1:
         raise InvalidInput(f"n_days must be >= 1, got {n_days}")
     rng = np.random.default_rng(seed)
@@ -222,6 +219,7 @@ def _kernel_gram(params: ModelParams, t: int, t2: int) -> float:
 
 def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
     """Model-implied covariance of the day-t and day-t2 return vectors (t2 <= t)."""
+    _one_model(params)
     if not (isinstance(t, (int, np.integer)) and isinstance(t2, (int, np.integer))):
         raise InvalidIndex("time indices must be integers")
     if not 1 <= t2 <= t:
@@ -234,6 +232,7 @@ def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
 
 def stationary_covariance(params: ModelParams, lag: int = 0) -> np.ndarray:
     """Large-t limit of theoretical_covariance at the given lag."""
+    _one_model(params)
     if lag < 0:
         raise InvalidIndex(f"lag must be >= 0, got {lag}")
     keep = 1.0 - params.trend_decay

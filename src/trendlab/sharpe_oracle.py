@@ -6,19 +6,20 @@ bilinear form in the jointly Gaussian return r and signal s, so its mean and
 variance follow exactly from three n x n second moments, E[rs'], E[rr'] and
 E[ss'] (Isserlis's theorem; the identity is in `PnlMoments`).  The last two
 are the factors of the paper's sandwich weights.  One `PnlMoments` per
-(models, rate, t) holds them, and every function below reads
+(model, rate, t) holds them, and every function below reads
 one to evaluate weights, to solve the squared-Sharpe stationarity condition
 exactly for n <= 3, or to give the closed-form approximate weights.  Those
 are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
 a sandwich form with corrected factors; both are two symmat solves.
 
-A `PnlMoments` is built for one model or for a stack of models of one size,
-and every reader takes either: a stack gives arrays with a leading model axis,
-each model's entry exactly its own one-model result, and one model gives
-floats and (n, n) matrices.  The `oracle` command builds one stack of up to
-`cli._STACK_MODELS` models at a time, so it makes one moment pass per stack;
-only the O(t) kernel pass under it splits a stack into blocks of
-`_KERNEL_CELLS // t` models, to bound its (models, t) arrays.
+A `PnlMoments` is built from one `ModelParams`, which holds one model or a
+stack of models of one size, and every reader takes either: a stack gives
+arrays with a leading model axis, each model's entry exactly its own
+one-model result, and one model gives floats and (n, n) matrices.  The
+`oracle` command builds one stack of up to `cli._STACK_MODELS` models at a
+time, so it makes one moment pass per stack; only the O(t) kernel pass
+under it splits a stack into blocks of `_KERNEL_CELLS // t` models, to bound
+its (models, t) arrays.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -27,7 +28,6 @@ the shared-kernel model.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,20 +178,6 @@ def compute_kernels(rate: float, amp, decay, t: int) -> KernelValues:
     )
 
 
-def _model_arrays(model) -> tuple:
-    """noise_cov, trend_cov, drift, trend_amp and trend_decay of one model, or
-    stacked along a leading axis for a sequence of models of one size."""
-    names = ("noise_cov", "trend_cov", "drift", "trend_amp", "trend_decay")
-    if isinstance(model, ModelParams):
-        return tuple(getattr(model, name) for name in names)
-    model = tuple(model)
-    if not model:
-        raise InvalidInput("a stack needs at least one model")
-    if len({m.n for m in model}) > 1:
-        raise InvalidInput("the models of a stack must share one asset count")
-    return tuple(np.array([getattr(m, name) for m in model]) for name in names)
-
-
 @dataclass(frozen=True)
 class PnlMoments:
     """One-day P&L moments of the model(s) at one time t, with the kernel values
@@ -205,27 +191,24 @@ class PnlMoments:
 
         V w = ss * left w right + M w' M - 2 mass^2 (mu' w mu) mu mu'
 
-    where M = mean_matrix, ss = noise_noise, mass = signal_mass and mu = drift.
-    left and right are also the two inverted factors of the sandwich weights,
-    and noise_cov, trend_cov and drift are the model's own, which the
-    approximate weights read.  For a stack the arrays carry a leading model
-    axis: mean_matrix, left, right, noise_cov and trend_cov (z, n, n), drift
-    (z, n).
+    where M = mean_matrix, ss = noise_noise, mass = signal_mass and mu = the
+    model's drift.  left and right are also the two inverted factors of the
+    sandwich weights, and model is the ModelParams the moments were built from,
+    whose covariances and drift the approximate weights read.  For a stack of
+    models mean_matrix, left and right carry a leading model axis, (z, n, n).
     """
 
     mean_matrix: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    noise_cov: np.ndarray
-    trend_cov: np.ndarray
-    drift: np.ndarray
+    model: ModelParams
     kernels: KernelValues
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """V w for one (n, n) weight matrix per model, or a stack of them that
         broadcasts against the models."""
         kv = self.kernels
-        mu = self.drift[..., :, None]
+        mu = self.model.drift[..., :, None]
         mu_t = np.swapaxes(mu, -1, -2)
         mass = _per_model(kv.signal_mass, 2)
         drift = 2.0 * mass * mass * (mu_t @ w @ mu) * (mu * mu_t)
@@ -239,11 +222,10 @@ class PnlMoments:
         return np.moveaxis(self.apply(basis).reshape((n * n,) + batch + (n * n,)), 0, -1)
 
 
-def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
-                       t: int) -> PnlMoments:
+def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
     """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
-    ce, cx, drift, amp, decay = _model_arrays(model)
-    kv = compute_kernels(rate, amp, decay, t)
+    ce, cx, drift = model.noise_cov, model.trend_cov, model.drift
+    kv = compute_kernels(rate, model.trend_amp, model.trend_decay, t)
 
     def k2(x):
         return _per_model(x, 2)
@@ -253,7 +235,7 @@ def pnl_moment_tensors(model: ModelParams | Sequence[ModelParams], rate: float,
         mean_matrix=k2(kv.trend_mean) * cx + k2(kv.signal_mass) * m,
         left=ce + k2(kv.g_trend_left) * cx + m,
         right=ce + k2(kv.g_trend_right) * cx + k2(kv.g_drift_right) * m,
-        noise_cov=ce, trend_cov=cx, drift=drift, kernels=kv,
+        model=model, kernels=kv,
     )
 
 
@@ -349,9 +331,9 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     desk-scale (at most a couple of basis points per day) because the signal
     mass multiplies them by roughly 1/rate in the moment tensors.
 
-    count=None gives one ModelParams, count=k a list of k models: each model
-    takes its draws from rng in turn, as k one-model calls would, and the
-    arithmetic and the model checks then run once over the stack.
+    count=None gives one model, count=k one ModelParams stack of k models: each
+    model takes its draws from rng in turn, as k one-model calls would, and the
+    arithmetic and the model check then run once over the stack.
     """
     draws = []
     for _ in range(1 if count is None else count):
@@ -374,8 +356,9 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     unit = _kernel_products(rate, 1.0, decay, t)
     amp = np.sqrt(correction * unit["sig_sig"] / unit["sig_trend_sq"])
 
-    models = ModelParams.stack(n, drift, noise_cov, trend_cov, amp, decay)
-    return models[0] if count is None else models
+    if count is None:
+        return ModelParams(n, drift[0], noise_cov[0], trend_cov[0], amp[0], decay[0])
+    return ModelParams(n, drift, noise_cov, trend_cov, amp, decay)
 
 
 def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
@@ -388,11 +371,11 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     """
     if form not in ("simple", "sandwich"):
         raise InvalidInput(f"unknown form {form!r}")
-    m = mm.drift[..., :, None] * mm.drift[..., None, :]
-    kv = mm.kernels
+    model, kv = mm.model, mm.kernels
+    m = model.drift[..., :, None] * model.drift[..., None, :]
     trend_gain, drift_gain = _per_model(kv.trend_gain, 2), _per_model(kv.drift_gain, 2)
     if form == "simple":
-        return portfolios.optimal_weight_matrix(mm.noise_cov, mm.trend_cov, m, trend_gain,
+        return portfolios.optimal_weight_matrix(model.noise_cov, model.trend_cov, m, trend_gain,
                                                 drift_gain, ridge=0.0)
-    return symmat.solve_sandwich(mm.left, trend_gain * mm.trend_cov + drift_gain * m, mm.right,
-                                 ridge=0.0)
+    return symmat.solve_sandwich(mm.left, trend_gain * model.trend_cov + drift_gain * m,
+                                 mm.right, ridge=0.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from trendlab.errors import IngestError
-from trendlab.market_model import ModelParams
+from trendlab.market_model import _MODEL_FIELDS, ModelParams
 
 
 def rand_spd(rng, n, scale=1.0, min_eig=0.1):
@@ -83,6 +83,17 @@ def market_trend_model(n=6, rho=0.45, scale=1.2, amp=0.2, decay=0.03):
     return ModelParams(n=n, drift=np.zeros(n), noise_cov=noise,
                        trend_cov=scale * np.outer(ones, ones) / n,
                        trend_amp=amp, trend_decay=decay)
+
+
+def stack_models(models):
+    """One ModelParams stack of one-size models: each field stacked along a leading axis."""
+    return ModelParams(n=models[0].n, **{name: np.array([getattr(m, name) for m in models])
+                                         for name in _MODEL_FIELDS})
+
+
+def model_row(stack, i):
+    """Model i of a ModelParams stack, as a one-model ModelParams."""
+    return ModelParams(n=stack.n, **{name: getattr(stack, name)[i] for name in _MODEL_FIELDS})
 
 
 def correlation_cases(seed, n=6):
@@ -218,15 +229,13 @@ def reference_oracle_payload(n, t, rate, models, seed):
 # ---------------------------------------------------------------------------
 
 def reference_var_tensor(models, rate, t):
-    """Cov(r_j1 s_k1, r_j2 s_k2) of a sequence of models of one size, shaped
-    (models, n, n, n, n): eight outer products of the n x n model matrices under
-    the pairings "ac,bd" and "ad,bc", so the variance of r'ws is
-    einsum('jk,jklm,lm', w, tensor, w)."""
+    """Cov(r_j1 s_k1, r_j2 s_k2) of a ModelParams stack, shaped (models, n, n, n, n):
+    eight outer products of the n x n model matrices under the pairings "ac,bd"
+    and "ad,bc", so the variance of r'ws is einsum('jk,jklm,lm', w, tensor, w)."""
     from trendlab.sharpe_oracle import _kernel_products
 
-    ce, cx, drift, amp, decay = (np.array([getattr(m, name) for m in models]) for name in
-                                 ("noise_cov", "trend_cov", "drift", "trend_amp", "trend_decay"))
-    k = _kernel_products(rate, amp, decay, t)
+    ce, cx, drift = models.noise_cov, models.trend_cov, models.drift
+    k = _kernel_products(rate, models.trend_amp, models.trend_decay, t)
     ss, tt, stq, stt, mass = (np.reshape(k[name], (-1, 1, 1, 1, 1)) for name in
                               ("sig_sig", "trend_trend", "sig_trend_sq", "sig_trend_trend",
                                "signal_mass"))

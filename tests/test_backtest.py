@@ -322,6 +322,13 @@ def test_sweep_mix_curve():
     mix = bt.optimal_mix([a, b])
     assert mix.sharpe >= sharpes.max() - 1e-9
     assert abs(mix.weights[1] - grid[np.argmax(sharpes)]) <= 0.01 + 1e-9
+    # a step that does not divide 1 keeps its last multiple below 1, then adds 1
+    for step, want in ((0.3, [0.0, 0.3, 0.6, 0.9, 1.0]),
+                       (0.07, [0.07 * k for k in range(15)] + [1.0])):  # 0.98 kept
+        grid, sharpes = bt.sweep_mix_curve([a, b], step=step)
+        assert len(grid) == len(want) and grid[-1] == 1.0
+        assert np.allclose(grid, want, rtol=0.0, atol=1e-12)
+        assert sharpes[-1] == pytest.approx(b.sharpe, rel=1e-12)
     with pytest.raises(InvalidInput):
         bt.sweep_mix_curve([a, b, a])
 

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import rand_spd
 from trendlab import market_model as mm
-from trendlab.errors import InvalidIndex, InvalidModel
+from trendlab.errors import InvalidIndex, InvalidInput, InvalidModel
 
 
 def white_params(n=2, noise=None):
@@ -183,7 +183,7 @@ def test_stacked_check_rejects_what_one_model_rejects(case, where):
     models = [good_model_fields(rng) for _ in range(5)]
     models[where].update(BAD_FIELDS[case])
     with pytest.raises(InvalidModel) as caught:
-        mm.ModelParams.stack(2, **stack_fields(models))
+        mm.ModelParams(n=2, **stack_fields(models))
     assert str(caught.value) == one_model_message(models[where])
 
 
@@ -193,11 +193,11 @@ def test_stacked_check_raises_for_the_first_bad_model():
     models[1].update(BAD_FIELDS["decay-0"])  # a late check on an early model wins
     models[3].update(BAD_FIELDS["drift-nan"])
     with pytest.raises(InvalidModel) as caught:
-        mm.ModelParams.stack(2, **stack_fields(models))
+        mm.ModelParams(n=2, **stack_fields(models))
     assert str(caught.value) == one_model_message(models[1])
     models[1].update(BAD_FIELDS["not-symmetric"])  # of one model, the first check wins
     with pytest.raises(InvalidModel) as caught:
-        mm.ModelParams.stack(2, **stack_fields(models))
+        mm.ModelParams(n=2, **stack_fields(models))
     assert str(caught.value) == one_model_message(models[1])
 
 
@@ -210,7 +210,7 @@ def test_stacked_check_rejects_shared_faults_as_one_model(fields, classes):
     rng = np.random.default_rng(33)
     models = [{**good_model_fields(rng), **fields} for _ in range(3)]
     with pytest.raises(InvalidModel) as caught:
-        mm.ModelParams.stack(2, **stack_fields(models), asset_classes=classes)
+        mm.ModelParams(n=2, **stack_fields(models), asset_classes=classes)
     assert str(caught.value) == one_model_message(models[0], classes)
 
 
@@ -220,11 +220,33 @@ def test_stacked_models_equal_one_model_construction():
     skew = np.array([[0.0, 1e-14], [0.0, 0.0]])  # round-off asymmetry, symmetrized
     models[1]["noise_cov"] = models[1]["noise_cov"] + skew
     models[2]["trend_cov"] = models[2]["trend_cov"] - skew
-    stacked = mm.ModelParams.stack(2, **stack_fields(models))
-    assert not np.array_equal(stacked[1].noise_cov, models[1]["noise_cov"])
-    for got, fields in zip(stacked, models):
+    stacked = mm.ModelParams(n=2, **stack_fields(models))
+    assert not np.array_equal(stacked.noise_cov[1], models[1]["noise_cov"])
+    assert stacked.trend_amp.shape == stacked.trend_decay.shape == (4,)
+    for i, fields in enumerate(models):
         want = mm.ModelParams(n=2, **fields)
         for name in ("drift", "noise_cov", "trend_cov"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert (got.n, got.trend_amp, got.trend_decay, got.asset_classes) == \
+            assert np.array_equal(getattr(stacked, name)[i], getattr(want, name))
+        assert (stacked.n, stacked.trend_amp[i], stacked.trend_decay[i], stacked.asset_classes) == \
             (want.n, want.trend_amp, want.trend_decay, want.asset_classes)
+
+
+def test_empty_or_ragged_stack_is_rejected():
+    rng = np.random.default_rng(35)
+    fields = stack_fields([good_model_fields(rng) for _ in range(3)])
+    empty = {name: value[:0] for name, value in fields.items()}
+    ragged = {**fields, "drift": fields["drift"][:2]}  # one drift short of 3 models
+    for bad in (empty, ragged):
+        with pytest.raises(InvalidModel, match="a stack needs one or more models"):
+            mm.ModelParams(n=2, **bad)
+
+
+def test_one_model_functions_reject_a_stack():
+    # z == n: a stack's (z,) gram would broadcast along each matrix's last axis
+    rng = np.random.default_rng(36)
+    stacked = mm.ModelParams(n=2, **stack_fields([good_model_fields(rng) for _ in range(2)]))
+    for call in (lambda: mm.simulate(stacked, 10, 0), stacked.burn_in,
+                 lambda: mm.theoretical_covariance(stacked, 3, 2),
+                 lambda: mm.stationary_covariance(stacked)):
+        with pytest.raises(InvalidInput, match="need one model, got a stack of 2"):
+            call()

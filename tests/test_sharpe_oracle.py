@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import rand_spd, reference_oracle_payload, reference_var_tensor
+from helpers import (model_row, rand_spd, reference_oracle_payload, reference_var_tensor,
+                     stack_models)
 from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
-from trendlab.errors import DegenerateForm, InvalidInput, TooEarly
+from trendlab.errors import DegenerateForm, InvalidInput, InvalidModel, TooEarly
 from trendlab.market_model import ModelParams
 
 
@@ -388,7 +389,6 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
         monkeypatch.setattr(so, name, counted)
 
     count("pnl_moment_tensors")
-    count("_model_arrays")
     t = 50
     monkeypatch.setattr(cli, "_STACK_MODELS", 3)
     monkeypatch.setattr(so, "_KERNEL_CELLS", 2 * t)
@@ -396,9 +396,8 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
     assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", "4",
                      "--outdir", str(tmp_path / "oracle")]) == 0
     # a full stack and a one-model stack, each with one O(t) kernel pass: the
-    # moments reuse the pass that sized the sampler's amplitudes, and both
-    # approximate forms read the model stacks the moments hold
-    assert calls == {"pnl_moment_tensors": 2, "_model_arrays": 2}
+    # moments reuse the pass that sized the sampler's amplitudes
+    assert calls == {"pnl_moment_tensors": 2}
     assert so._unit_kernel_products.cache_info().misses == 2
     # only the kernel pass splits a stack, in blocks of _KERNEL_CELLS // t models
     assert blocks == [(2, t), (1, t), (1, t)]
@@ -422,9 +421,10 @@ def test_oracle_json_equals_the_per_model_loop(tmp_path, monkeypatch, n, extra):
 
 
 def stack_of_models(rng, n, rate, t):
-    """Weak-trend models from one sampler call and strong models beside them."""
-    return (so.sample_weak_trend_model(rng, n, rate=rate, t=t, count=3)
-            + [strong_model(rng, n) for _ in range(2)])
+    """A stack of weak-trend models from one sampler call and strong models beside them."""
+    weak = so.sample_weak_trend_model(rng, n, rate=rate, t=t, count=3)
+    return stack_models([model_row(weak, i) for i in range(3)]
+                        + [strong_model(rng, n) for _ in range(2)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -434,18 +434,19 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
     models = stack_of_models(rng, n, rate, t)
     mm = so.pnl_moment_tensors(models, rate, t)
     assert mm.mean_matrix.shape == mm.left.shape == mm.right.shape == (5, n, n)
-    assert mm.drift.shape == (5, n)
+    assert mm.model.drift.shape == (5, n)
     assert mm.var_form().shape == (5, n * n, n * n)
     # C-ordered weights, a whole-stack matrix, and the sandwich solve's transposed result
     random_w = rng.standard_normal((5, n, n))
     shared_w = rng.standard_normal((n, n))
     approx = {form: so.approx_optimal(mm, form) for form in ("simple", "sandwich")}
     exact = so.brute_force_optimal(mm)
-    for i, model in enumerate(models):
-        one = so.pnl_moment_tensors(model, rate, t)
+    for i in range(5):
+        one = so.pnl_moment_tensors(model_row(models, i), rate, t)
         assert np.array_equal(mm.mean_matrix[i], one.mean_matrix)
-        for name in ("left", "right", "drift"):
+        for name in ("left", "right"):
             assert np.array_equal(getattr(mm, name)[i], getattr(one, name)), name
+        assert np.array_equal(mm.model.drift[i], one.model.drift)
         assert np.array_equal(mm.var_form()[i], one.var_form())
         for name, value in vars(one.kernels).items():
             assert getattr(mm.kernels, name)[i] == value, name
@@ -469,10 +470,11 @@ def test_var_form_equals_the_tensor_route(n):
         models = stack_of_models(rng, n, rate, t)
         want = reference_var_tensor(models, rate, t).reshape(5, n * n, n * n)
         stacked = so.pnl_moment_tensors(models, rate, t).var_form()
-        for i, model in enumerate(models):
+        for i in range(5):
             bound = 1e-13 * np.abs(want[i]).max()
             assert np.abs(stacked[i] - want[i]).max() <= bound
-            assert np.abs(so.pnl_moment_tensors(model, rate, t).var_form() - want[i]).max() <= bound
+            one = so.pnl_moment_tensors(model_row(models, i), rate, t)
+            assert np.abs(one.var_form() - want[i]).max() <= bound
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -508,15 +510,14 @@ def test_one_model_readers_return_floats_and_matrices():
 
 def test_stack_rejects_mismatched_weights_and_sizes():
     rng = np.random.default_rng(67)
-    mm = so.pnl_moment_tensors([strong_model(rng, 2) for _ in range(3)], 0.02, 40)
+    mm = so.pnl_moment_tensors(stack_models([strong_model(rng, 2) for _ in range(3)]), 0.02, 40)
     with pytest.raises(InvalidInput):
         so.moments(mm, rng.standard_normal((2, 2, 2)))
     with pytest.raises(InvalidInput):
         so.moments(mm, rng.standard_normal(2))
-    with pytest.raises(InvalidInput):
-        so.pnl_moment_tensors([strong_model(rng, 2), strong_model(rng, 3)], 0.02, 40)
-    with pytest.raises(InvalidInput):
-        so.pnl_moment_tensors([], 0.02, 40)
+    with pytest.raises(InvalidModel):  # an empty stack is no model
+        ModelParams(n=2, drift=np.zeros((0, 2)), noise_cov=np.zeros((0, 2, 2)),
+                    trend_cov=np.zeros((0, 2, 2)), trend_amp=np.zeros(0), trend_decay=np.zeros(0))
 
 
 def singular_model():
@@ -543,7 +544,7 @@ def test_a_singular_model_in_a_stack_alone_gets_the_ridge():
                                   ridged / np.linalg.norm(ridged))
         else:
             np.linalg.solve(one.var_form(), target)  # regular: no ridge
-    exact = so.brute_force_optimal(so.pnl_moment_tensors(models, rate, t))
+    exact = so.brute_force_optimal(so.pnl_moment_tensors(stack_models(models), rate, t))
     for i, one in enumerate(ones):
         assert np.array_equal(exact[i], so.brute_force_optimal(one))
 
