@@ -86,7 +86,7 @@ class StrategyConfig:
         return max(signal_days, cov_days)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestResult:
     pnl: np.ndarray
     positions: np.ndarray | None
@@ -243,7 +243,7 @@ def pipeline_estimates(panel: ReturnsPanel, cfg: StrategyConfig) -> tuple[np.nda
     return _estimator_pass(panel, cfg, [])[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenRiskProfile:
     eigenvalues: np.ndarray
     risks: np.ndarray
@@ -292,7 +292,7 @@ def strategy_correlations(results) -> np.ndarray:
     return np.corrcoef(x, rowvar=False).reshape(x.shape[1], x.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixResult:
     weights: np.ndarray
     sharpe: float

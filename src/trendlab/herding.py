@@ -50,7 +50,7 @@ def step(preferences: np.ndarray, counts: np.ndarray, coupling: float) -> np.nda
     return scores.argmax(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Adoption counts per (rep, step, strategy) and the agent count.
 
@@ -90,7 +90,7 @@ def run(params: AgentSimParams) -> SimResult:
     return SimResult(counts=counts, agents=params.agents)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionCurve:
     couplings: np.ndarray
     max_fraction: np.ndarray

@@ -102,7 +102,7 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full specification of the generative return model: one model, or a stack of
     models of one size n with (z, n) drifts, (z, n, n) covariances and z amplitudes
@@ -140,7 +140,7 @@ def _one_model(params: ModelParams) -> ModelParams:
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnsPanel:
     """T x n matrix of daily returns with asset-class labels, the seed used and,
     for ingested panels, the ISO date of each row."""

@@ -20,7 +20,7 @@ from .errors import InvalidMatrix, NotPositiveDefinite
 DEFAULT_RIDGE_SCALE = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPairs:
     """Spectral decomposition: eigenvalues sorted descending, orthonormal columns;
     (..., n) and (..., n, n) for a stack."""

@@ -93,6 +93,10 @@ CRITERION_4_AMP = float(np.sqrt(0.02 * (1.0 - (1.0 - 0.004) ** 2)))  # helpers.m
     (0.3, 0.6, 0.1, 2),
     (0.3, 0.6, 0.1, 3),
     (0.005, CRITERION_4_AMP, 0.004, 30_000),
+    (0.02, 0.8, 0.02 * (1 + 1e-9), 500),  # decay a hair above rate
+    (0.02, 0.8, 0.02 * (1 - 1e-6), 500),  # and a hair below
+    (0.02, 0.8, 1e-6, 500),               # a trend kernel that barely decays
+    (0.02, 0.8, 0.03, 4096),
 ])
 def test_kernel_products_equal_the_direct_convolution(rate, amp, decay, t):
     with warnings.catch_warnings():
@@ -361,20 +365,6 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
     assert written["oracle.json"]["models"] == want
 
 
-def record_kernel_blocks(monkeypatch) -> list:
-    """(models, t) of every block the O(t) kernel pass builds from now on."""
-    blocks = []
-    real = so._trend_kernel_block
-
-    def recorded(p, q, ages, sig):
-        blocks.append((len(q), len(ages) + 1))
-        return real(p, q, ages, sig)
-
-    monkeypatch.setattr(so, "_trend_kernel_block", recorded)
-    so._unit_kernel_products.cache_clear()
-    return blocks
-
-
 def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
     """A chunk is the models of one stack: up to cli._STACK_MODELS of them."""
     calls = collections.Counter()
@@ -389,28 +379,23 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
         monkeypatch.setattr(so, name, counted)
 
     count("pnl_moment_tensors")
-    t = 50
     monkeypatch.setattr(cli, "_STACK_MODELS", 3)
-    monkeypatch.setattr(so, "_KERNEL_CELLS", 2 * t)
-    blocks = record_kernel_blocks(monkeypatch)
-    assert cli.main(["oracle", "--n", "2", "--t", str(t), "--models", "4",
+    so._unit_kernel_products.cache_clear()
+    assert cli.main(["oracle", "--n", "2", "--t", "50", "--models", "4",
                      "--outdir", str(tmp_path / "oracle")]) == 0
-    # a full stack and a one-model stack, each with one O(t) kernel pass: the
+    # a full stack and a one-model stack, each with one kernel pass: the
     # moments reuse the pass that sized the sampler's amplitudes
     assert calls == {"pnl_moment_tensors": 2}
     assert so._unit_kernel_products.cache_info().misses == 2
-    # only the kernel pass splits a stack, in blocks of _KERNEL_CELLS // t models
-    assert blocks == [(2, t), (1, t), (1, t)]
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_json_equals_the_per_model_loop(tmp_path, monkeypatch, n, extra):
-    """Model counts one below, at and one above the stack size, with kernel blocks
-    of 3 models, so the last stack is ragged and so is a stack's last block."""
+    """Model counts one below, at and one above the stack size, so the last stack
+    is ragged."""
     t, rate, seed, stack = 500, 0.02, 17, 4
     monkeypatch.setattr(cli, "_STACK_MODELS", stack)
-    monkeypatch.setattr(so, "_KERNEL_CELLS", 3 * t)
     models = stack + extra
     out = tmp_path / "oracle"
     assert cli.main(["oracle", "--n", str(n), "--t", str(t), "--eta", str(rate),
@@ -560,35 +545,9 @@ def test_a_bad_decay_anywhere_in_a_stack_is_rejected(bad):
 
 def test_stacked_kernel_products_equal_one_decay_at_a_time():
     rng = np.random.default_rng(69)
-    amp, decay = rng.uniform(0.1, 1.0, 6), np.r_[rng.uniform(0.01, 0.5, 4), 0.02, 1.0]
-    got = so._kernel_products(0.02, amp, decay, 300)
-    for i in range(6):
-        one = so._kernel_products(0.02, float(amp[i]), float(decay[i]), 300)
-        assert {name: value[i] for name, value in got.items()} == one
-
-
-@pytest.mark.parametrize("t, extra", [(2000, -1), (2000, 0), (2000, 1), (so._KERNEL_CELLS + 7, 2)],
-                         ids=["block-1", "block", "block+1", "t>cells"])
-def test_blocked_kernel_pass_equals_one_decay_at_a_time(t, extra):
-    block = max(1, so._KERNEL_CELLS // t)
-    rng = np.random.default_rng(70 + extra)
-    decay = rng.uniform(0.005, 0.5, block + extra)
-    decay[:2] = 0.02, 1.0  # decay == rate, and the one-spike trend kernel
-    got = so._unit_kernel_products(0.02, t, decay.tobytes())
-    for i in range(len(decay)):
-        one = so._unit_kernel_products(0.02, t, decay[i:i + 1].tobytes())
-        for name, value in one.items():
-            entry = got[name][i:i + 1] if np.ndim(value) else got[name]
-            assert np.array_equal(entry, value), name
-
-
-@pytest.mark.parametrize("models, t", [(1, 3), (33, 2000), (100, 2000), (5, so._KERNEL_CELLS),
-                                      (2, so._KERNEL_CELLS + 7), (so._KERNEL_CELLS // 3 + 1, 3)])
-def test_kernel_pass_blocks_stay_within_the_cell_bound(monkeypatch, models, t):
-    blocks = record_kernel_blocks(monkeypatch)
-    decay = np.random.default_rng(models).uniform(0.01, 0.5, models)
-    got = so._kernel_products(0.02, 1.0, decay, t)
-    assert got["trend_trend"].shape == (models,)
-    assert sum(size for size, _ in blocks) == models
-    assert all(size * cells_t <= so._KERNEL_CELLS or size == 1 for size, cells_t in blocks)
-    assert len(blocks) == -(-models // max(1, so._KERNEL_CELLS // t))
+    amp, decay = rng.uniform(0.1, 1.0, 40), np.r_[rng.uniform(0.01, 0.5, 38), 0.02, 1.0]
+    for t in (2, 3, 300, 2000, 4096):
+        got = so._kernel_products(0.02, amp, decay, t)
+        for i in range(len(decay)):
+            one = so._kernel_products(0.02, float(amp[i]), float(decay[i]), t)
+            assert {name: value[i] for name, value in got.items()} == one, (t, i)
