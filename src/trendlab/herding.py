@@ -9,10 +9,16 @@ Above a critical coupling a single dominant strategy emerges.
 A step depends only on the previous adopter counts, so once a repetition's
 counts repeat they stay fixed: `run` stops each repetition there and fills
 its remaining steps with those counts, which is exact.
+
+`run` simulates its repetitions on two threads, the even ones on the calling
+thread and the odd ones on a worker.  Each repetition draws from its own seed
+and writes only its own row of the counts, so the counts are the same as a
+one-thread run's.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +38,10 @@ class AgentSimParams:
     def __post_init__(self):
         if min(self.agents, self.strategies, self.steps, self.reps) < 1:
             raise InvalidInput("agents, strategies, steps and reps must all be >= 1")
-        if self.coupling < 0.0:
-            raise InvalidInput(f"coupling must be non-negative, got {self.coupling}")
+        if not 0.0 <= self.coupling < np.inf:
+            raise InvalidInput(f"coupling must be finite and non-negative, got {self.coupling}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
 
     @property
     def per_adopter_coupling(self) -> float:
@@ -72,21 +80,38 @@ def run(params: AgentSimParams) -> SimResult:
 
     Each rep draws from its own SeedSequence child, all before its first
     step, and stops at the first step whose counts equal the step before.
+    The calling thread runs the even reps and one worker thread the odd
+    ones; each rep writes only its own row, so the counts equal a
+    one-thread run's.  An exception in either half is raised here, after
+    the worker has been joined.
     """
     coupling = params.per_adopter_coupling
     seeds = np.random.SeedSequence(params.seed).spawn(params.reps)
     counts = np.zeros((params.reps, params.steps + 1, params.strategies), dtype=np.int64)
-    for rep, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        prefs = rng.standard_normal((params.agents, params.strategies))
-        choices = rng.integers(0, params.strategies, size=params.agents)
-        counts[rep, 0] = np.bincount(choices, minlength=params.strategies)
-        for t in range(1, params.steps + 1):
-            choices = step(prefs, counts[rep, t - 1], coupling)
-            counts[rep, t] = np.bincount(choices, minlength=params.strategies)
-            if np.array_equal(counts[rep, t], counts[rep, t - 1]):
-                counts[rep, t + 1:] = counts[rep, t]
-                break
+    failures = []
+
+    def simulate(first: int) -> None:
+        try:
+            for rep in range(first, params.reps, 2):
+                rng = np.random.default_rng(seeds[rep])
+                prefs = rng.standard_normal((params.agents, params.strategies))
+                choices = rng.integers(0, params.strategies, size=params.agents)
+                counts[rep, 0] = np.bincount(choices, minlength=params.strategies)
+                for t in range(1, params.steps + 1):
+                    choices = step(prefs, counts[rep, t - 1], coupling)
+                    counts[rep, t] = np.bincount(choices, minlength=params.strategies)
+                    if np.array_equal(counts[rep, t], counts[rep, t - 1]):
+                        counts[rep, t + 1:] = counts[rep, t]
+                        break
+        except BaseException as exc:  # re-raised below, once both halves are done
+            failures.append(exc)
+
+    worker = threading.Thread(target=simulate, args=(1,))
+    worker.start()
+    simulate(0)
+    worker.join()
+    if failures:
+        raise failures[0]
     return SimResult(counts=counts, agents=params.agents)
 
 

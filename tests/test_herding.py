@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +121,11 @@ def test_state_validation():
         herding.AgentSimParams(agents=0, strategies=5, coupling=1.0, steps=5, reps=1)
     with pytest.raises(InvalidInput):
         herding.AgentSimParams(agents=5, strategies=5, coupling=-1.0, steps=5, reps=1)
+    for coupling in (np.nan, np.inf):  # an all-NaN score row would argmax to strategy 0
+        with pytest.raises(InvalidInput, match="coupling"):
+            herding.AgentSimParams(agents=20, strategies=4, coupling=coupling, steps=5, reps=2)
+    with pytest.raises(InvalidInput, match="seed"):
+        herding.AgentSimParams(agents=20, strategies=4, coupling=1.0, steps=5, reps=2, seed=-1)
 
 
 def reference_run(params):
@@ -152,6 +160,8 @@ EARLY_STOP_CASES = {
     "one-agent": dict(agents=1, strategies=5, coupling=1.5, steps=10, reps=6, seed=16),
     "one-strategy": dict(agents=50, strategies=1, coupling=1.5, steps=10, reps=6, seed=17),
     "one-rep": dict(agents=300, strategies=20, coupling=1.5, steps=40, reps=1, seed=18),
+    "two-reps": dict(agents=300, strategies=20, coupling=1.5, steps=40, reps=2, seed=21),
+    "odd-reps": dict(agents=300, strategies=20, coupling=1.5, steps=40, reps=7, seed=22),
 }
 
 
@@ -191,3 +201,50 @@ def test_each_rep_stops_at_its_fixed_point(monkeypatch):
     stops = first_repeat(counts)
     assert len(calls) == stops.sum()
     assert len(calls) < params.reps * params.steps  # some rep settled before the last step
+
+
+class StepFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_rep", [0, 1])  # rep 0 runs on the calling thread, rep 1 on the worker
+def test_a_failing_rep_raises_and_leaves_no_thread(monkeypatch, bad_rep):
+    params = herding.AgentSimParams(agents=100, strategies=10, coupling=1.5,
+                                    steps=20, reps=6, seed=23)
+    bad_prefs = np.random.default_rng(
+        np.random.SeedSequence(params.seed).spawn(params.reps)[bad_rep]
+    ).standard_normal((params.agents, params.strategies))
+    real_step = herding.step
+
+    def failing_step(prefs, counts, coupling):
+        if np.array_equal(prefs, bad_prefs):
+            raise StepFailed(bad_rep)
+        return real_step(prefs, counts, coupling)
+
+    monkeypatch.setattr(herding, "step", failing_step)
+    before = threading.active_count()
+    with pytest.raises(StepFailed) as raised:
+        herding.run(params)
+    assert raised.value.args == (bad_rep,)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [24, 25, 26])
+def test_perturbed_interleaving_keeps_the_counts(monkeypatch, seed):
+    params = herding.AgentSimParams(agents=200, strategies=10, coupling=1.5,
+                                    steps=30, reps=9, seed=seed)
+    want = reference_run(params).counts
+    real_step = herding.step
+
+    def yielding_step(*args):
+        time.sleep(0)
+        return real_step(*args)
+
+    monkeypatch.setattr(herding, "step", yielding_step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = herding.run(params).counts
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
