@@ -13,7 +13,8 @@ estimator recursion once over the chunk's days, cleans the rolls that open
 the chunk's blocks in one stacked call and builds each book once over those
 blocks, by the portfolio constructor of its kind (then portfolios.vol_target
 if vol_scale is set).  Chunking bounds every stacked array at about
-_CHUNK_DAYS matrices.
+_CHUNK_DAYS matrices.  The mix layer reads only P&L: one (days, m) array
+whose columns are aligned series.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .symmat import eigendecompose
 TRADING_DAYS = 252.0
 _CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked array
 
-_BOOKS = {  # kind -> positions on a block of days, from (corr, cov, signals, vols, classes, ridge)
-    "rp": lambda c, cov, s, v, cls, r: portfolios.risk_parity(cov, v, cls, r),
-    "nm": lambda c, cov, s, v, cls, r: portfolios.naive_markowitz(cov, s, r),
-    "arp": lambda c, cov, s, v, cls, r: portfolios.agnostic_risk_parity(c, v, s, r),
-    "torp": lambda c, cov, s, v, cls, r: portfolios.trend_on_risk_parity(cov, v, s, cls, r),
-    "ew": lambda c, cov, s, v, cls, r: portfolios.equally_weighted(v),
-    "zero": lambda c, cov, s, v, cls, r: np.zeros_like(v),
+_BOOKS = {  # kind -> positions on a block of days, from (corr, cov, signals, vols, classes)
+    "rp": lambda c, cov, s, v, cls: portfolios.risk_parity(cov, v, cls),
+    "nm": lambda c, cov, s, v, cls: portfolios.naive_markowitz(cov, s),
+    "arp": lambda c, cov, s, v, cls: portfolios.agnostic_risk_parity(c, v, s),
+    "torp": lambda c, cov, s, v, cls: portfolios.trend_on_risk_parity(cov, v, s, cls),
+    "ew": lambda c, cov, s, v, cls: portfolios.equally_weighted(v),
+    "zero": lambda c, cov, s, v, cls: np.zeros_like(v),
 }
 STRATEGY_KINDS = tuple(_BOOKS)
 
@@ -47,9 +48,11 @@ STRATEGY_KINDS = tuple(_BOOKS)
 class StrategyConfig:
     """Strategy id plus every estimator knob of the pipeline.
 
-    vol_scale=None trades unit-gross positions (P&L scales linearly with the
-    panel); a float rescales positions daily to that conditional volatility
-    under the estimated covariance.
+    The cleaner's sample ratio is estimation.default_sample_ratio(n, cov_rate)
+    and the books use the constructors' default ridge.  vol_scale=None trades
+    unit-gross positions (P&L scales linearly with the panel); a float
+    rescales positions daily to that conditional volatility under the
+    estimated covariance.
     """
 
     kind: str
@@ -57,8 +60,6 @@ class StrategyConfig:
     cov_rate: float = estimation.DEFAULT_COV_RATE
     var_rate: float = estimation.DEFAULT_VAR_RATE
     cleaner: str = "rie"
-    sample_ratio: float | None = None
-    ridge: float | None = None
     vol_scale: float | None = None
     week_len: int = 5
     warmup: int | None = None
@@ -70,8 +71,6 @@ class StrategyConfig:
             raise InvalidInput(f"unknown cleaner {self.cleaner!r}")
         for name in ("signal_rate", "cov_rate", "var_rate"):
             signals.check_rate(name, getattr(self, name))
-        if self.sample_ratio is not None and not self.sample_ratio > 0.0:
-            raise InvalidInput(f"sample_ratio must be positive, got {self.sample_ratio}")
         if self.week_len < 1:
             raise InvalidInput("week_len must be >= 1")
         if self.warmup is not None and self.warmup < self.week_len:
@@ -89,7 +88,7 @@ class StrategyConfig:
 @dataclass(frozen=True, eq=False)
 class BacktestResult:
     pnl: np.ndarray
-    positions: np.ndarray | None
+    positions: np.ndarray
     warmup: int
     strategy: str = ""
 
@@ -112,7 +111,7 @@ def _positions(cfg: StrategyConfig, corr, cov, sig, vols, classes) -> np.ndarray
     (k, w, n), the cleaned correlation of each block (k, 1, n, n) and the daily
     covariances (k, w, n, n), both None for a book that does not read them;
     vol_scale rescales each day that holds a position to that volatility."""
-    pos = _BOOKS[cfg.kind](corr, cov, sig, vols, classes, cfg.ridge)
+    pos = _BOOKS[cfg.kind](corr, cov, sig, vols, classes)
     if cfg.vol_scale is not None:
         live = np.abs(pos).sum(axis=-1) > 0.0
         pos[live] = portfolios.vol_target(pos[live], cov[live], cfg.vol_scale)
@@ -146,9 +145,7 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     returns = panel.returns
     n_days, n = returns.shape
     week = setting.week_len
-    ratio = setting.sample_ratio
-    if ratio is None:
-        ratio = estimation.default_sample_ratio(n, setting.cov_rate)
+    ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
     warmups = [cfg.warmup_days() for cfg in books]
     reads = [cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None for cfg in books]
@@ -212,8 +209,8 @@ def run_many(panel: ReturnsPanel, configs) -> list[BacktestResult]:
 def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, np.ndarray]:
     """run_many's results plus the final (correlation, vols) of configs[0]'s pass.
 
-    Configs with equal signal/cov/var rates, cleaner, sample ratio and
-    week_len share one pass; the first error of any book aborts the call.
+    Configs with equal signal/cov/var rates, cleaner and week_len share one
+    pass; the first error of any book aborts the call.
     """
     if not configs:
         raise InvalidInput("need at least one strategy")
@@ -222,8 +219,7 @@ def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, 
         if panel.n_days < cfg.warmup_days() + 2:  # realized risk needs two active days
             raise InsufficientData(f"panel of {panel.n_days} days leaves fewer than two "
                                    f"active days after warm-up {cfg.warmup_days()}")
-        key = (cfg.signal_rate, cfg.cov_rate, cfg.var_rate, cfg.cleaner, cfg.sample_ratio,
-               cfg.week_len)
+        key = (cfg.signal_rate, cfg.cov_rate, cfg.var_rate, cfg.cleaner, cfg.week_len)
         groups.setdefault(key, []).append(i)
     results, finals = [None] * len(configs), []
     for members in groups.values():
@@ -257,8 +253,6 @@ def realized_risk(result: BacktestResult, corr: np.ndarray, panel: ReturnsPanel)
     exactly (an asset with zero realized vol stays in raw units, vol 1), and
     their standard deviations form the risk profile.
     """
-    if result.positions is None:
-        raise InvalidInput("result carries no positions history")
     pairs = eigendecompose(corr)
     active = slice(result.warmup, None)
     rets = panel.returns[active]
@@ -274,19 +268,9 @@ def realized_risk(result: BacktestResult, corr: np.ndarray, panel: ReturnsPanel)
     )
 
 
-def _aligned_active(results) -> np.ndarray:
-    if len(results) < 1:
-        raise InvalidInput("need at least one result")
-    series = [np.asarray(r.active_pnl, dtype=float) for r in results]
-    length = len(series[0])
-    if any(len(s) != length for s in series):
-        raise InvalidInput("P&L series are not aligned")
-    return np.column_stack(series)
-
-
-def strategy_correlations(results) -> np.ndarray:
-    """Pairwise Pearson correlations of the daily P&L series."""
-    x = _aligned_active(results)
+def strategy_correlations(pnl: np.ndarray) -> np.ndarray:
+    """Pairwise Pearson correlations of the columns of a (days, m) P&L array."""
+    x = np.ascontiguousarray(pnl, dtype=float)  # one summation order whatever the layout
     if x.std(axis=0).min() <= 0.0:
         raise DegenerateResult("a P&L series has zero variance")
     return np.corrcoef(x, rowvar=False).reshape(x.shape[1], x.shape[1])
@@ -306,17 +290,18 @@ def _mix_sharpe(x: np.ndarray, w: np.ndarray) -> float:
     return float(series.mean() / std * math.sqrt(TRADING_DAYS))
 
 
-def _unit_vol_active(results) -> np.ndarray:
-    """Aligned active P&L with each series divided by its standard deviation."""
-    x = _aligned_active(results)
+def _unit_vol(pnl: np.ndarray) -> np.ndarray:
+    """The (days, m) P&L columns, each divided by its standard deviation."""
+    x = np.ascontiguousarray(pnl, dtype=float)  # one summation order whatever the layout
     stds = x.std(axis=0, ddof=1)
     if stds.min() <= 0.0:
         raise DegenerateResult("cannot mix a zero-variance P&L series")
     return x / stds
 
 
-def optimal_mix(results) -> MixResult:
-    """In-sample Sharpe-optimal convex combination of unit-vol P&L series.
+def optimal_mix(pnl: np.ndarray) -> MixResult:
+    """In-sample Sharpe-optimal convex combination of the unit-vol columns of a
+    (days, m) P&L array.
 
     Exact and seed-free.  The Sharpe ratio is scale-free, so off the vertices
     its maximum over w >= 0 sits at w_S proportional to inv(cov_S) mean_S on
@@ -326,9 +311,9 @@ def optimal_mix(results) -> MixResult:
     uniform split; all are feasible and scored on the mixed series, and ties
     at the optimum are broken toward the uniform split.
     """
-    if len(results) < 2:
+    if pnl.shape[1] < 2:
         raise InvalidInput("need at least two strategies to mix")
-    x = _unit_vol_active(results)
+    x = _unit_vol(pnl)
     m = x.shape[1]
     mu = x.mean(axis=0)
     cov = np.cov(x, rowvar=False, ddof=1).reshape(m, m)
@@ -351,14 +336,14 @@ def optimal_mix(results) -> MixResult:
     return MixResult(weights=candidates[best], sharpe=sharpes[best])
 
 
-def sweep_mix_curve(results, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
-    """Sharpe of the two-strategy mix along the weight grid of the second one: every
-    multiple of step below 1, and 1 itself."""
-    if len(results) != 2:
+def sweep_mix_curve(pnl: np.ndarray, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """Sharpe of the mix of a (days, 2) P&L array's columns along the weight grid of
+    the second one: every multiple of step below 1, and 1 itself."""
+    if pnl.shape[1] != 2:
         raise InvalidInput("sweep needs exactly two strategies")
     if not 0.0 < step <= 0.5:
         raise InvalidInput(f"grid step must be in (0, 0.5], got {step}")
-    x = _unit_vol_active(results)
+    x = _unit_vol(pnl)
     grid = np.arange(0.0, 1.0, step)
     grid = np.append(grid[grid < 1.0 - 1e-12], 1.0)  # a multiple within round-off of 1 is 1
     sharpes = np.array([_mix_sharpe(x, np.array([1.0 - w, w])) for w in grid])

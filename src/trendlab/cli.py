@@ -313,8 +313,10 @@ def _grid(name: str, value) -> np.ndarray:
     start, step, stop = (_REAL(name, x) for x in parts)
     if not 0.0 <= start <= stop or step <= 0:
         raise ConfigError(f"{name} {value!r} needs 0 <= start <= stop and step > 0")
-    count = int(round((stop - start) / step))
-    grid = start + step * np.arange(count + 1)
+    try:
+        grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    except (OverflowError, MemoryError):  # a step so small that the grid cannot be held
+        raise ConfigError(f"{name} {value!r} has too many points to hold") from None
     return grid[grid <= stop + 1e-12]
 
 
@@ -410,14 +412,14 @@ def _run_strategies(cfg: RunConfig) -> tuple:
 def _cmd_backtest(cfg: RunConfig) -> None:
     panel, names, results, corr, vols = _run_strategies(cfg)
 
+    warmup = results[0].warmup  # one for every book: they share the estimator options
+    pnl = np.column_stack([r.active_pnl for r in results])
     dates = panel.calendar()
-    warmup = max(r.warmup for r in results)
-    _write_csv(cfg.outdir / "pnl.csv", ["date"] + list(names),
-               np.column_stack([r.pnl[warmup:] for r in results]), labels=dates[warmup:])
+    _write_csv(cfg.outdir / "pnl.csv", ["date"] + list(names), pnl, labels=dates[warmup:])
     assets = [f"asset_{j + 1}" for j in range(panel.n_assets)]
     for name, result in zip(names, results):  # one `date,asset,position` line per asset-day
         _write_csv(cfg.outdir / f"positions_{name}.csv", ["date", "asset", "position"],
-                   result.positions[result.warmup:], labels=dates[result.warmup:], keys=assets)
+                   result.positions[warmup:], labels=dates[warmup:], keys=assets)
 
     sharpes = {}
     for name, result in zip(names, results):
@@ -426,12 +428,12 @@ def _cmd_backtest(cfg: RunConfig) -> None:
         except DegenerateResult:  # zero-variance P&L: no Sharpe ratio, left out of the mix
             sharpes[name] = None
     live = [name for name in names if sharpes[name] is not None]
-    live_results = [results[names.index(name)] for name in live]
     summary = {"sharpes": sharpes, "correlations": None, "mix": None}
     if len(live) >= 2:
+        live_pnl = pnl[:, [names.index(name) for name in live]]
         summary["correlations"] = {"labels": live,
-                                   "matrix": backtest.strategy_correlations(live_results)}
-        mix = backtest.optimal_mix(live_results)
+                                   "matrix": backtest.strategy_correlations(live_pnl)}
+        mix = backtest.optimal_mix(live_pnl)
         summary["mix"] = {"weights": dict(zip(live, mix.weights)), "sharpe": mix.sharpe}
     _write_json(cfg.outdir / "summary.json", summary)
 
@@ -525,12 +527,8 @@ def _cmd_mix(cfg: RunConfig) -> None:
     for name in pair:
         if name not in names:
             raise ConfigError(f"strategy {name!r} not present in pnl file")
-    results = [
-        backtest.BacktestResult(pnl=data[:, names.index(name)], positions=None,
-                                warmup=0, strategy=name)
-        for name in pair
-    ]
-    grid, sharpes = backtest.sweep_mix_curve(results, step=cfg.options["grid"])
+    grid, sharpes = backtest.sweep_mix_curve(data[:, [names.index(p) for p in pair]],
+                                             step=cfg.options["grid"])
     _write_csv(cfg.outdir / "mixcurve.csv", [f"weight_{pair[1]}", "sharpe"],
                np.column_stack([grid, sharpes]))
 

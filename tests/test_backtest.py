@@ -21,8 +21,9 @@ def white_panel(seed, days, n, drift=0.0, sigma=1.0):
     return ReturnsPanel(returns=returns, asset_classes=("stock",) * n, seed=seed)
 
 
-def fake_result(pnl, name="x"):
-    return bt.BacktestResult(pnl=np.asarray(pnl, float), positions=None, warmup=0, strategy=name)
+def sharpe_of(pnl):
+    """Annualized Sharpe ratio of one P&L series, as BacktestResult.sharpe defines it."""
+    return float(pnl.mean()) / float(pnl.std(ddof=1)) * math.sqrt(bt.TRADING_DAYS)
 
 
 def test_constant_book_on_drifted_noise_recovers_analytic_sharpe():
@@ -51,7 +52,7 @@ def test_every_book_is_a_position_array():
     cov = corr * (vols[..., :, None] * vols[..., None, :])
     sig = rng.standard_normal((k, w, n))
     for kind, book in bt._BOOKS.items():
-        pos = book(corr, cov, sig, vols, ("stock", "bond", "stock", "fx"), None)
+        pos = book(corr, cov, sig, vols, ("stock", "bond", "stock", "fx"))
         assert type(pos) is np.ndarray and pos.shape == (k, w, n), kind
 
 
@@ -163,16 +164,27 @@ def test_realized_risk_static_book_closed_form():
 
 def test_strategy_correlations():
     rng = np.random.default_rng(9)
-    a = fake_result(rng.standard_normal(10_000))
-    same = bt.strategy_correlations([a, a])
+    a = rng.standard_normal(10_000)
+    same = bt.strategy_correlations(np.column_stack([a, a]))
     assert np.allclose(same, np.ones((2, 2)))
-    b = fake_result(rng.standard_normal(10_000))
-    corr = bt.strategy_correlations([a, b])
+    b = rng.standard_normal(10_000)
+    corr = bt.strategy_correlations(np.column_stack([a, b]))
     assert abs(corr[0, 1]) < 0.03
-    with pytest.raises(InvalidInput):
-        bt.strategy_correlations([a, fake_result(np.zeros(5))])
     with pytest.raises(DegenerateResult):
-        bt.strategy_correlations([a, fake_result(np.zeros(10_000))])
+        bt.strategy_correlations(np.column_stack([a, np.zeros(10_000)]))
+
+
+def test_mix_layer_gives_the_same_bits_for_any_layout():
+    rng = np.random.default_rng(21)
+    # a column selection is column-major
+    strided = (rng.standard_normal((3000, 4)) + 0.01)[:, [0, 2, 3]]
+    packed = np.ascontiguousarray(strided)
+    assert np.array_equal(bt.strategy_correlations(strided), bt.strategy_correlations(packed))
+    mixes = bt.optimal_mix(strided), bt.optimal_mix(packed)
+    assert np.array_equal(mixes[0].weights, mixes[1].weights)
+    assert mixes[0].sharpe == mixes[1].sharpe
+    assert np.array_equal(bt.sweep_mix_curve(strided[:, :2])[1],
+                          bt.sweep_mix_curve(packed[:, :2])[1])
 
 
 def grid_oracle(x, step=0.01):
@@ -232,21 +244,20 @@ def reference_mix(x, seed=0, starts=16, iters=400):
 def test_optimal_mix_identical_series_ties_to_even_split():
     rng = np.random.default_rng(10)
     pnl = rng.standard_normal(5000) + 0.03
-    mix = bt.optimal_mix([fake_result(pnl, "a"), fake_result(pnl, "b")])
+    mix = bt.optimal_mix(np.column_stack([pnl, pnl]))
     assert np.allclose(mix.weights, [0.5, 0.5])
-    assert mix.sharpe == pytest.approx(fake_result(pnl).sharpe, rel=1e-12)
+    assert mix.sharpe == pytest.approx(sharpe_of(pnl), rel=1e-12)
 
 
 def test_optimal_mix_dominates_components_and_grid():
     rng = np.random.default_rng(11)
-    good = fake_result(rng.standard_normal(20_000) + 0.0629, "good")   # sharpe ~ 1
-    noise = fake_result(rng.standard_normal(20_000), "noise")
-    third = fake_result(0.5 * good.pnl + rng.standard_normal(20_000) + 0.03, "third")
+    good = rng.standard_normal(20_000) + 0.0629   # sharpe ~ 1
+    noise = rng.standard_normal(20_000)
+    third = 0.5 * good + rng.standard_normal(20_000) + 0.03
     for books in ([good, noise], [good, noise, third]):
-        mix = bt.optimal_mix(books)
-        singles = [book.sharpe for book in books]
-        assert mix.sharpe >= max(singles) - 1e-9
-        x = np.column_stack([book.pnl for book in books])
+        x = np.column_stack(books)
+        mix = bt.optimal_mix(x)
+        assert mix.sharpe >= max(sharpe_of(book) for book in books) - 1e-9
         assert mix.sharpe >= grid_oracle(x) - 1e-6
         assert mix.sharpe >= 1.0 - 0.25  # close to the good component's level
 
@@ -254,21 +265,23 @@ def test_optimal_mix_dominates_components_and_grid():
 def test_optimal_mix_equal_uncorrelated_components():
     rng = np.random.default_rng(12)
     mu = 0.5  # large mean so the in-sample optimum sits on the population one
-    a = fake_result(rng.standard_normal(200_000) + mu, "a")
-    b = fake_result(rng.standard_normal(200_000) + mu, "b")
-    mix = bt.optimal_mix([a, b])
+    a = rng.standard_normal(200_000) + mu
+    b = rng.standard_normal(200_000) + mu
+    mix = bt.optimal_mix(np.column_stack([a, b]))
     assert np.abs(mix.weights - 0.5).max() < 0.01
     # exact in-sample optimum of two series: w proportional to inv(cov) mean
-    x = np.column_stack([a.pnl, b.pnl])
+    x = np.column_stack([a, b])
     x = x / x.std(axis=0, ddof=1)
     exact = np.linalg.solve(np.cov(x, rowvar=False, ddof=1), x.mean(axis=0))
     exact = exact / exact.sum()
     assert np.abs(mix.weights - exact).max() < 1e-3
     assert mix.sharpe == pytest.approx(np.sqrt(2) * mu * np.sqrt(252), rel=0.05)
     with pytest.raises(InvalidInput):
-        bt.optimal_mix([a])
+        bt.optimal_mix(a[:, None])
+    with pytest.raises(InvalidInput):  # too few columns is checked before variance
+        bt.optimal_mix(np.zeros((10, 1)))
     with pytest.raises(DegenerateResult):
-        bt.optimal_mix([a, fake_result(np.full(200_000, 1.0))])
+        bt.optimal_mix(np.column_stack([a, np.full(200_000, 1.0)]))
 
 
 def test_exact_mix_is_never_below_the_gradient_ascent():
@@ -279,7 +292,7 @@ def test_exact_mix_is_never_below_the_gradient_ascent():
         pnl += rng.normal(0.0, 0.1, m) - (0.2 if trial % 6 == 1 else 0.0)  # some all negative
         if trial % 3 == 0:
             pnl[:, -1] = pnl[:, 0]  # a duplicate book
-        mix = bt.optimal_mix([fake_result(pnl[:, j], f"s{j}") for j in range(m)])
+        mix = bt.optimal_mix(pnl)
         want = reference_mix(pnl / pnl.std(axis=0, ddof=1), seed=trial)
         assert mix.sharpe >= want - 1e-12 * abs(want), trial
         assert (mix.weights >= 0.0).all() and mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -289,48 +302,52 @@ def test_optimal_mix_weights_are_stable_to_pnl_rounding():
     panel = simulate(market_trend_model(n=6, amp=0.1), 700, 11)
     results = bt.run_many(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.02, warmup=200)
                                   for kind in ("arp", "nm", "ew", "rp", "torp")])
-    base = bt.optimal_mix(results)
+    pnl = np.column_stack([r.active_pnl for r in results])
+    base = bt.optimal_mix(pnl)
     assert (base.weights > 0.0).sum() >= 2  # an interior optimum, not a single book
     for draw in range(3):
         rng = np.random.default_rng(draw)
-        noisy = [fake_result(r.active_pnl * (1.0 + 1e-15 * rng.standard_normal(len(r.active_pnl))),
-                             r.strategy) for r in results]
-        moved = bt.optimal_mix(noisy)
+        moved = bt.optimal_mix(pnl * (1.0 + 1e-15 * rng.standard_normal(pnl.shape)))
         assert (np.abs(moved.weights - base.weights) <= 1e-9 * base.weights).all(), draw
 
 
 def test_mix_invariant_to_component_rescaling():
     rng = np.random.default_rng(15)
-    a = fake_result(rng.standard_normal(20_000) + 0.02, "a")
-    b = fake_result(rng.standard_normal(20_000) + 0.04, "b")
-    scaled = fake_result(137.0 * a.pnl, "a")  # same book traded at another size
-    base = bt.optimal_mix([a, b])
-    other = bt.optimal_mix([scaled, b])
+    a = rng.standard_normal(20_000) + 0.02
+    b = rng.standard_normal(20_000) + 0.04
+    base = bt.optimal_mix(np.column_stack([a, b]))
+    other = bt.optimal_mix(np.column_stack([137.0 * a, b]))  # same book traded at another size
     assert base.sharpe == pytest.approx(other.sharpe, rel=1e-12)
     assert np.abs(base.weights - other.weights).max() < 1e-12
 
 
 def test_sweep_mix_curve():
     rng = np.random.default_rng(13)
-    a = fake_result(0.5 * rng.standard_normal(30_000) + 0.02, "a")
-    b = fake_result(2.0 * rng.standard_normal(30_000) + 0.01, "b")
-    grid, sharpes = bt.sweep_mix_curve([a, b], step=0.01)
+    a = 0.5 * rng.standard_normal(30_000) + 0.02
+    b = 2.0 * rng.standard_normal(30_000) + 0.01
+    pair = np.column_stack([a, b])
+    grid, sharpes = bt.sweep_mix_curve(pair, step=0.01)
     assert len(grid) == 101 and grid[0] == 0.0 and grid[-1] == 1.0
-    assert sharpes[0] == pytest.approx(a.sharpe, rel=1e-12)
-    assert sharpes[-1] == pytest.approx(b.sharpe, rel=1e-12)
+    assert sharpes[0] == pytest.approx(sharpe_of(a), rel=1e-12)
+    assert sharpes[-1] == pytest.approx(sharpe_of(b), rel=1e-12)
     assert np.abs(np.diff(sharpes)).max() < 0.1
-    mix = bt.optimal_mix([a, b])
+    mix = bt.optimal_mix(pair)
     assert mix.sharpe >= sharpes.max() - 1e-9
     assert abs(mix.weights[1] - grid[np.argmax(sharpes)]) <= 0.01 + 1e-9
     # a step that does not divide 1 keeps its last multiple below 1, then adds 1
     for step, want in ((0.3, [0.0, 0.3, 0.6, 0.9, 1.0]),
                        (0.07, [0.07 * k for k in range(15)] + [1.0])):  # 0.98 kept
-        grid, sharpes = bt.sweep_mix_curve([a, b], step=step)
+        grid, sharpes = bt.sweep_mix_curve(pair, step=step)
         assert len(grid) == len(want) and grid[-1] == 1.0
         assert np.allclose(grid, want, rtol=0.0, atol=1e-12)
-        assert sharpes[-1] == pytest.approx(b.sharpe, rel=1e-12)
+        assert sharpes[-1] == pytest.approx(sharpe_of(b), rel=1e-12)
     with pytest.raises(InvalidInput):
-        bt.sweep_mix_curve([a, b, a])
+        bt.sweep_mix_curve(np.column_stack([a, b, a]))
+    for step in (0.0, 0.6):
+        with pytest.raises(InvalidInput):
+            bt.sweep_mix_curve(pair, step=step)
+    with pytest.raises(DegenerateResult):
+        bt.sweep_mix_curve(np.column_stack([a, np.zeros_like(a)]))
 
 
 def test_estimate_correlation_shape():
@@ -354,15 +371,13 @@ def test_strategy_config_validation():
 @pytest.mark.parametrize("bad", [
     dict(signal_rate=0.0), dict(signal_rate=1.0), dict(cov_rate=0.0), dict(cov_rate=2.0, warmup=50),
     dict(var_rate=0.0), dict(var_rate=-0.1), dict(var_rate=1.0),
-    dict(sample_ratio=0.0, cleaner="none"), dict(sample_ratio=-1.0, cleaner="none"),
-    dict(sample_ratio=float("nan")),
 ], ids=str)
 def test_strategy_config_rejects_bad_rates(bad):
     with pytest.raises(InvalidInput):
         bt.StrategyConfig(kind="arp", **bad)
 
 
-def reference_book(cfg, corr, vols, sig, classes):
+def reference_book(cfg, corr, vols, sig, classes, ridge=None):
     """One day's positions by the eigen-inverse formulas the constructors used
     before they moved to symmat.solve, so the engine is not compared with itself."""
     if cfg.kind == "zero":
@@ -377,9 +392,9 @@ def reference_book(cfg, corr, vols, sig, classes):
     if cfg.kind == "ew":
         raw = 1.0 / vols
     elif cfg.kind == "arp":
-        raw = (symmat.inv_sqrt(corr, cfg.ridge) @ (sig / vols)) / vols
+        raw = (symmat.inv_sqrt(corr, ridge) @ (sig / vols)) / vols
     else:
-        inv = symmat.inverse(cov, cfg.ridge)
+        inv = symmat.inverse(cov, ridge)
         raw = {"nm": inv @ sig, "rp": inv @ target,
                "torp": float(target @ inv @ sig) * (inv @ target)}[cfg.kind]
     gross = np.abs(raw).sum()
@@ -402,8 +417,8 @@ def listed_book(cfg, corr, vols, sig, classes):
     ridge = symmat.DEFAULT_RIDGE_SCALE * float(vols @ vols) / len(vols)
     positions = np.zeros(len(vols))
     positions[listed] = reference_book(
-        dataclasses.replace(cfg, ridge=ridge), corr[np.ix_(listed, listed)], vols[listed],
-        sig[listed], tuple(c for c, keep in zip(classes, listed) if keep))
+        cfg, corr[np.ix_(listed, listed)], vols[listed], sig[listed],
+        tuple(c for c, keep in zip(classes, listed) if keep), ridge)
     return positions
 
 
@@ -413,7 +428,7 @@ def reference_run(panel, cfg, book=reference_book):
     n_days, n = panel.returns.shape
     warmup, week = cfg.warmup_days(), cfg.week_len
     sig, variances, cov = np.zeros(n), None, None
-    ratio = cfg.sample_ratio or estimation.default_sample_ratio(n, cfg.cov_rate)
+    ratio = estimation.default_sample_ratio(n, cfg.cov_rate)
     clean = estimation.CLEANERS[cfg.cleaner]
     positions, pnl, corr = np.zeros((n_days, n)), np.zeros(n_days), None
     for t in range(1, n_days + 1):
@@ -536,3 +551,23 @@ def test_run_many_equals_one_run_per_config():
         assert np.array_equal(res.positions, one.positions)
         assert np.array_equal(res.pnl, one.pnl)
         assert (res.warmup, res.strategy) == (one.warmup, one.strategy)
+
+
+def test_one_estimator_pass_per_distinct_setting(monkeypatch):
+    """Books that differ only in kind, warm-up or vol_scale share a pass; any other knob
+    is a setting of its own."""
+    passes = []
+    estimator_pass = bt._estimator_pass
+    monkeypatch.setattr(bt, "_estimator_pass", lambda panel, setting, books:
+                        passes.append(len(books)) or estimator_pass(panel, setting, books))
+    panel = factor_panel(27, 120, ENGINE_CLASSES)
+    base = bt.StrategyConfig(kind="nm", warmup=20, **FAST)
+    bt.run_many(panel, [base, dataclasses.replace(base, kind="ew"),
+                        dataclasses.replace(base, warmup=40),
+                        dataclasses.replace(base, vol_scale=0.02)])
+    assert passes == [4]
+    passes.clear()
+    others = [dict(signal_rate=0.1), dict(cov_rate=0.1), dict(var_rate=0.1),
+              dict(cleaner="clip"), dict(week_len=4)]
+    bt.run_many(panel, [base] + [dataclasses.replace(base, **knob) for knob in others])
+    assert passes == [1] * 6

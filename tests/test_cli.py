@@ -312,9 +312,13 @@ def names_option(line, option):
     (["simulate", "--n", "2"], {"outdir": 5}, "outdir"),
     (["agents", "--j", "-1"], None, "j"),
     (["agents", "--jgrid=-1:1:1"], None, "jgrid"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e-320:4"], None,
+     "jgrid"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e-15:4"], None,
+     "jgrid"),
     (["oracle", "--t", "2"], None, "t"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
-        "drift", "outdir", "j", "jgrid", "oracle-t"])
+        "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, config, option):
     if config is not None:
         argv = argv + ["--config", config_file(tmp_path, config)]
