@@ -7,7 +7,8 @@ flags win over the file.  The simulate keys noise_cov and trend_cov (full
 matrices) exist only in the config file.  Flag and config values go through
 the row's validator before any command runs.  Every command writes its
 artifacts plus a manifest.json into --outdir, which is made with the first
-file, so a run that fails before it leaves no directory; outputs are
+file, so a run that fails before it leaves no directory; an outdir that is,
+or lies under, an existing non-directory is a config error.  Outputs are
 byte-identical for a fixed (config, seed).
 
 Every CSV goes through one writer (_write_csv) and is read back through one
@@ -206,7 +207,7 @@ def ingest_csv(path) -> ReturnsPanel:
     path = Path(path)
     names, dates, returns = _read_table(path, "panel")
     meta_path = _sidecar(path)
-    if not meta_path.exists():
+    if not meta_path.is_file():
         raise IngestError(f"missing sidecar {meta_path.name} with asset classes")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -668,8 +669,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key in _RUN_KEYS:
         if key not in flags:  # a config value that a flag overrode stays, as supplied
             supplied.pop(key, None)
-    return RunConfig(command=args.command, seed=values.pop("seed"),
-                     outdir=Path(values.pop("outdir") or f"out/{args.command}"),
+    outdir = Path(values.pop("outdir") or f"out/{args.command}")
+    for path in (outdir, *outdir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"outdir {str(outdir)!r}: {str(path)!r} is not a directory")
+    return RunConfig(command=args.command, seed=values.pop("seed"), outdir=outdir,
                      options=values, supplied=supplied)
 
 

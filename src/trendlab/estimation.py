@@ -97,13 +97,10 @@ def _check_correlation(corr: np.ndarray) -> np.ndarray:
 
 def _rebuild_unit_diag(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     m = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    diag = np.diagonal(m, axis1=-2, axis2=-1).copy()
-    diag[diag <= 0.0] = 1.0
-    scale = 1.0 / np.sqrt(diag)
-    out = m * (scale[..., :, None] * scale[..., None, :])
-    diagonal = np.arange(out.shape[-1])
-    out[..., diagonal, diagonal] = 1.0
-    return symmat.symmetrize(out)
+    diagonal = np.arange(m.shape[-1])
+    diag = m[..., diagonal, diagonal]
+    m[..., diagonal, diagonal] = np.where(diag <= 0.0, 1.0, diag)
+    return symmat.symmetrize(correlation(m))
 
 
 def rie_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:

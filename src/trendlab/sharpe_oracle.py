@@ -5,9 +5,11 @@ exponential trend kernel, the one-day P&L r'ws of a weight matrix w is a
 bilinear form in the jointly Gaussian return r and signal s, so its mean and
 variance follow exactly from three n x n second moments, E[rs'], E[rr'] and
 E[ss'] (Isserlis's theorem; the identity is in `PnlMoments`).  The last two
-are the factors of the paper's sandwich weights.  One `PnlMoments` per
-(model, rate, t) holds them, and every function below reads
-one to evaluate weights, to solve the squared-Sharpe stationarity condition
+are the factors of the paper's sandwich weights.  Five equal-time products
+of the signal and trend kernels, `_kernel_products`, weight them, and each
+reader forms the ratio it needs from those five.  One `PnlMoments` per
+(model, rate, t) holds the moments and the products, and every function below
+reads one to evaluate weights, to solve the squared-Sharpe stationarity condition
 exactly for n <= 3, or to give the closed-form approximate weights.  Those
 are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
 a sandwich form with corrected factors; both are two symmat solves.
@@ -31,32 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimation, portfolios, symmat
+from . import estimation, portfolios, signals, symmat
 from .errors import DegenerateForm, InvalidInput, TooEarly
 from .market_model import ModelParams
 
 EXACT_MAX_ASSETS = 3
-
-
-@dataclass(frozen=True, eq=False)
-class KernelValues:
-    """Kernel weights of the P&L moments at a fixed time: floats for one model,
-    arrays with one entry per model for a stack.
-
-    noise_noise is the signal's own variance weight (E[ss'] = noise_noise *
-    right); trend_mean/signal_mass weight the trend covariance and the drift
-    outer product in the P&L mean, trend_gain/drift_gain in the optimal matrix
-    (overall constant fixed to 1); the g values sit in the sandwich factors.
-    """
-
-    noise_noise: float
-    trend_mean: float
-    g_trend_left: float
-    g_trend_right: float
-    g_drift_right: float
-    trend_gain: float
-    drift_gain: float
-    signal_mass: float
 
 
 def _unbatch(x):
@@ -89,8 +70,7 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     """
     if t < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
-    if not 0.0 < rate < 1.0:
-        raise InvalidInput(f"rate must be in (0,1), got {rate}")
+    signals.check_rate("rate", rate)
     amp, decay = np.broadcast_arrays(np.asarray(amp, dtype=float), np.asarray(decay, dtype=float))
     bad = ~((0.0 < decay) & (decay <= 1.0))
     if bad.any():
@@ -145,57 +125,42 @@ def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
     }
 
 
-def compute_kernels(rate: float, amp, decay, t: int) -> KernelValues:
-    """All kernel values at time t, overall constant fixed to 1; one amp/decay or arrays."""
-    k = _kernel_products(rate, amp, decay, t)
-    ss, mass = k["sig_sig"], k["signal_mass"]
-    return KernelValues(
-        noise_noise=ss,
-        trend_mean=k["sig_trend_trend"],
-        g_trend_left=k["trend_trend"],
-        g_trend_right=k["sig_trend_sq"] / ss,
-        g_drift_right=mass * mass / ss,
-        trend_gain=k["sig_trend_trend"] / ss,
-        drift_gain=mass / ss,
-        signal_mass=mass,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PnlMoments:
-    """One-day P&L moments of the model(s) at one time t, with the kernel values
+    """One-day P&L moments of the model(s) at one time t, with the kernel products
     at t that weight them.
 
     The P&L r'ws of a weight matrix w (rows: traded assets, columns: signal
     assets) is a bilinear form in the jointly Gaussian return r and signal s,
     so three second moments fix it: mean_matrix = E[rs'], left = E[rr'] and
-    noise_noise * right = E[ss'].  Isserlis's theorem for non-central
-    Gaussians gives var(w) = <w, V w> with
+    ss * right = E[ss'].  Isserlis's theorem for non-central Gaussians gives
+    var(w) = <w, V w> with
 
         V w = ss * left w right + M w' M - 2 mass^2 (mu' w mu) mu mu'
 
-    where M = mean_matrix, ss = noise_noise, mass = signal_mass and mu = the
-    model's drift.  left and right are also the two inverted factors of the
-    sandwich weights, and model is the ModelParams the moments were built from,
-    whose covariances and drift the approximate weights read.  For a stack of
-    models mean_matrix, left and right carry a leading model axis, (z, n, n).
+    where M = mean_matrix, ss and mass are the kernels' sig_sig and signal_mass,
+    and mu is the model's drift.  kernels is the dict of `_kernel_products`
+    at t: floats for one model, one entry per model for a stack.  left and right
+    are also the two inverted factors of the sandwich weights, and model is the
+    ModelParams the moments were built from, whose covariances and drift the
+    approximate weights read.  For a stack of models mean_matrix, left and right
+    carry a leading model axis, (z, n, n).
     """
 
     mean_matrix: np.ndarray
     left: np.ndarray
     right: np.ndarray
     model: ModelParams
-    kernels: KernelValues
+    kernels: dict
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """V w for one (n, n) weight matrix per model, or a stack of them that
         broadcasts against the models."""
-        kv = self.kernels
         mu = self.model.drift[..., :, None]
         mu_t = np.swapaxes(mu, -1, -2)
-        mass = _per_model(kv.signal_mass, 2)
+        mass = _per_model(self.kernels["signal_mass"], 2)
         drift = 2.0 * mass * mass * (mu_t @ w @ mu) * (mu * mu_t)
-        return (_per_model(kv.noise_noise, 2) * (self.left @ w @ self.right)
+        return (_per_model(self.kernels["sig_sig"], 2) * (self.left @ w @ self.right)
                 + self.mean_matrix @ np.swapaxes(w, -1, -2) @ self.mean_matrix - drift)
 
     def var_form(self) -> np.ndarray:
@@ -208,17 +173,18 @@ class PnlMoments:
 def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
     """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
     ce, cx, drift = model.noise_cov, model.trend_cov, model.drift
-    kv = compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    k = _kernel_products(rate, model.trend_amp, model.trend_decay, t)
+    ss, mass = k["sig_sig"], k["signal_mass"]
 
     def k2(x):
         return _per_model(x, 2)
 
     m = drift[..., :, None] * drift[..., None, :]
     return PnlMoments(
-        mean_matrix=k2(kv.trend_mean) * cx + k2(kv.signal_mass) * m,
-        left=ce + k2(kv.g_trend_left) * cx + m,
-        right=ce + k2(kv.g_trend_right) * cx + k2(kv.g_drift_right) * m,
-        model=model, kernels=kv,
+        mean_matrix=k2(k["sig_trend_trend"]) * cx + k2(mass) * m,
+        left=ce + k2(k["trend_trend"]) * cx + m,
+        right=ce + k2(k["sig_trend_sq"] / ss) * cx + k2(mass * mass / ss) * m,
+        model=model, kernels=k,
     )
 
 
@@ -348,15 +314,17 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     """Closed-form approximate weights of mm's model(s) in the weak-trend, weak-drift regime.
 
     form="simple" is the paper's optimal weight matrix,
-    portfolios.optimal_weight_matrix with the kernel gains of mm and no ridge.
+    portfolios.optimal_weight_matrix with no ridge and the kernel gains of mm,
+    g_t = sig_trend_trend / sig_sig and g_d = signal_mass / sig_sig.
     form="sandwich" keeps the first-order trend/drift corrections inside the
     two inverted factors of the same two-solve sandwich.
     """
     if form not in ("simple", "sandwich"):
         raise InvalidInput(f"unknown form {form!r}")
-    model, kv = mm.model, mm.kernels
+    model, k = mm.model, mm.kernels
     m = model.drift[..., :, None] * model.drift[..., None, :]
-    trend_gain, drift_gain = _per_model(kv.trend_gain, 2), _per_model(kv.drift_gain, 2)
+    trend_gain = _per_model(k["sig_trend_trend"] / k["sig_sig"], 2)
+    drift_gain = _per_model(k["signal_mass"] / k["sig_sig"], 2)
     if form == "simple":
         return portfolios.optimal_weight_matrix(model.noise_cov, model.trend_cov, m, trend_gain,
                                                 drift_gain, ridge=0.0)

@@ -19,7 +19,6 @@ RECORDS = {
     "SimResult": lambda: herding.SimResult(np.ones((1, 2, 2), dtype=int), 2),
     "TransitionCurve": lambda: herding.TransitionCurve(np.ones(2), np.ones(2), np.ones(2)),
     "EigenPairs": lambda: symmat.eigendecompose(np.eye(2)),
-    "KernelValues": lambda: sharpe_oracle.compute_kernels(0.01, np.ones(2), np.full(2, 0.1), 10),
     "PnlMoments": lambda: sharpe_oracle.pnl_moment_tensors(MODEL, 0.01, 10),
 }
 

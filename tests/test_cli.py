@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_calendar, reference_csv_text, reference_read_table
-from trendlab import cli, herding
+from trendlab import cli, herding, market_model
 from trendlab.errors import IngestError
 from trendlab.market_model import ReturnsPanel
 from trendlab.symmat import eigendecompose
@@ -172,6 +172,28 @@ def test_agents_command_grid_rows(tmp_path):
     assert len(trajectory) == 1 + 11
 
 
+@pytest.mark.parametrize("structure", ["none", "market", "proportional"])
+def test_simulate_builds_the_model_its_flags_describe(tmp_path, monkeypatch, structure):
+    models = []
+    real_simulate = market_model.simulate
+
+    def recorded(model, days, seed):
+        models.append(model)
+        return real_simulate(model, days, seed)
+
+    monkeypatch.setattr(market_model, "simulate", recorded)
+    assert run_cli("simulate", "--n", "2", "--T", "5", "--drift", "0.1,0.2", "--noise-corr", "0.2",
+                   "--trend-structure", structure, "--trend-scale", "0.5",
+                   "--outdir", str(tmp_path / "sim")) == 0
+    [model] = models
+    noise_cov = np.array([[1.0, 0.2], [0.2, 1.0]])
+    assert np.array_equal(model.drift, [0.1, 0.2])
+    assert np.array_equal(model.noise_cov, noise_cov)
+    want = {"none": np.zeros((2, 2)), "market": 0.5 * np.ones((2, 2)) / 2,
+            "proportional": 0.5 * noise_cov}[structure]
+    assert np.array_equal(model.trend_cov, want)
+
+
 def test_agents_command_simulates_one_repetition_for_the_trajectory(tmp_path, monkeypatch):
     reps = []
     real_run = herding.run
@@ -317,9 +339,20 @@ def names_option(line, option):
     (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e-15:4"], None,
      "jgrid"),
     (["oracle", "--t", "2"], None, "t"),
+    (["simulate", "--n", "2", "--drift", "0.1,0.2,0.3"], None, "drift"),
+    (["simulate", "--n", "2", "--noise-corr", "1"], None, "noise-corr"),
+    (["simulate", "--n", "2", "--trend-structure", "bogus"], None, "trend-structure"),
+    (["agents", "--jgrid", "1:2"], None, "jgrid"),
+    (["simulate", "--n", "2"], [{"n": 2}], "config"),
+    (["simulate", "--n", "2", "--T", "10", "--outdir", "taken"], None, "outdir"),
+    (["simulate", "--n", "2", "--T", "10", "--outdir", "taken/sub"], None, "outdir"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
-        "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t"])
-def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, config, option):
+        "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
+        "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
+        "outdir-file", "outdir-under-file"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases
     if config is not None:
         argv = argv + ["--config", config_file(tmp_path, config)]
     if option != "outdir":
@@ -329,6 +362,7 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, argv, config, optio
     assert "Traceback" not in err
     assert names_option(err.strip().splitlines()[-1], option)
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "taken").is_file()
 
 
 NUMERIC_OPTIONS = [(command, opt) for opt in cli.OPTIONS if isinstance(opt.check, cli.Number)
@@ -498,6 +532,26 @@ def test_ingest_rejects_sidecar_classes_outside_the_asset_classes(tmp_path, caps
     assert error.startswith("error: data:") and "panel.meta.json" in error
 
 
+@pytest.mark.parametrize("case", ["directory", "too-few-classes"])
+def test_a_bad_sidecar_is_a_data_error(tmp_path, capsys, case):
+    path = seeded_panel(tmp_path, 12)
+    meta = tmp_path / "panel.meta.json"
+    if case == "directory":
+        meta.unlink()
+        meta.mkdir()
+        message = "missing sidecar panel.meta.json with asset classes"
+    else:
+        meta.write_text(json.dumps({"asset_classes": ["stock", "bond"], "seed": 0}))
+        message = "sidecar lists 2 classes for 3 assets"
+    with pytest.raises(IngestError, match=message):
+        cli.ingest_csv(path)
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--panel", str(path), "--strategy", "rp", *FAST_BT,
+                   "--outdir", str(out)) == 3
+    assert last_error(capsys) == f"error: data: {message}"
+    assert not out.exists()
+
+
 def read_matrix(path, skip_cols=1):
     return np.array([[float(x) for x in row.split(",")[skip_cols:]] for row in read_rows(path)[1:]])
 
@@ -622,6 +676,9 @@ def test_mix_pair_must_name_two_different_strategies(tmp_path, capsys):
     out = tmp_path / "mix"
     assert run_cli("mix", "--pnl", str(pnl), "--pair", "a,a", "--outdir", str(out)) == 2
     assert last_error(capsys).startswith("error: config: pair")
+    assert not out.exists()
+    assert run_cli("mix", "--pnl", str(pnl), "--pair", "a,bogus", "--outdir", str(out)) == 2
+    assert last_error(capsys) == "error: config: strategy 'bogus' not present in pnl file"
     assert not out.exists()
     assert run_cli("mix", "--pnl", str(pnl), "--pair", "b,a", "--outdir", str(out)) == 0
 

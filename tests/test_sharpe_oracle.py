@@ -38,32 +38,25 @@ def geometric_kernels(rate, amp, decay, t):
 
 
 def test_kernels_vanish_without_trend():
-    kv = so.compute_kernels(0.01, 0.0, 0.02, 100)
     k = so._kernel_products(0.01, 0.0, 0.02, 100)
     assert k["trend_trend"] == k["sig_trend_sq"] == k["sig_trend_trend"] == 0.0
-    assert kv.g_trend_left == kv.g_trend_right == kv.trend_mean == 0.0
-    assert kv.trend_gain == 0.0
 
 
 def test_kernels_first_step():
-    kv = so.compute_kernels(0.37, 0.8, 0.02, 2)
-    assert kv.noise_noise == 1.0
-    assert kv.signal_mass == 1.0
-    assert kv.g_drift_right == 1.0
+    k = so._kernel_products(0.37, 0.8, 0.02, 2)
+    assert k["sig_sig"] == 1.0
+    assert k["signal_mass"] == 1.0
 
 
 def test_kernels_match_geometric_closed_forms():
     rate, amp, decay, t = 0.01, 0.8, 0.02, 500
-    kv = so.compute_kernels(rate, amp, decay, t)
+    k = so._kernel_products(rate, amp, decay, t)
     ss, aa, saas, saa, mass = geometric_kernels(rate, amp, decay, t)
-    assert kv.noise_noise == pytest.approx(ss, rel=1e-10)
-    assert kv.g_trend_left == pytest.approx(aa, rel=1e-10)
-    assert kv.g_trend_right == pytest.approx(saas / ss, rel=1e-10)
-    assert kv.trend_mean == pytest.approx(saa, rel=1e-10)
-    assert kv.g_drift_right == pytest.approx(mass * mass / ss, rel=1e-10)
-    assert kv.signal_mass == pytest.approx(mass, rel=1e-10)
-    assert kv.trend_gain == pytest.approx(saa / ss, rel=1e-10)
-    assert kv.drift_gain == pytest.approx(mass / ss, rel=1e-10)
+    assert k["sig_sig"] == pytest.approx(ss, rel=1e-10)
+    assert k["trend_trend"] == pytest.approx(aa, rel=1e-10)
+    assert k["sig_trend_sq"] == pytest.approx(saas, rel=1e-10)
+    assert k["sig_trend_trend"] == pytest.approx(saa, rel=1e-10)
+    assert k["signal_mass"] == pytest.approx(mass, rel=1e-10)
 
 
 def convolved_kernel_products(rate, amp, decay, t):
@@ -110,7 +103,7 @@ def test_kernel_products_equal_the_direct_convolution(rate, amp, decay, t):
 
 def test_kernels_too_early():
     with pytest.raises(TooEarly):
-        so.compute_kernels(0.01, 0.5, 0.02, 1)
+        so._kernel_products(0.01, 0.5, 0.02, 1)
 
 
 def test_moments_pure_noise():
@@ -121,9 +114,9 @@ def test_moments_pure_noise():
     w = rng.standard_normal((n, n))
     mean, var = so.moments(so.pnl_moment_tensors(model, rate, t), w)
     assert mean == 0.0
-    kv = so.compute_kernels(rate, 0.0, 0.5, t)
+    ss = so._kernel_products(rate, 0.0, 0.5, t)["sig_sig"]
     ce = model.noise_cov
-    want = kv.noise_noise * sum(
+    want = ss * sum(
         w[j1, k1] * w[j2, k2] * ce[j1, j2] * ce[k1, k2]
         for j1 in range(n) for k1 in range(n) for j2 in range(n) for k2 in range(n)
     )
@@ -276,6 +269,8 @@ def test_validation_errors():
         so.brute_force_optimal(so.pnl_moment_tensors(big, 0.02, 10))
     with pytest.raises(InvalidInput):
         so.approx_optimal(mm, form="other")
+    with pytest.raises(InvalidInput, match=r"^rate must be in \(0,1\), got 1.5$"):
+        so._kernel_products(1.5, 0.5, 0.02, 10)
 
 
 def test_weak_trend_sampler_respects_caps():
@@ -289,16 +284,17 @@ def test_weak_trend_sampler_respects_caps():
 
 
 def reference_approx(model, rate, t, form):
-    """The closed-form weights read from their own compute_kernels call."""
-    kv = so.compute_kernels(rate, model.trend_amp, model.trend_decay, t)
+    """The closed-form weights read from their own _kernel_products call."""
+    k = so._kernel_products(rate, model.trend_amp, model.trend_decay, t)
+    ss, mass = k["sig_sig"], k["signal_mass"]
     ce, cx = model.noise_cov, model.trend_cov
     m = np.outer(model.drift, model.drift)
-    core = kv.trend_gain * cx + kv.drift_gain * m
+    core = k["sig_trend_trend"] / ss * cx + mass / ss * m
     if form == "simple":
         left = right = np.linalg.inv(ce)
     else:
-        left = np.linalg.inv(ce + kv.g_trend_left * cx + m)
-        right = np.linalg.inv(ce + kv.g_trend_right * cx + kv.g_drift_right * m)
+        left = np.linalg.inv(ce + k["trend_trend"] * cx + m)
+        right = np.linalg.inv(ce + k["sig_trend_sq"] / ss * cx + mass * mass / ss * m)
     return left @ core @ right
 
 
@@ -310,10 +306,11 @@ def test_closed_forms_equal_the_inverse_route(n):
     for _ in range(50):
         model = so.sample_weak_trend_model(rng, n, rate=rate, t=t)
         mm = so.pnl_moment_tensors(model, rate, t)
-        kv = mm.kernels
+        k = mm.kernels
         omega = pf.optimal_weight_matrix(model.noise_cov, model.trend_cov,
                                          np.outer(model.drift, model.drift),
-                                         kv.trend_gain, kv.drift_gain, ridge=0.0)
+                                         k["sig_trend_trend"] / k["sig_sig"],
+                                         k["signal_mass"] / k["sig_sig"], ridge=0.0)
         assert np.array_equal(so.approx_optimal(mm, form="simple"), omega)
         for form in ("simple", "sandwich"):
             w = so.approx_optimal(mm, form=form)
@@ -433,8 +430,9 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
             assert np.array_equal(getattr(mm, name)[i], getattr(one, name)), name
         assert np.array_equal(mm.model.drift[i], one.model.drift)
         assert np.array_equal(mm.var_form()[i], one.var_form())
-        for name, value in vars(one.kernels).items():
-            assert getattr(mm.kernels, name)[i] == value, name
+        assert mm.kernels.keys() == one.kernels.keys()
+        for name, value in one.kernels.items():
+            assert mm.kernels[name][i] == value, name
         assert np.array_equal(exact[i], so.brute_force_optimal(one))
         for form, w in approx.items():
             assert np.array_equal(w[i], so.approx_optimal(one, form))
@@ -490,7 +488,7 @@ def test_one_model_readers_return_floats_and_matrices():
     assert type(so.squared_sharpe(mm, w)) is float
     assert type(so.stationarity_residual(mm, w)) is float
     assert so.brute_force_optimal(mm).shape == so.approx_optimal(mm).shape == (2, 2)
-    assert type(mm.kernels.trend_gain) is float
+    assert all(type(value) is float for value in mm.kernels.values())
 
 
 def test_stack_rejects_mismatched_weights_and_sizes():
