@@ -19,8 +19,9 @@ full precision in an exported panel.  The writer formats a block of rows per
 re-reads row by row only to name a bad line.  Input files are read as UTF-8,
 and a header may not repeat a column name.
 
-Exit codes: 0 success, 2 config error, 3 data error (a malformed panel, or one
-that leaves fewer than two days after the warm-up), 4 numerical failure.
+Exit codes: 0 success, 2 config error (a malformed value, or sizes whose arrays
+cannot be held), 3 data error (a malformed panel, or one that leaves fewer than
+two days after the warm-up), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -454,15 +455,11 @@ def _cmd_eigenrisk(cfg: RunConfig) -> None:
     _write_eigenrisk(cfg, *_run_strategies(cfg))
 
 
-# Models per oracle stack: one sampler pass, one model check, one moment build
-# and one stacked solve each.  Each stacked call has a fixed cost of a few ms and
-# the n <= 3 arrays are small, so one stack holds a typical run (the benchmark's
-# 300 models); the kernel pass holds no (models, t) array.  The cap bounds what
-# a stack holds at once, its models and its (models, n^2, n^2) exact solve:
-# `--n 3 --t 2000 --models 20000` peaked at 103.1-103.6 MB RSS in chunks of 32
-# models, 104.7-104.8 MB in stacks of 1024 and 122.2 MB in one stack (five seeds,
-# 2-vCPU x86_64 VM, numpy 2.4).
-_STACK_MODELS = 1024
+# Matrix cells (n^2 a model) per oracle stack, which makes one sampler pass, one moment
+# build and one exact solve: at n = 3, 1024 models, a typical run in one stack.  The
+# solve holds a few (models, n, n) arrays: `--n 48 --t 2000 --models 300` peaked at
+# 128 MB RSS in one stack, 38.7 MB in stacks of 4 (2-vCPU x86_64 VM, numpy 2.4).
+_STACK_CELLS = 1024 * 9
 
 
 def _oracle_reports(models: ModelParams, rate: float, t: int) -> list:
@@ -493,10 +490,11 @@ def _cmd_oracle(cfg: RunConfig) -> None:
     n, t, rate = cfg.options["n"], cfg.options["t"], cfg.options["eta"]
     rng = np.random.default_rng(cfg.seed)
     total, reports = cfg.options["models"], []
-    for start in range(0, total, _STACK_MODELS):
+    stack = max(1, _STACK_CELLS // (n * n))
+    for start in range(0, total, stack):
         # a stack's models and arrays are freed before the next stack is sampled
         reports += _oracle_reports(sharpe_oracle.sample_weak_trend_model(
-            rng, n, rate=rate, t=t, count=min(_STACK_MODELS, total - start)), rate, t)
+            rng, n, rate=rate, t=t, count=min(stack, total - start)), rate, t)
     _write_json(cfg.outdir / "oracle.json", {"n": n, "t": t, "eta": rate, "models": reports})
 
 
@@ -544,11 +542,22 @@ _COMMANDS = {
 }
 
 
+# numpy's ValueError for a shape that no array can have; a shape that fits the index
+# type but not the memory raises MemoryError
+_OVERSIZE = ("Maximum allowed dimension exceeded", "array is too big")
+
+
 def run_command(cfg: RunConfig) -> None:
-    """Run the command on validated options and write the manifest."""
+    """Run the command on validated options and write the manifest; options that ask
+    for arrays too large to hold are a config error."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    _COMMANDS[cfg.command][0](cfg)
+    try:
+        _COMMANDS[cfg.command][0](cfg)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_OVERSIZE):
+            raise
+        raise ConfigError(f"{cfg.command}: the options ask for arrays too large to hold") from None
     _write_json(cfg.outdir / "manifest.json", _manifest(cfg))
 
 
@@ -601,8 +610,7 @@ OPTIONS = (
     Option("cleaner", _BOOKS, _choice(*estimation.CLEANERS), "rie",
            "correlation cleaner: " + ", ".join(estimation.CLEANERS)),
     Option("warmup", _BOOKS, _COUNT, None, "override the warm-up day count"),
-    Option("n", ("oracle",), Number(int, f"[1, {sharpe_oracle.EXACT_MAX_ASSETS}]"), 2,
-           f"asset count (<= {sharpe_oracle.EXACT_MAX_ASSETS})"),
+    Option("n", ("oracle",), _COUNT, 2, "asset count"),
     Option("t", ("oracle",), Number(int, "[3, inf)"), 500, "evaluation time"),
     Option("models", ("oracle",), _COUNT, 20, "number of random models"),
     Option("A", ("agents",), _COUNT, 1000, "agent count"),

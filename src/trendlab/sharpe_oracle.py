@@ -1,4 +1,4 @@
-"""Analytic ground truth for the signal-weight optimization at small scale.
+"""Analytic ground truth for the signal-weight optimization.
 
 For the generative model with a common EMA signal kernel and a common
 exponential trend kernel, the one-day P&L r'ws of a weight matrix w is a
@@ -10,7 +10,7 @@ of the signal and trend kernels, `_kernel_products`, weight them, and each
 reader forms the ratio it needs from those five.  One `PnlMoments` per
 (model, rate, t) holds the moments and the products, and every function below
 reads one to evaluate weights, to solve the squared-Sharpe stationarity condition
-exactly for n <= 3, or to give the closed-form approximate weights.  Those
+exactly at any n, or to give the closed-form approximate weights.  Those
 are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
 a sandwich form with corrected factors; both are two symmat solves.
 
@@ -18,8 +18,8 @@ A `PnlMoments` is built from one `ModelParams`, which holds one model or a
 stack of models of one size, and every reader takes either: a stack gives
 arrays with a leading model axis, each model's entry exactly its own
 one-model result, and one model gives floats and (n, n) matrices.  The
-`oracle` command builds one stack of up to `cli._STACK_MODELS` models at a
-time, so it makes one moment pass per stack.  The kernel pass under it holds
+`oracle` command stacks up to `cli._STACK_CELLS` matrix cells (n^2 a model) at
+a time, so it makes one moment pass per stack.  The kernel pass under it holds
 no (models, t) array: it doubles stacked 3x3 recurrences in O(log t) steps.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
@@ -37,7 +37,8 @@ from . import estimation, portfolios, signals, symmat
 from .errors import DegenerateForm, InvalidInput, TooEarly
 from .market_model import ModelParams
 
-EXACT_MAX_ASSETS = 3
+# brute_force_optimal's relative residual to stop at, and its step cap (models take 1-11)
+_PCG_TOL, _PCG_MAX_STEPS = 1e-13, 100
 
 
 def _unbatch(x):
@@ -163,12 +164,6 @@ class PnlMoments:
         return (_per_model(self.kernels["sig_sig"], 2) * (self.left @ w @ self.right)
                 + self.mean_matrix @ np.swapaxes(w, -1, -2) @ self.mean_matrix - drift)
 
-    def var_form(self) -> np.ndarray:
-        """V as one (n^2, n^2) matrix per model: V applied to the n^2 basis matrices."""
-        batch, n = self.mean_matrix.shape[:-2], self.mean_matrix.shape[-1]
-        basis = np.eye(n * n).reshape((n * n,) + (1,) * len(batch) + (n, n))
-        return np.moveaxis(self.apply(basis).reshape((n * n,) + batch + (n * n,)), 0, -1)
-
 
 def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
     """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
@@ -237,37 +232,45 @@ def stationarity_residual(mm: PnlMoments, weights: np.ndarray):
     return _unbatch(np.abs(residual).max(axis=-1) / (np.abs(mw) * quad))
 
 
-def _solve_ridged(vf: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """vf x = target per matrix; a singular matrix, and only it, gets a tiny ridge."""
-    try:
-        return np.linalg.solve(vf, target[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if vf.ndim > 2:
-            return np.stack([_solve_ridged(v, b) for v, b in zip(vf, target)])
-        ridge = 1e-12 * np.trace(vf)
-        return np.linalg.solve(vf + ridge * np.eye(vf.shape[0]), target[..., None])[..., 0]
-
-
 def brute_force_optimal(mm: PnlMoments) -> np.ndarray:
     """Exact maximizer of the squared Sharpe ratio of mm over weight matrices.
 
-    The objective is a ratio of a rank-one quadratic to a PSD quadratic, so
-    every stationary ray solves the flattened linear system V w = mean;
-    we solve it directly (tiny ridge if singular) and return the unit-norm
-    solution with a positive mean.  Only supported for n <= 3.
+    Every stationary ray of this ratio of a rank-one to a PSD quadratic solves
+    V w = mean_matrix, V = `PnlMoments.apply`, self-adjoint and PSD under <a, b> =
+    sum a_ij b_ij.  Conjugate gradients preconditioned by r -> inv(left) r inv(right) / ss
+    take the sandwich form of approx_optimal as their first step from w = 0, and freeze
+    each model of a stack as it stops.  Returns unit norm and a positive mean.
     """
-    n = mm.mean_matrix.shape[-1]
-    if n > EXACT_MAX_ASSETS:
-        raise InvalidInput(f"exact solve supports n <= {EXACT_MAX_ASSETS}, got {n}")
-    vf = mm.var_form()
-    target = mm.mean_matrix.reshape(vf.shape[:-1])
-    wf = _solve_ridged(vf, target)
-    norm = np.sqrt(_dot(wf, wf))
+    target, batch = mm.mean_matrix, mm.mean_matrix.shape[:-2]
+    left_inv = symmat.inverse(mm.left) / _per_model(mm.kernels["sig_sig"], 2)
+    right_inv = symmat.inverse(mm.right)
+
+    def inner(a, b):
+        return _dot(a.reshape(batch + (-1,)), b.reshape(batch + (-1,)))
+
+    def ratio(a, b):  # a / b per model, 0 where b is not positive
+        return np.divide(a, b, out=np.zeros_like(a), where=b > 0.0)[..., None, None]
+
+    stop = _PCG_TOL * _PCG_TOL * inner(target, target)
+    w, r, p = np.zeros_like(target), target, left_inv @ target @ right_inv
+    rz, active = inner(r, p), inner(r, r) > stop
+    for _ in range(_PCG_MAX_STEPS):
+        if not active.any():
+            break
+        vp, keep = mm.apply(p), active[..., None, None]
+        alpha = ratio(rz, inner(p, vp))
+        w, r = np.where(keep, w + alpha * p, w), np.where(keep, r - alpha * vp, r)
+        active = active & (inner(r, r) > stop)
+        z = left_inv @ r @ right_inv
+        rz, rz_last = inner(r, z), rz
+        p = z + ratio(rz, rz_last) * p
+    if active.any():
+        raise DegenerateForm(f"conjugate gradients did not converge in {_PCG_MAX_STEPS} steps")
+    norm = np.sqrt(inner(w, w))[..., None, None]
     if np.any(norm == 0.0):
         raise DegenerateForm("mean matrix is zero; every weight matrix is stationary")
-    wf = wf / norm[..., None]
-    wf = np.where((_dot(target, wf) < 0.0)[..., None], -wf, wf)
-    return wf.reshape(mm.mean_matrix.shape)
+    w = w / norm
+    return np.where((inner(target, w) < 0.0)[..., None, None], -w, w)
 
 
 def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01,

@@ -255,3 +255,11 @@ def reference_var_tensor(models, rate, t):
         + mass * stt * (outer("ad,bc", m, cx) + outer("bc,ad", m, cx))
         + mass**2 * outer("bd,ac", m, ce + tt[..., 0, 0] * cx)
     )
+
+
+def reference_var_form(mm):
+    """V of a PnlMoments as one dense (n^2, n^2) matrix per model: `mm.apply` on the
+    n^2 basis matrices, so that <w, V w> is the variance of r'ws for flattened w."""
+    batch, n = mm.mean_matrix.shape[:-2], mm.mean_matrix.shape[-1]
+    basis = np.eye(n * n).reshape((n * n,) + (1,) * len(batch) + (n, n))
+    return np.moveaxis(mm.apply(basis).reshape((n * n,) + batch + (n * n,)), 0, -1)

@@ -427,6 +427,45 @@ def test_oracle_runs_at_the_smallest_t(tmp_path):
                    "--outdir", str(tmp_path / "oracle")) == 0
 
 
+def test_oracle_runs_at_desk_sizes(tmp_path):
+    """--n has no upper cap; the exact weights are the maximum, so no ratio passes 1."""
+    out = tmp_path / "oracle"
+    assert run_cli("oracle", "--n", "16", "--t", "200", "--models", "5", "--outdir", str(out)) == 0
+    models = json.loads((out / "oracle.json").read_text())["models"]
+    assert len(models) == 5
+    for model in models:
+        assert model["residual_exact"] < 1e-9
+        assert max(model["ratio_simple"], model["ratio_sandwich"]) <= 1.0 + 1e-12
+    assert run_cli("oracle", "--n", "0", "--outdir", str(tmp_path / "none")) == 2
+    assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("fault", ["oversized-shape", "memory"])
+def test_an_unallocatable_command_is_a_config_error(tmp_path, capsys, monkeypatch, fault):
+    days = str(10**20)  # numpy rejects the shape before it allocates anything
+    if fault == "memory":
+        def unallocatable(model, n_days, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(market_model, "simulate", unallocatable)
+        days = "5"
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--n", "2", "--T", days, "--outdir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("error: config: simulate: ")
+    assert not out.exists()
+
+
+def test_any_other_value_error_of_a_command_propagates(tmp_path, monkeypatch):
+    def broken(model, n_days, seed):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(market_model, "simulate", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_cli("simulate", "--n", "2", "--T", "5", "--outdir", str(tmp_path / "sim"))
+
+
 def test_backtest_reports_zero_variance_books_as_null(tmp_path):
     src = tmp_path / "sim"
     assert run_cli("simulate", "--n", "3", "--T", "300", "--seed", "1",

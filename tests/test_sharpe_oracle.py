@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (model_row, rand_spd, reference_oracle_payload, reference_var_tensor,
-                     stack_models)
+from helpers import (model_row, rand_spd, reference_oracle_payload, reference_var_form,
+                     reference_var_tensor, stack_models)
 from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
@@ -189,9 +189,19 @@ def test_variance_form_is_psd():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3):
         model = strong_model(rng, n)
-        vf = so.pnl_moment_tensors(model, 0.02, 60).var_form()
+        vf = reference_var_form(so.pnl_moment_tensors(model, 0.02, 60))
         vals = np.linalg.eigvalsh(0.5 * (vf + vf.T))
         assert vals.min() > -1e-10 * max(1.0, vals.max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_variance_form_is_self_adjoint(n):
+    """V = V^T under <a, b> = sum a_ij b_ij: conjugate gradients rest on it."""
+    rng = np.random.default_rng(20 + n)
+    models = stack_of_models(rng, n, 0.02, 80)
+    vf = reference_var_form(so.pnl_moment_tensors(models, 0.02, 80))
+    for v in vf:
+        assert np.abs(v - v.T).max() <= 1e-13 * np.abs(v).max()
 
 
 def test_single_asset_residual_is_zero():
@@ -210,7 +220,7 @@ def test_brute_force_is_stationary_and_beats_probes():
     best = so.brute_force_optimal(mm)
     assert so.stationarity_residual(mm, best) < 1e-6
     s2_best = so.squared_sharpe(mm, best)
-    vf = mm.var_form()
+    vf = reference_var_form(mm)
     mean_flat = mm.mean_matrix.reshape(-1)
     probes = rng.standard_normal((10_000, 4))
     means = probes @ mean_flat
@@ -264,9 +274,6 @@ def test_validation_errors():
         so.stationarity_residual(mm, np.eye(3))
     with pytest.raises(DegenerateForm):
         so.stationarity_residual(mm, np.zeros((2, 2)))
-    big = strong_model(rng, 4)
-    with pytest.raises(InvalidInput):
-        so.brute_force_optimal(so.pnl_moment_tensors(big, 0.02, 10))
     with pytest.raises(InvalidInput):
         so.approx_optimal(mm, form="other")
     with pytest.raises(InvalidInput, match=r"^rate must be in \(0,1\), got 1.5$"):
@@ -363,7 +370,7 @@ def test_oracle_report_equals_the_per_call_reference(tmp_path, monkeypatch, n):
 
 
 def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch):
-    """A chunk is the models of one stack: up to cli._STACK_MODELS of them."""
+    """A chunk is the models of one stack: up to cli._STACK_CELLS matrix cells, n^2 per model."""
     calls = collections.Counter()
 
     def count(name):
@@ -376,7 +383,7 @@ def test_oracle_command_builds_the_moments_once_per_chunk(tmp_path, monkeypatch)
         monkeypatch.setattr(so, name, counted)
 
     count("pnl_moment_tensors")
-    monkeypatch.setattr(cli, "_STACK_MODELS", 3)
+    monkeypatch.setattr(cli, "_STACK_CELLS", 3 * 4)  # three models at n = 2
     so._unit_kernel_products.cache_clear()
     assert cli.main(["oracle", "--n", "2", "--t", "50", "--models", "4",
                      "--outdir", str(tmp_path / "oracle")]) == 0
@@ -392,7 +399,7 @@ def test_oracle_json_equals_the_per_model_loop(tmp_path, monkeypatch, n, extra):
     """Model counts one below, at and one above the stack size, so the last stack
     is ragged."""
     t, rate, seed, stack = 500, 0.02, 17, 4
-    monkeypatch.setattr(cli, "_STACK_MODELS", stack)
+    monkeypatch.setattr(cli, "_STACK_CELLS", stack * n * n)
     models = stack + extra
     out = tmp_path / "oracle"
     assert cli.main(["oracle", "--n", str(n), "--t", str(t), "--eta", str(rate),
@@ -409,7 +416,7 @@ def stack_of_models(rng, n, rate, t):
                         + [strong_model(rng, n) for _ in range(2)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_each_model_of_a_stack_gets_its_one_model_result(n):
     rng = np.random.default_rng(60 + n)
     rate, t = 0.02, 80
@@ -417,7 +424,6 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
     mm = so.pnl_moment_tensors(models, rate, t)
     assert mm.mean_matrix.shape == mm.left.shape == mm.right.shape == (5, n, n)
     assert mm.model.drift.shape == (5, n)
-    assert mm.var_form().shape == (5, n * n, n * n)
     # C-ordered weights, a whole-stack matrix, and the sandwich solve's transposed result
     random_w = rng.standard_normal((5, n, n))
     shared_w = rng.standard_normal((n, n))
@@ -429,7 +435,6 @@ def test_each_model_of_a_stack_gets_its_one_model_result(n):
         for name in ("left", "right"):
             assert np.array_equal(getattr(mm, name)[i], getattr(one, name)), name
         assert np.array_equal(mm.model.drift[i], one.model.drift)
-        assert np.array_equal(mm.var_form()[i], one.var_form())
         assert mm.kernels.keys() == one.kernels.keys()
         for name, value in one.kernels.items():
             assert mm.kernels[name][i] == value, name
@@ -452,12 +457,12 @@ def test_var_form_equals_the_tensor_route(n):
     for _ in range(10):
         models = stack_of_models(rng, n, rate, t)
         want = reference_var_tensor(models, rate, t).reshape(5, n * n, n * n)
-        stacked = so.pnl_moment_tensors(models, rate, t).var_form()
+        stacked = reference_var_form(so.pnl_moment_tensors(models, rate, t))
         for i in range(5):
             bound = 1e-13 * np.abs(want[i]).max()
             assert np.abs(stacked[i] - want[i]).max() <= bound
             one = so.pnl_moment_tensors(model_row(models, i), rate, t)
-            assert np.abs(one.var_form() - want[i]).max() <= bound
+            assert np.abs(reference_var_form(one) - want[i]).max() <= bound
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -505,31 +510,65 @@ def test_stack_rejects_mismatched_weights_and_sizes():
 
 def singular_model():
     """Rank-one noise and drift along it, no trend: every variance term is a
-    multiple of one all-ones 4x4 matrix, so its LU factorization meets an exact
-    zero pivot."""
+    multiple of one all-ones 4x4 matrix, so V has rank one."""
     return ModelParams(n=2, drift=np.array([0.01, 0.01]), noise_cov=np.ones((2, 2)),
                        trend_cov=np.zeros((2, 2)), trend_amp=0.0, trend_decay=0.5)
 
 
-def test_a_singular_model_in_a_stack_alone_gets_the_ridge():
+def test_a_singular_model_in_a_stack_stops_at_the_min_norm_direction():
+    """V w = mean has a line of solutions; the iteration stops on the min-norm one,
+    up to the round-off that the preconditioner's ridged inverse of the rank-one
+    factors lifts out of their null space, and alone and in a stack alike."""
     rng = np.random.default_rng(68)
     rate, t = 0.02, 60
     models = [strong_model(rng, 2), singular_model(), strong_model(rng, 2)]
-    ones = [so.pnl_moment_tensors(model, rate, t) for model in models]
-    for i, one in enumerate(ones):
-        target = one.mean_matrix.reshape(-1)
-        if i == 1:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.solve(one.var_form(), target)
-            vf = one.var_form()
-            ridged = np.linalg.solve(vf + 1e-12 * np.trace(vf) * np.eye(4), target)
-            assert np.array_equal(so.brute_force_optimal(one).reshape(-1),
-                                  ridged / np.linalg.norm(ridged))
-        else:
-            np.linalg.solve(one.var_form(), target)  # regular: no ridge
-    exact = so.brute_force_optimal(so.pnl_moment_tensors(stack_models(models), rate, t))
-    for i, one in enumerate(ones):
-        assert np.array_equal(exact[i], so.brute_force_optimal(one))
+    one = so.pnl_moment_tensors(models[1], rate, t)
+    vf = reference_var_form(one)
+    assert np.linalg.matrix_rank(vf) == 1
+    min_norm = np.linalg.pinv(vf) @ one.mean_matrix.reshape(-1)
+    min_norm /= np.linalg.norm(min_norm)
+    exact = so.brute_force_optimal(one)
+    assert np.abs(exact.reshape(-1) - min_norm).max() <= 1e-7
+    assert so.squared_sharpe(one, exact) == pytest.approx(
+        so.squared_sharpe(one, min_norm.reshape(2, 2)), rel=1e-12)
+    stacked = so.brute_force_optimal(so.pnl_moment_tensors(stack_models(models), rate, t))
+    for i, model in enumerate(models):
+        assert np.array_equal(stacked[i], so.brute_force_optimal(so.pnl_moment_tensors(model, rate, t)))
+
+
+def test_a_zero_mean_matrix_has_no_optimum():
+    rng = np.random.default_rng(71)
+    model = ModelParams(n=2, drift=np.zeros(2), noise_cov=rand_spd(rng, 2),
+                        trend_cov=np.zeros((2, 2)), trend_amp=0.0, trend_decay=0.5)
+    with pytest.raises(DegenerateForm, match="mean matrix is zero"):
+        so.brute_force_optimal(so.pnl_moment_tensors(model, 0.02, 60))
+
+
+def test_a_model_short_of_the_tolerance_after_the_step_cap_is_degenerate(monkeypatch):
+    rng = np.random.default_rng(70)
+    mm = so.pnl_moment_tensors(strong_model(rng, 3), 0.02, 60)
+    monkeypatch.setattr(so, "_PCG_MAX_STEPS", 1)
+    with pytest.raises(DegenerateForm, match="did not converge in 1 steps"):
+        so.brute_force_optimal(mm)
+
+
+def dense_optimal(mm):
+    """The exact weights by one dense solve of V w = mean, unit norm."""
+    x = np.linalg.solve(reference_var_form(mm), mm.mean_matrix.reshape(-1))
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_conjugate_gradients_equal_the_dense_solve(n):
+    rng = np.random.default_rng(100 + n)
+    rate, t = 0.01, 2000
+    models = [so.sample_weak_trend_model(rng, n, rate=rate, t=t) for _ in range(4 if n < 16 else 2)]
+    models += [strong_model(rng, n) for _ in range(4 if n < 16 else 2)]
+    for model in models:
+        mm = so.pnl_moment_tensors(model, rate, t)
+        exact = so.brute_force_optimal(mm)
+        assert 1.0 - exact.reshape(-1) @ dense_optimal(mm) <= 1e-12
+        assert so.stationarity_residual(mm, exact) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, np.nan])
@@ -549,3 +588,24 @@ def test_stacked_kernel_products_equal_one_decay_at_a_time():
         for i in range(len(decay)):
             one = so._kernel_products(0.02, float(amp[i]), float(decay[i]), t)
             assert {name: value[i] for name, value in got.items()} == one, (t, i)
+
+
+@pytest.mark.parametrize("rate", [0.005, 0.01, 0.05, 0.3])
+def test_kernel_products_reach_their_stationary_limit(rate):
+    """At t = 10^7 every product equals its t -> infinity closed form, p = 1 - rate and
+    q = 1 - decay; sig_trend_trend is 0 at decay 1, so it is compared in absolute terms."""
+    decay = np.r_[np.geomspace(1e-3, 1.0, 20), rate]
+    got = so._kernel_products(rate, 1.0, decay, 10**7)
+    p, q = 1.0 - rate, 1.0 - decay
+    trend_trend = 1.0 / (1.0 - q * q)
+    sig_trend_trend = q * trend_trend / (1.0 - p * q)
+    want = {
+        "sig_sig": 1.0 / (1.0 - p * p),
+        "trend_trend": trend_trend,
+        "sig_trend_sq": (2.0 * p * sig_trend_trend + trend_trend) / (1.0 - p * p),
+        "sig_trend_trend": sig_trend_trend,
+        "signal_mass": 1.0 / (1.0 - p),
+    }
+    for name, value in want.items():
+        bound = 1e-13 * np.where(value == 0.0, 1.0, np.abs(value))
+        assert np.all(np.abs(got[name] - value) <= bound), name
