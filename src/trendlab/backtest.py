@@ -9,12 +9,13 @@ The estimators run once per panel and estimator setting, and every book of
 that setting is built from the pass: a block is the days between two weekly
 rolls, over which one cleaned correlation holds.  The pass runs the panel in
 chunks of whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each
-estimator recursion once over the chunk's days, cleans the rolls that open
-the chunk's blocks in one stacked call and builds each book once over those
-blocks, by the portfolio constructor of its kind (then portfolios.vol_target
-if vol_scale is set).  Chunking bounds every stacked array at about
-_CHUNK_DAYS matrices.  The mix layer reads only P&L: one (days, m) array
-whose columns are aligned series.
+estimator recursion (signals.ema) once over the chunk's days, which gives
+the state before each day or roll and the state to carry, cleans the rolls
+that open the chunk's blocks in one stacked call and builds each book once
+over those blocks, by the portfolio constructor of its kind (then
+portfolios.vol_target if vol_scale is set).  Chunking bounds every stacked
+array at about _CHUNK_DAYS matrices.  The mix layer reads only P&L: one
+(days, m) array whose columns are aligned series.
 """
 
 from __future__ import annotations
@@ -136,15 +137,19 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     opening roll.  A roll is cleaned only if it is the last one or if a book
     that reads the correlation trades in the block it opens.  The panel runs
     in chunks of whole weeks, about _CHUNK_DAYS days each, so no week
-    straddles two chunks and only the signal, the variances and the last
+    straddles two chunks and only the signal, the variances and the
     covariance carry from one chunk to the next.  Each chunk runs the
     recursions once over its days, cleans the rolls that open its blocks in
-    one stacked call and builds each book once over its blocks.
+    one stacked call and builds each book once over its blocks; the last
+    chunk adds the covariance after the last roll, which opens the ragged
+    last block, if there is one, and gives the final correlation.
     Returns each book's positions and the final (correlation, vols).
     """
     returns = panel.returns
     n_days, n = returns.shape
     week = setting.week_len
+    if n_days < week:
+        raise DegenerateVariance("no weekly covariance yet")
     ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
     warmups = [cfg.warmup_days() for cfg in books]
@@ -153,30 +158,21 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     first_needed = min([w for w, r in zip(warmups, reads) if r] + [n_days]) // week
 
     span = week * -(-_CHUNK_DAYS // week)
-    sig, var, cov, corr = np.zeros(n), None, None, None
+    sig, var, cov = np.zeros(n), None, None
     for lo in range(0, n_days, span):
         hi = min(n_days, lo + span)
         days = returns[lo:hi]
         sigs, sig = signals.update(sig, days, setting.signal_rate)
-        before = np.zeros(n) if var is None else var
-        path, var = estimation.update_daily(var, days, setting.var_rate)
-        vols = np.sqrt(np.vstack((before, path[:-1])))  # day t reads the variances of days < t
-        weeks = (hi - lo) // week
-        rolled = estimation.roll_week(cov, days[:weeks * week].reshape(weeks, week, n).sum(axis=1),
-                                      setting.cov_rate)
-        # the rolls that open this chunk's blocks, from first_block on: the carried one at
-        # lo (none at day 0) and the chunk's own, but for one at hi, which opens the next
-        first_block = lo // week + (cov is None)
-        opening = rolled if cov is None else np.concatenate((cov[None], rolled))
-        if hi < n_days:
-            opening = opening[:-1]
-        cov = rolled[-1] if weeks else cov
-        skip = max(0, first_needed - first_block)  # rolls whose blocks no reading book trades
-        first_block += skip
-        opening, cleaned = opening[skip:], None
-        if len(opening):
-            cleaned = clean(estimation.correlation(opening), ratio)
-            corr = cleaned[-1]
+        vols, var = estimation.update_daily(var, days, setting.var_rate)
+        vols = np.sqrt(vols)
+        sums = days[:(hi - lo) // week * week].reshape(-1, week, n).sum(axis=1)
+        # row j of opening is the roll that opens block lo // week + j
+        opening, cov = estimation.roll_week(cov, sums, setting.cov_rate)
+        if hi == n_days:
+            opening = np.concatenate((opening, cov[None]))
+        first_block = max(lo // week, first_needed)  # no reading book trades an earlier block
+        opening = opening[first_block - lo // week:]
+        cleaned = clean(estimation.correlation(opening), ratio) if len(opening) else None
         covs = {}  # (start, stop) -> covariances shared by the books of that segment
         for cfg, warmup, read, pos in zip(books, warmups, reads, positions):
             for start, stop, blocks in _segments(max(lo, warmup), hi, week):
@@ -191,9 +187,7 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
                 pos[start:stop] = _positions(cfg, c, cov_days,
                                              sigs[start - lo:stop - lo].reshape(blocks, -1, n),
                                              v, panel.asset_classes).reshape(-1, n)
-    if corr is None:
-        raise DegenerateVariance("no weekly covariance yet")
-    return positions, corr, np.sqrt(var)
+    return positions, cleaned[-1], np.sqrt(var)
 
 
 def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:

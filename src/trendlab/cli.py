@@ -2,14 +2,14 @@
 
 Subcommands: simulate, backtest, eigenrisk, oracle, agents, mix.  Every option
 is one row of OPTIONS, which builds the command's flags.  A --config JSON file
-may give any option under its flag's long name with "_" in place of "-";
-flags win over the file.  The simulate keys noise_cov and trend_cov (full
-matrices) exist only in the config file.  Flag and config values go through
-the row's validator before any command runs.  Every command writes its
-artifacts plus a manifest.json into --outdir, which is made with the first
-file, so a run that fails before it leaves no directory; an outdir that is,
-or lies under, an existing non-directory is a config error.  Outputs are
-byte-identical for a fixed (config, seed).
+may give any option under its flag's long name with "_" in place of "-", and
+no other key; flags win over the file.  The simulate keys noise_cov and
+trend_cov (full matrices) exist only in the config file.  Flag and config
+values go through the row's validator before any command runs.  Every command
+writes its artifacts plus a manifest.json into --outdir, which is made with
+the first file, so a run that fails before it leaves no directory; an outdir
+that is, or lies under, an existing non-directory is a config error.  Outputs
+are byte-identical for a fixed (config, seed).
 
 Every CSV goes through one writer (_write_csv) and is read back through one
 reader (_read_table): a header, then rows whose leading text columns (date,
@@ -128,6 +128,8 @@ def _fast_rows(lines: list, width: int) -> tuple:
         if len(cells) != width:
             raise ValueError("ragged row")
         dates.append(datetime.date.fromisoformat(day).isoformat())
+        if dates[-1] != day:  # a date is written YYYY-MM-DD; 3.11 also reads 20200103
+            raise ValueError("not written YYYY-MM-DD")
         flat.extend(map(float, cells))
     values = np.array(flat).reshape(len(dates), width)
     order = np.array(dates)
@@ -138,7 +140,7 @@ def _fast_rows(lines: list, width: int) -> tuple:
 
 def _read_table(path, what: str) -> tuple:
     """Read a UTF-8 `date,<name>...` CSV: (names, dates, days x names array).  Each
-    row is an ISO date, strictly increasing, then one finite number per name."""
+    row is a YYYY-MM-DD date, strictly increasing, then one finite number per name."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{what} file {path} does not exist")
@@ -165,12 +167,14 @@ def _read_table(path, what: str) -> tuple:
         if len(cells) != len(header):
             raise IngestError(f"expected {len(header)} cells, found {len(cells)}", line=lineno)
         try:
-            date = datetime.date.fromisoformat(cells[0])
+            date = datetime.date.fromisoformat(cells[0]).isoformat()
+            if date != cells[0]:
+                raise ValueError("not written YYYY-MM-DD")
         except ValueError:
             raise IngestError(f"unparseable date {cells[0]!r}", line=lineno)
-        if dates and date.isoformat() <= dates[-1]:
+        if dates and date <= dates[-1]:
             raise IngestError(f"dates must be strictly increasing at {date}", line=lineno)
-        dates.append(date.isoformat())
+        dates.append(date)
         values = []
         for cell in cells[1:]:
             cell = cell.strip()
@@ -649,7 +653,7 @@ _RUN_KEYS = ("seed", "outdir")  # recorded beside the options in the manifest, n
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Validate every option of the command; a flag wins over the config file."""
+    """Validate every option of the command, and no other config key; a flag wins over the file."""
     config = {}
     if args.config:
         try:
@@ -658,6 +662,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(config) - {opt.key for opt in _options(args.command)})
+    if unknown:
+        raise ConfigError(f"{unknown[0]} is not an option of {args.command}")
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
     values = {}
     supplied = dict(config)

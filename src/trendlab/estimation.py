@@ -1,9 +1,9 @@
 """Online covariance, correlation and volatility estimation.
 
 Daily returns feed an EMA of squared returns (per-asset variances), and
-weekly return sums feed an EMA covariance.  Both recursions run over a run
-of days or weeks from a small carried state, so one day is a run of length 1
-and a run fed in pieces gives the same path as the run fed whole.  The
+weekly return sums feed an EMA covariance.  Both run signals.ema from a small
+carried state and return the estimate before each day or roll and the state
+to carry, so a run fed in pieces gives the same path as the run fed whole.  The
 rescaled weekly correlation can then be cleaned with a rotational-invariant
 eigenvalue shrinkage, or with plain eigenvalue clipping at the
 Marchenko-Pastur edge for comparison.  The correlation and the cleaners take
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symmat
 from .errors import DegenerateVariance, InvalidInput
-from .signals import check_rate, check_run
+from .signals import check_rate, check_run, ema
 
 DEFAULT_COV_RATE = 1.0 / 750.0
 DEFAULT_VAR_RATE = 1.0 / 100.0
@@ -27,47 +27,38 @@ def update_daily(variances: np.ndarray | None, returns: np.ndarray,
                  var_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """EMA of squared returns over a run of days, from the carried variances.
 
-    variances=None means no day has been seen: the first day seeds the
-    variances with r*r.  Returns the path, whose row i holds the variances
-    after day i, and the variances after the last day.
+    variances=None means no day has been seen: the path starts from zeros and
+    the first day seeds the variances with r*r.  Returns the path, whose row i
+    holds the variances before day i, and the variances after the last day.
     """
     check_rate("var_rate", var_rate)
     if variances is not None and np.ndim(variances) != 1:
         raise InvalidInput("variances must be a vector")
     returns = check_run(returns, None if variances is None else len(variances))
-    path = np.empty_like(returns)
     shocks = var_rate * returns * returns
-    decay = 1.0 - var_rate
-    x = variances
-    for i, r in enumerate(returns):
-        x = r * r if x is None else decay * x + shocks[i]
-        path[i] = x
-    return path, x
+    if variances is None and len(returns):  # decay*0 + r*r is r*r exactly
+        variances, shocks[0] = np.zeros(returns.shape[1]), returns[0] * returns[0]
+    return ema(variances, shocks, 1.0 - var_rate)
 
 
-def roll_week(cov: np.ndarray | None, weekly_sums: np.ndarray, cov_rate: float) -> np.ndarray:
+def roll_week(cov: np.ndarray | None, weekly_sums: np.ndarray,
+              cov_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Fold k weeks of summed returns (k, n) into the weekly covariance EMA.
 
-    Returns the (k, n, n) covariance after each roll.  cov=None means no week
-    has been rolled: the first week is folded into an identity scaled to its
-    own magnitude, which keeps every later estimate covariant under rescaling
-    the returns.
+    Returns the (k, n, n) covariance before each roll and the covariance after
+    the last.  cov=None means no week has been rolled: the first week is folded
+    into an identity scaled to its own magnitude, which keeps every later
+    estimate covariant under rescaling the returns, and that seed is row 0.
     """
     check_rate("cov_rate", cov_rate)
     weekly_sums = check_run(weekly_sums, None if cov is None else len(cov))
     k, n = weekly_sums.shape
     if cov is not None and np.shape(cov) != (n, n):
         raise InvalidInput(f"covariance shape {np.shape(cov)} != ({n}, {n})")
-    shocks = cov_rate * (weekly_sums[:, :, None] * weekly_sums[:, None, :])
-    out = np.empty((k, n, n))
-    decay = 1.0 - cov_rate
-    x = cov
-    if x is None and k:
+    if cov is None and k:
         scale = float(np.mean(weekly_sums[0] * weekly_sums[0]))
-        x = np.eye(n) * (scale if scale > 0.0 else 1.0)
-    for j in range(k):
-        x = out[j] = decay * x + shocks[j]
-    return out
+        cov = np.eye(n) * (scale if scale > 0.0 else 1.0)
+    return ema(cov, cov_rate * (weekly_sums[:, :, None] * weekly_sums[:, None, :]), 1.0 - cov_rate)
 
 
 def correlation(covs: np.ndarray) -> np.ndarray:

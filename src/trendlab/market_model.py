@@ -6,10 +6,11 @@ through a causal exponential kernel
 
     kernel(t, t') = trend_amp * (1 - trend_decay)^(t - t' - 1)   for t > t'.
 
-That kernel makes the trend a discrete Ornstein-Uhlenbeck process; noise and
-trend shocks each carry their own cross-asset covariance.  The same kernel is
-shared by all assets (the per-asset generalization is deliberately not
-implemented; the analytic machinery downstream assumes a common kernel).
+That kernel makes the trend a discrete Ornstein-Uhlenbeck process (signals.ema
+runs it); noise and trend shocks each carry their own cross-asset covariance.
+The same kernel is shared by all assets (the per-asset generalization is
+deliberately not implemented; the analytic machinery downstream assumes a
+common kernel).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import symmat
 from .errors import InvalidIndex, InvalidInput, InvalidModel
+from .signals import ema
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
@@ -197,13 +199,11 @@ def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:
     eps = rng.standard_normal((n_days, params.n)) @ noise_factor.T
     shocks = rng.standard_normal((n_days, params.n)) @ shock_factor.T
 
-    returns = np.empty((n_days, params.n))
-    keep = 1.0 - params.trend_decay
-    trend = np.zeros(params.n)
-    for t in range(n_days):
-        returns[t] = params.drift + eps[t] + params.trend_amp * trend
-        trend = keep * trend + shocks[t]
-    return ReturnsPanel(returns=returns, asset_classes=params.asset_classes, seed=seed)
+    trend = ema(np.zeros(params.n), shocks, 1.0 - params.trend_decay)[0]  # before day t's shock
+    trend *= params.trend_amp
+    eps += params.drift  # in place, the bits of drift + eps[t] + amp * trend[t]
+    eps += trend
+    return ReturnsPanel(returns=eps, asset_classes=params.asset_classes, seed=seed)
 
 
 def _kernel_gram(params: ModelParams, t: int, t2: int) -> float:

@@ -1,9 +1,10 @@
-"""Linear trend signals: per-asset EMA of past returns.
+"""Linear trend signals: per-asset EMA of past returns, by the package's one EMA loop.
 
-The signal available at time t is sum_{t'<t} (1-rate)^(t-t'-1) r_{t'}.
-`update` runs the recursion over a run of days from a carried signal, so a
-signal never sees the return it will be traded against; one day is a run of
-length 1, and feeding a run in pieces gives the same path as feeding it whole.
+`ema` is the one exponential recursion: the generator's trend, the signal and
+both estimators run it.  The signal available at time t is
+sum_{t'<t} (1-rate)^(t-t'-1) r_{t'}, so a signal never sees the return it will
+be traded against; one day is a run of length 1, and feeding a run in pieces
+gives the same path as feeding it whole.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def check_rate(name: str, rate: float) -> None:
         raise InvalidInput(f"{name} must be in (0,1), got {rate}")
 
 
+def ema(x, shocks: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """x <- decay*x + shock over the rows of `shocks`: the path, whose row i is the
+    state before shock i, and the state after the last shock."""
+    path = np.empty_like(shocks)
+    for i, shock in enumerate(shocks):
+        path[i] = x
+        x = decay * x + shock
+    return path, x
+
+
 def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Fold a run of days into the EMA, starting from the signal `values`.
 
@@ -39,10 +50,4 @@ def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.nda
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or not np.isfinite(x).all():
         raise InvalidInput("signal values must be a finite vector")
-    returns = check_run(returns, len(x))
-    path = np.empty_like(returns)
-    decay = 1.0 - rate
-    for i, r in enumerate(returns):
-        path[i] = x
-        x = decay * x + r
-    return path, x
+    return ema(x, check_run(returns, len(x)), 1.0 - rate)

@@ -145,6 +145,8 @@ def reference_read_table(path, what):
             raise IngestError(f"expected {len(header)} cells, found {len(cells)}", line=lineno)
         try:
             date = datetime.date.fromisoformat(cells[0])
+            if date.isoformat() != cells[0]:  # only YYYY-MM-DD, whatever the Python
+                raise ValueError(cells[0])
         except ValueError:
             raise IngestError(f"unparseable date {cells[0]!r}", line=lineno)
         if dates and date.isoformat() <= dates[-1]:

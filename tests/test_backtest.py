@@ -8,8 +8,8 @@ import pytest
 from helpers import market_trend_model, rand_spd
 from trendlab import backtest as bt
 from trendlab import estimation, portfolios, signals, symmat
-from trendlab.errors import (DegenerateResult, DegenerateVolatility, InsufficientData,
-                             InvalidInput, TrendlabError, ZeroTargetVector)
+from trendlab.errors import (DegenerateResult, DegenerateVariance, DegenerateVolatility,
+                             InsufficientData, InvalidInput, TrendlabError, ZeroTargetVector)
 from trendlab.market_model import ModelParams, ReturnsPanel, simulate
 
 FAST = dict(signal_rate=0.05, cov_rate=0.05, var_rate=0.05)
@@ -440,7 +440,7 @@ def reference_run(panel, cfg, book=reference_book):
         variances = estimation.update_daily(variances, r[None], cfg.var_rate)[1]
         if t % week == 0:
             weekly = panel.returns[t - week:t].sum(axis=0)
-            cov = estimation.roll_week(cov, weekly[None], cfg.cov_rate)[0]
+            cov = estimation.roll_week(cov, weekly[None], cfg.cov_rate)[1]
             corr = clean(estimation.correlation(cov), ratio)
     return positions, pnl, (clean(estimation.correlation(cov), ratio), np.sqrt(variances))
 
@@ -495,13 +495,20 @@ def test_chunked_engine_matches_per_day_constructors(week_len):
     assert np.array_equal(corr, want_corr) and np.array_equal(vols, want_vols)
 
 
-def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch):
-    days, week, warmup = 4000, 5, 20  # the desk panel's size, every roll but three needed
-    panel = white_panel(24, days, 16)
+def counted_cleans(monkeypatch):
+    """The stack size of every call of the rie cleaner, appended as it happens."""
     clean = estimation.CLEANERS["rie"]
     stacks = []
     monkeypatch.setitem(estimation.CLEANERS, "rie",
                         lambda corr, ratio: stacks.append(len(corr)) or clean(corr, ratio))
+    return stacks
+
+
+@pytest.mark.parametrize("days", [4000, 4003])  # the desk panel's size, and a ragged last block
+def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch, days):
+    week, warmup = 5, 20  # every roll but three needed
+    panel = white_panel(24, days, 16)
+    stacks = counted_cleans(monkeypatch)
     bt.run_many(panel, [bt.StrategyConfig(kind=kind, warmup=warmup, **FAST)
                         for kind in bt.STRATEGY_KINDS])
     assert 1 <= len(stacks) <= math.ceil(days / bt._CHUNK_DAYS) + 1
@@ -510,6 +517,19 @@ def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch):
     stacks.clear()
     bt.pipeline_estimates(panel, bt.StrategyConfig(kind="ew", warmup=warmup, **FAST))
     assert stacks == [1]  # no book reads a correlation: only the last roll is cleaned
+
+
+def test_pipeline_estimates_on_panels_of_at_most_a_week(monkeypatch):
+    """Shorter than a week there is no roll; at exactly a week its one roll is cleaned."""
+    cfg = bt.StrategyConfig(kind="ew", warmup=5, **FAST)
+    with pytest.raises(DegenerateVariance):
+        bt.pipeline_estimates(white_panel(28, 3, 4), cfg)
+    stacks = counted_cleans(monkeypatch)
+    panel = white_panel(28, 5, 4)
+    corr, vols = bt.pipeline_estimates(panel, cfg)
+    assert stacks == [1]
+    _, _, (want_corr, want_vols) = reference_run(panel, cfg)
+    assert np.array_equal(corr, want_corr) and np.array_equal(vols, want_vols)
 
 
 def late_listing_panel():

@@ -346,10 +346,14 @@ def names_option(line, option):
     (["simulate", "--n", "2"], [{"n": 2}], "config"),
     (["simulate", "--n", "2", "--T", "10", "--outdir", "taken"], None, "outdir"),
     (["simulate", "--n", "2", "--T", "10", "--outdir", "taken/sub"], None, "outdir"),
+    (["simulate", "--n", "2", "--T", "50"], {"nosie_corr": 0.9}, "nosie_corr"),
+    (["simulate", "--n", "2", "--T", "50"], {"jgrid": "0:1:2"}, "jgrid"),
+    (["backtest"], {"eta-cov": 0.01}, "eta-cov"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
         "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
         "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
-        "outdir-file", "outdir-under-file"])
+        "outdir-file", "outdir-under-file", "config-typo", "config-other-command",
+        "config-dashed-key"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases
@@ -516,6 +520,8 @@ def write_pnl(path, rows):
 MALFORMED_PNL_ROWS = {
     "not-a-date": (4, "not-a-date,0.1,0.2", "unparseable date"),
     "impossible-date": (4, "2000-02-30,0.1,0.2", "unparseable date"),
+    "basic-format-date": (4, "20000211,0.1,0.2", "unparseable date"),
+    "week-date": (4, "2000-W06-5,0.1,0.2", "unparseable date"),
     "out-of-order": (4, "2000-01-01,0.1,0.2", "strictly increasing"),
     "nan": (4, "2000-02-11,nan,0.2", "non-finite"),
     "inf": (4, "2000-02-11,0.1,-inf", "non-finite"),
@@ -784,10 +790,10 @@ def test_bulk_reader_equals_the_per_cell_reader(tmp_path):
                    np.random.default_rng(42).standard_normal((500, 2)), labels=reference_calendar(500))
     files["report"] = tmp_path / "report.csv"
     files["odd-cells"] = write_pnl(tmp_path / "odd.csv", [
-        "2020-01-02, 0.1 ,+1e-3", "20200103,-0.0,1E5", "2020-01-06,1_0,\t7 "])
+        "2020-01-02, 0.1 ,+1e-3", "2020-01-03,-0.0,1E5", "2020-01-06,1_0,\t7 "])
     good = dated_rows(4000, 2, 43)
-    bad_rows = {case: (row, case in ("not-a-date", "impossible-date", "out-of-order"))
-                for case, (_, row, _) in MALFORMED_PNL_ROWS.items()}
+    bad_rows = {case: (row, "date" in message or "increasing" in message)
+                for case, (_, row, message) in MALFORMED_PNL_ROWS.items()}
     bad_rows.update({"short": ("2000-02-11,0.1", False), "long": ("2000-02-11,0.1,0.2,0.3", False),
                      "text": ("2000-02-11,0.1,abc", False), "repeat": (None, False)})
     expected = {}

@@ -15,20 +15,21 @@ def weekly_sums(series, week_len=5):
 def feed(series, week_len=5, cov_rate=est.DEFAULT_COV_RATE, var_rate=est.DEFAULT_VAR_RATE):
     """Daily variances and weekly covariance after the whole series."""
     variances = est.update_daily(None, series, var_rate)[1]
-    return variances, est.roll_week(None, weekly_sums(series, week_len), cov_rate)[-1]
+    return variances, est.roll_week(None, weekly_sums(series, week_len), cov_rate)[1]
 
 
 def test_variance_fixed_point_constant_returns():
     path, variances = est.update_daily(None, np.ones((100, 2)), 0.01)
     assert np.array_equal(variances, np.ones(2))
-    assert np.array_equal(path, np.ones((100, 2)))
+    assert np.array_equal(path[0], np.zeros(2))  # no day seen before the first
+    assert np.array_equal(path[1:], np.ones((99, 2)))
 
 
 def test_variance_pure_decay():
     rate = 0.02
     path, _ = est.update_daily(np.ones(1), np.zeros((50, 1)), rate)
-    for t in range(1, 51):  # path row t-1 holds the variances after day t
-        assert path[t - 1, 0] == pytest.approx((1 - rate) ** t, rel=1e-12)
+    for t in range(1, 51):  # path row t-1 holds the variances before day t
+        assert path[t - 1, 0] == pytest.approx((1 - rate) ** (t - 1), rel=1e-12)
 
 
 def test_variance_long_run_level():
@@ -39,18 +40,18 @@ def test_variance_long_run_level():
 
 
 def test_roll_week_single_update_from_zero():
-    covs = est.roll_week(np.zeros((3, 3)), np.array([[1.0, 0.0, 0.0]]), 0.1)
+    covs, cov = est.roll_week(np.zeros((3, 3)), np.array([[1.0, 0.0, 0.0]]), 0.1)
     want = np.zeros((3, 3))
     want[0, 0] = 0.1
-    assert covs.shape == (1, 3, 3)
-    assert np.allclose(covs[0], want)
+    assert covs.shape == (1, 3, 3) and np.array_equal(covs[0], np.zeros((3, 3)))
+    assert np.allclose(cov, want)
 
 
 def test_roll_week_fixed_point():
     rate = 0.01
     weekly = np.array([0.3, -0.2])
-    covs = est.roll_week(None, np.tile(weekly, (2000, 1)), rate)
-    assert np.abs(covs[-1] - np.outer(weekly, weekly)).max() < 1e-6
+    _, cov = est.roll_week(None, np.tile(weekly, (2000, 1)), rate)
+    assert np.abs(cov - np.outer(weekly, weekly)).max() < 1e-6
 
 
 def test_weekly_correlation_recovers_iid_structure():
@@ -114,7 +115,8 @@ def test_update_and_roll_validation():
     path, variances = est.update_daily(np.ones(2), np.zeros((0, 2)), 0.01)
     assert path.shape == (0, 2) and np.array_equal(variances, np.ones(2))
     assert est.update_daily(None, np.zeros((0, 2)), 0.01)[1] is None
-    assert est.roll_week(None, np.zeros((0, 2)), 0.01).shape == (0, 2, 2)
+    covs, cov = est.roll_week(None, np.zeros((0, 2)), 0.01)
+    assert covs.shape == (0, 2, 2) and cov is None
 
 
 def test_scaling_commutes_through_the_estimators():
@@ -137,7 +139,7 @@ def test_runs_fed_in_pieces_equal_one_run(days, weeks):
     sums = weekly_sums(series)
     sig_path, sig = signals.update(np.zeros(4), series, 0.05)
     var_path, var = est.update_daily(None, series, 0.05)
-    covs = est.roll_week(None, sums, 0.05)
+    cov_path, cov = est.roll_week(None, sums, 0.05)
     s, v, c = np.zeros(4), None, None
     sig_parts, var_parts, cov_parts = [], [], []
     for lo in range(0, len(series), days):
@@ -146,11 +148,11 @@ def test_runs_fed_in_pieces_equal_one_run(days, weeks):
         part, v = est.update_daily(v, series[lo:lo + days], 0.05)
         var_parts.append(part)
     for lo in range(0, len(sums), weeks):
-        cov_parts.append(est.roll_week(c, sums[lo:lo + weeks], 0.05))
-        c = cov_parts[-1][-1]
+        part, c = est.roll_week(c, sums[lo:lo + weeks], 0.05)
+        cov_parts.append(part)
     assert np.array_equal(np.concatenate(sig_parts), sig_path) and np.array_equal(s, sig)
     assert np.array_equal(np.concatenate(var_parts), var_path) and np.array_equal(v, var)
-    assert np.array_equal(np.concatenate(cov_parts), covs)
+    assert np.array_equal(np.concatenate(cov_parts), cov_path) and np.array_equal(c, cov)
 
 
 def test_rie_identity_input():
@@ -220,8 +222,9 @@ def test_default_sample_ratio():
 
 def test_first_weekly_update_sets_scale_matched_identity():
     r = np.array([2.0, 0.0])
-    cov = est.roll_week(None, r[None], 0.1)[0]
+    path, cov = est.roll_week(None, r[None], 0.1)
     scale = np.mean(r * r)  # identity seeded at the first week's magnitude
+    assert np.array_equal(path, [scale * np.eye(2)])  # the seed is the path's first row
     want = 0.9 * scale * np.eye(2) + 0.1 * np.outer(r, r)
     assert np.allclose(cov, want)
 

@@ -50,6 +50,41 @@ def test_simulation_is_bitwise_deterministic():
     assert not np.array_equal(a.returns, mm.simulate(params, 500, 43).returns)
 
 
+def per_day_returns(params, n_days, seed):
+    """The generator as one loop over days, trend before each day's shock: the
+    reference whose bits simulate must reproduce."""
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((n_days, params.n)) @ mm._psd_factor(params.noise_cov).T
+    shocks = rng.standard_normal((n_days, params.n)) @ mm._psd_factor(params.trend_cov).T
+    returns = np.empty((n_days, params.n))
+    keep = 1.0 - params.trend_decay
+    trend = np.zeros(params.n)
+    for t in range(n_days):
+        returns[t] = params.drift + eps[t] + params.trend_amp * trend
+        trend = keep * trend + shocks[t]
+    return returns
+
+
+GENERATOR_CASES = {  # (n, drift scale, trend_amp, trend_decay)
+    "trend": (3, 0.0, 0.2, 0.05),
+    "decay-1": (3, 0.0, 0.2, 1.0),
+    "amp-0": (3, 0.0, 0.0, 0.05),
+    "n-1": (1, 0.0, 0.3, 0.02),
+    "drifted": (4, 0.01, 0.1, 0.03),
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_simulate_equals_the_per_day_loop_bit_for_bit(case):
+    n, drift, amp, decay = GENERATOR_CASES[case]
+    rng = np.random.default_rng(14)
+    params = mm.ModelParams(n=n, drift=drift * rng.normal(size=n), noise_cov=rand_spd(rng, n),
+                            trend_cov=rand_spd(rng, n, 0.3), trend_amp=amp, trend_decay=decay)
+    for days in (1, 2, 700):
+        assert np.array_equal(mm.simulate(params, days, 5).returns,
+                              per_day_returns(params, days, 5)), days
+
+
 def test_sample_covariance_converges_to_noise_cov():
     rng = np.random.default_rng(3)
     noise = rand_spd(rng, 3)
