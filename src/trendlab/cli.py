@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, backtest, estimation, herding, market_model, sharpe_oracle
-from .errors import DegenerateResult, IngestError, InsufficientData, TrendlabError
+from .errors import DegenerateResult, IngestError, InsufficientData, InvalidInput, TrendlabError
 from .market_model import ASSET_CLASSES, ModelParams, ReturnsPanel
 
 EXIT_OK = 0
@@ -504,16 +504,21 @@ def _cmd_oracle(cfg: RunConfig) -> None:
 
 def _cmd_agents(cfg: RunConfig) -> None:
     opts = cfg.options
-    params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
-                                    steps=opts["T"], reps=opts["M"], seed=cfg.seed)
+    try:
+        params = herding.AgentSimParams(agents=opts["A"], strategies=opts["N"], coupling=opts["j"],
+                                        steps=opts["T"], reps=opts["M"], seed=cfg.seed)
+    except InvalidInput as exc:
+        raise ConfigError(f"j {opts['j']!r}: {exc}")
+    try:  # before any write, so that a bad grid leaves no outdir
+        curve = herding.transition_curve(params, opts["jgrid"])
+    except InvalidInput as exc:
+        raise ConfigError(f"jgrid up to {float(opts['jgrid'][-1])!r}: {exc}")
     # one representative repetition: the first of M draws from the seed's first
     # SeedSequence child, so it is the same repetition whatever M is
     result = herding.run(replace(params, reps=1))
     fractions = result.counts[0] / result.agents
     header = ["t"] + [f"S{k + 1}" for k in range(params.strategies)]
     _write_csv(cfg.outdir / "trajectory.csv", header, fractions, labels=range(len(fractions)))
-
-    curve = herding.transition_curve(params, opts["jgrid"])
     _write_csv(cfg.outdir / "transition.csv", ["j", "max_interest", "stderr"],
                np.column_stack([curve.couplings, curve.max_fraction, curve.stderr]))
 

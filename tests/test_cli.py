@@ -205,8 +205,8 @@ def test_agents_command_simulates_one_repetition_for_the_trajectory(tmp_path, mo
     monkeypatch.setattr(herding, "run", recorded)
     argv = ["agents", "--A", "60", "--N", "8", "--T", "10", "--jgrid", "0:2:4", "--seed", "3"]
     assert run_cli(*argv, "--M", "4", "--outdir", str(tmp_path / "m4")) == 0
-    # the trajectory's one repetition, then M per grid point of the transition curve
-    assert reps == [1, 4, 4, 4]
+    # the trajectory's one repetition; the transition curve does not call run
+    assert reps == [1]
     # repetition 0 draws from the seed's first SeedSequence child whatever M is
     assert run_cli(*argv, "--M", "1", "--outdir", str(tmp_path / "m1")) == 0
     assert ((tmp_path / "m4" / "trajectory.csv").read_bytes()
@@ -349,11 +349,15 @@ def names_option(line, option):
     (["simulate", "--n", "2", "--T", "50"], {"nosie_corr": 0.9}, "nosie_corr"),
     (["simulate", "--n", "2", "--T", "50"], {"jgrid": "0:1:2"}, "jgrid"),
     (["backtest"], {"eta-cov": 0.01}, "eta-cov"),
+    (["agents", "--A", "1000", "--N", "50", "--T", "5", "--M", "4", "--j", "1e308",
+      "--jgrid", "0:1:2"], None, "j"),
+    (["agents", "--A", "5", "--N", "4", "--T", "2", "--M", "2", "--jgrid", "0:1e308:1e308"],
+     None, "jgrid"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
         "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
         "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
         "outdir-file", "outdir-under-file", "config-typo", "config-other-command",
-        "config-dashed-key"])
+        "config-dashed-key", "j-overflow", "jgrid-overflow"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases

@@ -110,7 +110,7 @@ def test_final_fractions_slice_the_counts_before_dividing():
     grid = [0.5, 1.5]
     curve = herding.transition_curve(params, grid)
     for i, j in enumerate(grid):
-        run = herding.run(replace(params, coupling=j, seed=params.seed + i))
+        run = herding.run(replace(params, coupling=j))
         per_run = (run.counts / run.agents)[:, -1, :]
         assert curve.max_fraction[i] == per_run.max(axis=1).mean()
         assert curve.stderr[i] == per_run.max(axis=1).std(ddof=1) / np.sqrt(params.reps)
@@ -126,6 +126,10 @@ def test_state_validation():
             herding.AgentSimParams(agents=20, strategies=4, coupling=coupling, steps=5, reps=2)
     with pytest.raises(InvalidInput, match="seed"):
         herding.AgentSimParams(agents=20, strategies=4, coupling=1.0, steps=5, reps=2, seed=-1)
+    # j*sqrt(N) overflows: an infinite per-adopter coupling times a zero count scores NaN
+    with pytest.raises(InvalidInput, match="coupling"):
+        herding.AgentSimParams(agents=1000, strategies=50, coupling=1e308, steps=5, reps=4)
+    herding.AgentSimParams(agents=1000, strategies=1, coupling=1e308, steps=5, reps=4)
 
 
 def reference_run(params):
@@ -174,16 +178,49 @@ def test_early_stop_matches_the_full_loop(case):
         assert not (want[:, 1:] == want[:, :-1]).all(axis=2).any()
 
 
-def test_transition_curve_matches_the_full_loop(monkeypatch):
+def reference_curve(params, grid):
+    """Grid point i by the per-run formula on `reference_run` at coupling grid[i] and the base seed."""
+    maxima, stderr = [], []
+    for j in grid:
+        result = reference_run(replace(params, coupling=j))
+        per_run = (result.counts[:, -1, :] / result.agents).max(axis=1)
+        maxima.append(per_run.mean())
+        stderr.append(per_run.std(ddof=1) / np.sqrt(params.reps))
+    return np.array(maxima), np.array(stderr)
+
+
+def test_transition_curve_matches_the_full_loop():
     base = herding.AgentSimParams(agents=300, strategies=20, coupling=0.0,
                                   steps=40, reps=12, seed=19)
     grid = [0.0, 1.5, 4.0]
     got = herding.transition_curve(base, grid)
-    monkeypatch.setattr(herding, "run", reference_run)
-    want = herding.transition_curve(base, grid)
-    assert np.array_equal(got.couplings, want.couplings)
-    assert np.array_equal(got.max_fraction, want.max_fraction)
-    assert np.array_equal(got.stderr, want.stderr)
+    maxima, stderr = reference_curve(base, grid)
+    assert np.array_equal(got.couplings, grid)
+    assert (got.max_fraction == maxima).all()
+    assert (got.stderr == stderr).all()
+
+
+def test_grid_points_do_not_reuse_a_nearby_seed():
+    base = herding.AgentSimParams(agents=300, strategies=20, coupling=0.0,
+                                  steps=40, reps=12, seed=7)
+    later = herding.transition_curve(base, [0.0, 1.5])
+    nearby = herding.transition_curve(replace(base, seed=8), [1.5])
+    assert (later.max_fraction[1], later.stderr[1]) != (nearby.max_fraction[0], nearby.stderr[0])
+
+
+def test_each_rep_draws_once_per_curve(monkeypatch):
+    draws = []
+    real_default_rng = np.random.default_rng
+
+    def counting_default_rng(*args):
+        draws.append(1)
+        return real_default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    params = herding.AgentSimParams(agents=100, strategies=10, coupling=0.0,
+                                    steps=20, reps=5, seed=27)
+    herding.transition_curve(params, [0.0, 1.5, 4.0])
+    assert len(draws) == params.reps
 
 
 def test_each_rep_stops_at_its_fixed_point(monkeypatch):
@@ -207,8 +244,34 @@ class StepFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad_rep", [0, 1])  # rep 0 runs on the calling thread, rep 1 on the worker
-def test_a_failing_rep_raises_and_leaves_no_thread(monkeypatch, bad_rep):
+GRID = [0.0, 1.5, 4.0]
+
+
+def curve_values(curve):
+    return np.stack([curve.max_fraction, curve.stderr])
+
+
+# each caller of the shared rep loop, and its reference, as one array to compare
+CALLERS = {
+    "run": lambda params: herding.run(params).counts,
+    "transition_curve": lambda params: curve_values(herding.transition_curve(params, GRID)),
+}
+REFERENCES = {
+    "run": lambda params: reference_run(params).counts,
+    "transition_curve": lambda params: np.stack(reference_curve(params, GRID)),
+}
+
+
+def on_both_callers(values):
+    """Each value on `run`, with the value alone as its id, and on `transition_curve`."""
+    return ([pytest.param(value, "run", id=str(value)) for value in values]
+            + [pytest.param(value, "transition_curve", id=f"{value}-transition_curve")
+               for value in values])
+
+
+# rep 0 runs on the calling thread, rep 1 on the worker
+@pytest.mark.parametrize("bad_rep,caller", on_both_callers([0, 1]))
+def test_a_failing_rep_raises_and_leaves_no_thread(monkeypatch, bad_rep, caller):
     params = herding.AgentSimParams(agents=100, strategies=10, coupling=1.5,
                                     steps=20, reps=6, seed=23)
     bad_prefs = np.random.default_rng(
@@ -224,16 +287,16 @@ def test_a_failing_rep_raises_and_leaves_no_thread(monkeypatch, bad_rep):
     monkeypatch.setattr(herding, "step", failing_step)
     before = threading.active_count()
     with pytest.raises(StepFailed) as raised:
-        herding.run(params)
+        CALLERS[caller](params)
     assert raised.value.args == (bad_rep,)
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("seed", [24, 25, 26])
-def test_perturbed_interleaving_keeps_the_counts(monkeypatch, seed):
+@pytest.mark.parametrize("seed,caller", on_both_callers([24, 25, 26]))
+def test_perturbed_interleaving_keeps_the_counts(monkeypatch, seed, caller):
     params = herding.AgentSimParams(agents=200, strategies=10, coupling=1.5,
                                     steps=30, reps=9, seed=seed)
-    want = reference_run(params).counts
+    want = REFERENCES[caller](params)
     real_step = herding.step
 
     def yielding_step(*args):
@@ -244,7 +307,7 @@ def test_perturbed_interleaving_keeps_the_counts(monkeypatch, seed):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = herding.run(params).counts
+        got = CALLERS[caller](params)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
