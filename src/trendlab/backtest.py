@@ -192,19 +192,14 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
 
 def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:
     """Run one strategy over the panel; pre-warmup days carry zero positions."""
-    return run_many(panel, [cfg])[0]
-
-
-def run_many(panel: ReturnsPanel, configs) -> list[BacktestResult]:
-    """Run every strategy over the panel with one estimator pass per estimator setting."""
-    return run_with_estimates(panel, configs)[0]
+    return run_with_estimates(panel, [cfg])[0][0]
 
 
 def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, np.ndarray]:
-    """run_many's results plus the final (correlation, vols) of configs[0]'s pass.
+    """One result per config, and the final (correlation, vols) of configs[0]'s pass.
 
     Configs with equal signal/cov/var rates, cleaner and week_len share one
-    pass; the first error of any book aborts the call.
+    estimator pass; the first error of any book aborts the call.
     """
     if not configs:
         raise InvalidInput("need at least one strategy")

@@ -319,9 +319,12 @@ def _grid(name: str, value) -> np.ndarray:
     start, step, stop = (_REAL(name, x) for x in parts)
     if not 0.0 <= start <= stop or step <= 0:
         raise ConfigError(f"{name} {value!r} needs 0 <= start <= stop and step > 0")
+    last = (stop - start) / step  # checked in Python numbers, so numpy never warns or refuses
+    if not last < sys.maxsize // 8 or not math.isfinite(start + step * round(last)):
+        raise ConfigError(f"{name} {value!r} has too many points or a point too large to hold")
     try:
-        grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
-    except (OverflowError, MemoryError):  # a step so small that the grid cannot be held
+        grid = start + step * np.arange(round(last) + 1)
+    except MemoryError:  # a step so small that the grid cannot be held
         raise ConfigError(f"{name} {value!r} has too many points to hold") from None
     return grid[grid <= stop + 1e-12]
 

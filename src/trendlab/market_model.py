@@ -7,10 +7,10 @@ through a causal exponential kernel
     kernel(t, t') = trend_amp * (1 - trend_decay)^(t - t' - 1)   for t > t'.
 
 That kernel makes the trend a discrete Ornstein-Uhlenbeck process (signals.ema
-runs it); noise and trend shocks each carry their own cross-asset covariance.
-The same kernel is shared by all assets (the per-asset generalization is
-deliberately not implemented; the analytic machinery downstream assumes a
-common kernel).
+runs it, signals.power_sum sums it for the covariances); noise and trend shocks
+each carry their own cross-asset covariance.  All assets share the kernel (the
+per-asset generalization is deliberately not implemented; the analytic
+machinery downstream assumes a common kernel).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symmat
 from .errors import InvalidIndex, InvalidInput, InvalidModel
-from .signals import ema
+from .signals import ema, power_sum
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
@@ -109,8 +109,8 @@ class ModelParams:
     """Full specification of the generative return model: one model, or a stack of
     models of one size n with (z, n) drifts, (z, n, n) covariances and z amplitudes
     and decays.  A stack is checked in one pass, and its first rejected model raises
-    what its own one-model ModelParams would.  simulate, burn_in,
-    theoretical_covariance and stationary_covariance take one model."""
+    what its own one-model ModelParams would.  simulate, burn_in and the
+    covariances, which read no signal rate, take one model."""
 
     n: int
     drift: np.ndarray
@@ -206,38 +206,26 @@ def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:
     return ReturnsPanel(returns=eps, asset_classes=params.asset_classes, seed=seed)
 
 
-def _kernel_gram(params: ModelParams, t: int, t2: int) -> float:
-    """Closed form of sum_{t'} kernel(t,t') kernel(t2,t') for the common kernel."""
-    if t2 <= 1:
-        return 0.0
-    keep = 1.0 - params.trend_decay  # in [0, 1) since trend_decay is in (0, 1]
-    # sum over t' = 1..t2-1 of keep^(t-t'-1) keep^(t2-t'-1), geometric in keep^2
-    tail = keep ** (t - t2)
-    ratio = (1.0 - keep ** (2 * (t2 - 1))) / (1.0 - keep * keep)
-    return params.trend_amp**2 * tail * ratio
+def _covariance(params: ModelParams, lag: int, shocks: int | None) -> np.ndarray:
+    """Covariance of returns `lag` days apart, the earlier after `shocks` trend shocks
+    (None: stationary); the trend part is amp^2 keep^lag sum_{k<shocks} keep^(2k)."""
+    keep = 1.0 - _one_model(params).trend_decay  # in [0, 1): trend_decay is in (0, 1]
+    gram = power_sum(np.full((1, 1), keep * keep), shocks)[0, 0]
+    out = params.trend_cov * (params.trend_amp**2 * keep**lag * gram)
+    return out + params.noise_cov if lag == 0 else out
 
 
 def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
     """Model-implied covariance of the day-t and day-t2 return vectors (t2 <= t)."""
-    _one_model(params)
     if not (isinstance(t, (int, np.integer)) and isinstance(t2, (int, np.integer))):
         raise InvalidIndex("time indices must be integers")
     if not 1 <= t2 <= t:
         raise InvalidIndex(f"need 1 <= t2 <= t, got t={t}, t2={t2}")
-    out = params.trend_cov * _kernel_gram(params, int(t), int(t2))
-    if t == t2:
-        out = out + params.noise_cov
-    return out
+    return _covariance(params, int(t - t2), int(t2) - 1)
 
 
 def stationary_covariance(params: ModelParams, lag: int = 0) -> np.ndarray:
     """Large-t limit of theoretical_covariance at the given lag."""
-    _one_model(params)
     if lag < 0:
         raise InvalidIndex(f"lag must be >= 0, got {lag}")
-    keep = 1.0 - params.trend_decay
-    gram = params.trend_amp**2 * keep**lag / (1.0 - keep * keep)
-    out = params.trend_cov * gram
-    if lag == 0:
-        out = out + params.noise_cov
-    return out
+    return _covariance(params, lag, None)

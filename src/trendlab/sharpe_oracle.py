@@ -8,11 +8,12 @@ E[ss'] (Isserlis's theorem; the identity is in `PnlMoments`).  The last two
 are the factors of the paper's sandwich weights.  Five equal-time products
 of the signal and trend kernels, `_kernel_products`, weight them, and each
 reader forms the ratio it needs from those five.  One `PnlMoments` per
-(model, rate, t) holds the moments and the products, and every function below
-reads one to evaluate weights, to solve the squared-Sharpe stationarity condition
-exactly at any n, or to give the closed-form approximate weights.  Those
-are the paper's optimal weight matrix, portfolios.optimal_weight_matrix, and
-a sandwich form with corrected factors; both are two symmat solves.
+(model, rate, t), t=None the stationary limit, holds the moments and the
+products, and every function below reads one to evaluate weights, to solve the
+squared-Sharpe stationarity condition exactly at any n, or to give the
+closed-form approximate weights.  Those are the paper's optimal weight matrix,
+portfolios.optimal_weight_matrix, and a sandwich form with corrected factors;
+both are two symmat solves.
 
 A `PnlMoments` is built from one `ModelParams`, which holds one model or a
 stack of models of one size, and every reader takes either: a stack gives
@@ -20,7 +21,7 @@ arrays with a leading model axis, each model's entry exactly its own
 one-model result, and one model gives floats and (n, n) matrices.  The
 `oracle` command stacks up to `cli._STACK_CELLS` matrix cells (n^2 a model) at
 a time, so it makes one moment pass per stack.  The kernel pass under it holds
-no (models, t) array: it doubles stacked 3x3 recurrences in O(log t) steps.
+no (models, t) array: signals.power_sum sums stacked 3x3 recurrences.
 
 Per-asset heterogeneous kernels are out of scope; everything below assumes
 the shared-kernel model.
@@ -59,8 +60,8 @@ def _per_model(x, dims: int):
     return np.reshape(x, np.shape(x) + (1,) * dims)
 
 
-def _kernel_products(rate: float, amp, decay, t: int) -> dict:
-    """Equal-time products of the signal and trend kernels, in O(log t).
+def _kernel_products(rate: float, amp, decay, t: int | None) -> dict:
+    """Equal-time products of the signal and trend kernels at day t (None: t = inf).
 
     amp and decay are one value each, or arrays broadcast together; each
     product comes out as a float, or as an array of that shape.  The trend
@@ -69,7 +70,7 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
     the last decays it ran for are kept, so sizing a model's amplitude and then
     building its moments makes one pass.
     """
-    if t < 2:
+    if t is not None and t < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
     signals.check_rate("rate", rate)
     amp, decay = np.broadcast_arrays(np.asarray(amp, dtype=float), np.asarray(decay, dtype=float))
@@ -89,7 +90,7 @@ def _kernel_products(rate: float, amp, decay, t: int) -> dict:
 # entry also serves a later `oracle` run with the same arguments in one process,
 # so the benchmark's `oracle_report`, which repeats one argv, does not time it.
 @functools.lru_cache(maxsize=1)
-def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
+def _unit_kernel_products(rate: float, t: int | None, decay: bytes) -> dict:
     """The kernel products at amplitude 1: one entry per decay (float64 bytes) for
     those that read the trend kernel, a float for those of the signal kernel alone.
 
@@ -99,10 +100,8 @@ def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
     A = [[p**2, 2p, 1], [0, pq, q], [0, 0, q**2]], and the three trend products
     are the last column of S = sum_{k < m} A**k, m = t - 1.  One more matrix,
     diag(p**2, p, 0), has sum p**(2k) and sum p**k, the signal's two sums, on the
-    diagonal of its S.  Over the bits of m from the top, (S, A**j) doubles to
-    (S + A**j S, A**2j) and a 1 bit adds one term, (S + A**j, A**(j+1)): O(log t)
-    stacked 3x3 steps.  No entry is negative, so no step cancels: p ~ q and
-    q = 0 (decay 1) need no special case.
+    diagonal of its S.  signals.power_sum forms them all in O(log t) stacked steps, or
+    as inv(I - A) at t = None; no entry is negative, so q = 0 needs no special case.
     """
     p = 1.0 - rate
     q = 1.0 - np.frombuffer(decay)
@@ -111,11 +110,7 @@ def _unit_kernel_products(rate: float, t: int, decay: bytes) -> dict:
     step[:-1, 0, 1], step[:-1, 0, 2] = 2.0 * p, 1.0
     step[:-1, 1, 1], step[:-1, 1, 2], step[:-1, 2, 2] = p * q, q, q * q
     step[-1, 1, 1] = p
-    total, power = np.zeros_like(step), np.broadcast_to(np.eye(3), step.shape)
-    for bit in bin(t - 1)[2:]:
-        total, power = total + power @ total, power @ power
-        if bit == "1":
-            total, power = total + power, power @ step
+    total = signals.power_sum(step, None if t is None else t - 1)
     trend, signal = total[:-1, :, 2], total[-1]
     return {
         "sig_sig": float(signal[0, 0]),
@@ -165,8 +160,8 @@ class PnlMoments:
                 + self.mean_matrix @ np.swapaxes(w, -1, -2) @ self.mean_matrix - drift)
 
 
-def pnl_moment_tensors(model: ModelParams, rate: float, t: int) -> PnlMoments:
-    """Exact day-t P&L moments of one model or a stack: the input of every other oracle function."""
+def pnl_moment_tensors(model: ModelParams, rate: float, t: int | None) -> PnlMoments:
+    """Exact day-t P&L moments (t=None: stationary) of one model or a stack."""
     ce, cx, drift = model.noise_cov, model.trend_cov, model.drift
     k = _kernel_products(rate, model.trend_amp, model.trend_decay, t)
     ss, mass = k["sig_sig"], k["signal_mass"]

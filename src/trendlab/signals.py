@@ -1,10 +1,11 @@
-"""Linear trend signals: per-asset EMA of past returns, by the package's one EMA loop.
+"""Linear trend signals, per-asset EMAs of past returns, and the sums of kernel powers.
 
 `ema` is the one exponential recursion: the generator's trend, the signal and
 both estimators run it.  The signal available at time t is
 sum_{t'<t} (1-rate)^(t-t'-1) r_{t'}, so a signal never sees the return it will
 be traded against; one day is a run of length 1, and feeding a run in pieces
-gives the same path as feeding it whole.
+gives the same path as feeding it whole.  `power_sum` is the one sum of kernel
+powers, the oracle's and the generator's, at any t and at t = infinity.
 """
 
 from __future__ import annotations
@@ -51,3 +52,20 @@ def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.nda
     if x.ndim != 1 or not np.isfinite(x).all():
         raise InvalidInput("signal values must be a finite vector")
     return ema(x, check_run(returns, len(x)), 1.0 - rate)
+
+
+def power_sum(step: np.ndarray, m: int | None) -> np.ndarray:
+    """sum_{k<m} step**k for a (..., d, d) stack; m=None sums the series, inv(I - step).
+
+    Over the bits of m from the top, the partial sum and power (S, P) double to
+    (S + P S, P P) and a 1 bit adds one term, (S + P, P step): O(log m) stacked
+    steps, none of which cancels when no entry of step is negative."""
+    eye = np.broadcast_to(np.eye(step.shape[-1]), step.shape)
+    if m is None:
+        return np.linalg.inv(eye - step)
+    total, power = np.zeros_like(step), eye
+    for bit in bin(m)[2:]:
+        total, power = total + power @ total, power @ power
+        if bit == "1":
+            total, power = total + power, power @ step
+    return total

@@ -118,7 +118,7 @@ def test_criterion_4_eigenmode_risk_profile():
     configs = [bt.StrategyConfig(kind=kind, signal_rate=rate, cov_rate=1 / 3750.0, week_len=1)
                for kind in kinds]
     profiles = {kind: bt.realized_risk(result, corr, panel)
-                for kind, result in zip(kinds, bt.run_many(panel, configs))}
+                for kind, result in zip(kinds, bt.run_with_estimates(panel, configs)[0])}
 
     arp = profiles["arp"].risks / profiles["arp"].risks.mean()
     flat_ok = arp.min() > 0.75 and arp.max() < 1.25
@@ -140,8 +140,8 @@ def test_criterion_5_strategy_ordering():
     wins = 0
     for seed in range(20):
         panel = simulate(params, 6000, 100 + seed)
-        torp, nm = bt.run_many(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.01)
-                                       for kind in ("torp", "nm")])
+        torp, nm = bt.run_with_estimates(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.01)
+                                                 for kind in ("torp", "nm")])[0]
         wins += torp.sharpe > nm.sharpe
     elapsed = time.time() - start
     ok = wins >= 19

@@ -8,6 +8,7 @@ import pytest
 from helpers import market_trend_model, rand_spd
 from trendlab import backtest as bt
 from trendlab import estimation, portfolios, signals, symmat
+from trendlab import sharpe_oracle as so
 from trendlab.errors import (DegenerateResult, DegenerateVariance, DegenerateVolatility,
                              InsufficientData, InvalidInput, TrendlabError, ZeroTargetVector)
 from trendlab.market_model import ModelParams, ReturnsPanel, simulate
@@ -300,8 +301,8 @@ def test_exact_mix_is_never_below_the_gradient_ascent():
 
 def test_optimal_mix_weights_are_stable_to_pnl_rounding():
     panel = simulate(market_trend_model(n=6, amp=0.1), 700, 11)
-    results = bt.run_many(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.02, warmup=200)
-                                  for kind in ("arp", "nm", "ew", "rp", "torp")])
+    results = bt.run_with_estimates(panel, [bt.StrategyConfig(kind=kind, cov_rate=0.02, warmup=200)
+                                            for kind in ("arp", "nm", "ew", "rp", "torp")])[0]
     pnl = np.column_stack([r.active_pnl for r in results])
     base = bt.optimal_mix(pnl)
     assert (base.weights > 0.0).sum() >= 2  # an interior optimum, not a single book
@@ -466,7 +467,7 @@ def test_blocked_engine_matches_per_day_constructors(cleaner, week_len, vol_scal
     configs = [bt.StrategyConfig(kind=kind, cleaner=cleaner, week_len=week_len,
                                  vol_scale=vol_scale, warmup=63, **FAST)
                for kind in bt.STRATEGY_KINDS]
-    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+    for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         positions, pnl, _ = reference_run(panel, cfg)
         bound = EQUIVALENCE_BOUND * np.abs(positions).max()
         assert np.abs(res.positions - positions).max() <= bound, cfg.kind
@@ -485,7 +486,7 @@ def test_chunked_engine_matches_per_day_constructors(week_len):
                for kind in bt.STRATEGY_KINDS]
     configs += [bt.StrategyConfig(kind=kind, week_len=week_len, warmup=66, vol_scale=0.02, **FAST)
                 for kind in ("nm", "ew")]
-    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+    for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         positions, pnl, _ = reference_run(panel, cfg)
         bound = EQUIVALENCE_BOUND * np.abs(positions).max()
         assert np.abs(res.positions - positions).max() <= bound, cfg
@@ -509,8 +510,8 @@ def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch, days
     week, warmup = 5, 20  # every roll but three needed
     panel = white_panel(24, days, 16)
     stacks = counted_cleans(monkeypatch)
-    bt.run_many(panel, [bt.StrategyConfig(kind=kind, warmup=warmup, **FAST)
-                        for kind in bt.STRATEGY_KINDS])
+    bt.run_with_estimates(panel, [bt.StrategyConfig(kind=kind, warmup=warmup, **FAST)
+                                  for kind in bt.STRATEGY_KINDS])
     assert 1 <= len(stacks) <= math.ceil(days / bt._CHUNK_DAYS) + 1
     assert max(stacks) <= bt._CHUNK_DAYS // week + 2  # chunking bounds every stack
     assert sum(stacks) == sum(1 for day in range(week, days + 1, week) if day + week > warmup)
@@ -558,7 +559,7 @@ def test_blocked_engine_fails_like_per_day_constructors(panel, kind):
     assert np.abs(res.pnl - pnl).max() <= bound
 
 
-def test_run_many_equals_one_run_per_config():
+def test_run_with_estimates_equals_one_run_per_config():
     panel = factor_panel(19, 300, ENGINE_CLASSES)
     slow = dict(signal_rate=0.02, cov_rate=0.02, var_rate=0.02)
     configs = [bt.StrategyConfig(kind="nm", warmup=63, **FAST),
@@ -566,7 +567,7 @@ def test_run_many_equals_one_run_per_config():
                bt.StrategyConfig(kind="arp", warmup=70, **FAST),
                bt.StrategyConfig(kind="torp", warmup=80, **slow),
                bt.StrategyConfig(kind="rp", warmup=63, vol_scale=0.02, **FAST)]
-    for cfg, res in zip(configs, bt.run_many(panel, configs)):
+    for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         one = bt.run(panel, cfg)
         assert np.array_equal(res.positions, one.positions)
         assert np.array_equal(res.pnl, one.pnl)
@@ -582,12 +583,42 @@ def test_one_estimator_pass_per_distinct_setting(monkeypatch):
                         passes.append(len(books)) or estimator_pass(panel, setting, books))
     panel = factor_panel(27, 120, ENGINE_CLASSES)
     base = bt.StrategyConfig(kind="nm", warmup=20, **FAST)
-    bt.run_many(panel, [base, dataclasses.replace(base, kind="ew"),
-                        dataclasses.replace(base, warmup=40),
-                        dataclasses.replace(base, vol_scale=0.02)])
+    bt.run_with_estimates(panel, [base, dataclasses.replace(base, kind="ew"),
+                                  dataclasses.replace(base, warmup=40),
+                                  dataclasses.replace(base, vol_scale=0.02)])
     assert passes == [4]
     passes.clear()
     others = [dict(signal_rate=0.1), dict(cov_rate=0.1), dict(var_rate=0.1),
               dict(cleaner="clip"), dict(week_len=4)]
-    bt.run_many(panel, [base] + [dataclasses.replace(base, **knob) for knob in others])
+    bt.run_with_estimates(panel, [base] + [dataclasses.replace(base, **knob) for knob in others])
     assert passes == [1] * 6
+
+
+GATE_DAYS, GATE_BATCH = 300_000, 1000
+
+
+@pytest.mark.parametrize("model,weights", [
+    (ModelParams(2, np.array([0.02, -0.01]), np.array([[1.0, 0.3], [0.3, 0.8]]),
+                 np.array([[0.5, 0.1], [0.1, 0.4]]), 0.4, 0.1),
+     np.array([[1.0, -0.3], [0.2, 0.7]])),
+    (ModelParams(3, np.array([0.1, -0.08, 0.06]),
+                 np.array([[1.0, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 1.1]]),
+                 np.array([[0.4, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.5]]), 0.2, 0.1),
+     np.array([[0.8, -0.2, 0.1], [0.3, 0.6, -0.2], [-0.1, 0.2, 0.9]])),
+], ids=["trend", "trend-and-drift"])
+def test_engine_pnl_has_the_oracle_stationary_moments(monkeypatch, model, weights):
+    """The generator, the signal path and the engine's P&L line keep the oracle's day
+    convention: a fixed weight matrix traded through the engine (positions W s,
+    unnormalized) earns, past warm-up, the oracle's stationary P&L mean and variance.
+    Batches of 1000 days, 50 signal lifetimes, give the standard errors.  One-day-late
+    positions put the mean at z = -7.2 (trend) and -4.6 (trend-and-drift); against an
+    oracle without the drift, trend-and-drift's mean sits at z = 11."""
+    monkeypatch.setitem(bt._BOOKS, "fixed", lambda c, cov, s, v, cls: s @ weights.T)
+    monkeypatch.setattr(bt, "STRATEGY_KINDS", bt.STRATEGY_KINDS + ("fixed",))
+    cfg = bt.StrategyConfig(kind="fixed", signal_rate=0.05, cov_rate=0.05, warmup=2000)
+    pnl = bt.run(simulate(model, GATE_DAYS, 1), cfg).active_pnl
+    mean, variance = so.moments(so.pnl_moment_tensors(model, cfg.signal_rate, None), weights)
+    for x, want in ((pnl, mean), ((pnl - mean) ** 2, variance)):
+        batches = x[: len(x) // GATE_BATCH * GATE_BATCH].reshape(-1, GATE_BATCH).mean(axis=1)
+        z = (batches.mean() - want) / (batches.std(ddof=1) / np.sqrt(len(batches)))
+        assert abs(z) < 3, z

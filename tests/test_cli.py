@@ -353,11 +353,16 @@ def names_option(line, option):
       "--jgrid", "0:1:2"], None, "j"),
     (["agents", "--A", "5", "--N", "4", "--T", "2", "--M", "2", "--jgrid", "0:1e308:1e308"],
      None, "jgrid"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e308:1.5e308"],
+     None, "jgrid"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e-300:1"],
+     None, "jgrid"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
         "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
         "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
         "outdir-file", "outdir-under-file", "config-typo", "config-other-command",
-        "config-dashed-key", "j-overflow", "jgrid-overflow"])
+        "config-dashed-key", "j-overflow", "jgrid-overflow", "jgrid-point-overflow",
+        "jgrid-past-numpy-size"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases

@@ -592,10 +592,10 @@ def test_stacked_kernel_products_equal_one_decay_at_a_time():
 
 @pytest.mark.parametrize("rate", [0.005, 0.01, 0.05, 0.3])
 def test_kernel_products_reach_their_stationary_limit(rate):
-    """At t = 10^7 every product equals its t -> infinity closed form, p = 1 - rate and
-    q = 1 - decay; sig_trend_trend is 0 at decay 1, so it is compared in absolute terms."""
+    """At t = 10^7 and at t = None, the stationary spelling, every product equals its
+    t -> infinity closed form, p = 1 - rate and q = 1 - decay; sig_trend_trend is 0 at
+    decay 1, so it is compared in absolute terms."""
     decay = np.r_[np.geomspace(1e-3, 1.0, 20), rate]
-    got = so._kernel_products(rate, 1.0, decay, 10**7)
     p, q = 1.0 - rate, 1.0 - decay
     trend_trend = 1.0 / (1.0 - q * q)
     sig_trend_trend = q * trend_trend / (1.0 - p * q)
@@ -606,6 +606,22 @@ def test_kernel_products_reach_their_stationary_limit(rate):
         "sig_trend_trend": sig_trend_trend,
         "signal_mass": 1.0 / (1.0 - p),
     }
-    for name, value in want.items():
-        bound = 1e-13 * np.where(value == 0.0, 1.0, np.abs(value))
-        assert np.all(np.abs(got[name] - value) <= bound), name
+    for t in (10**7, None):
+        got = so._kernel_products(rate, 1.0, decay, t)
+        for name, value in want.items():
+            bound = 1e-13 * np.where(value == 0.0, 1.0, np.abs(value))
+            assert np.all(np.abs(got[name] - value) <= bound), (t, name)
+
+
+def test_stationary_moments_are_the_long_run_moments():
+    """pnl_moment_tensors at t = None is its t -> infinity limit: a stack of 50 models
+    agrees with t = 10^7 to 1e-14 of each matrix's largest entry (1.1e-15 measured)."""
+    rng = np.random.default_rng(70)
+    models = so.sample_weak_trend_model(rng, 4, rate=0.01, count=50)
+    stationary, long = (so.pnl_moment_tensors(models, 0.01, t) for t in (None, 10**7))
+    for name in ("mean_matrix", "left", "right"):
+        got, want = getattr(stationary, name), getattr(long, name)
+        scale = np.abs(want).max(axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), name
+    with pytest.raises(TooEarly):
+        so.pnl_moment_tensors(models, 0.01, 1)

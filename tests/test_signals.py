@@ -68,3 +68,38 @@ def test_update_validates_input():
     for rate in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(InvalidInput):
             signals.update(np.zeros(2), np.zeros((1, 2)), rate)
+
+
+def contractive_steps(rng, count, d):
+    """Random (count, d, d) non-negative steps scaled to spectral radius in [0.2, 0.95]."""
+    steps = rng.uniform(0.0, 1.0, (count, d, d))
+    radius = np.abs(np.linalg.eigvals(steps)).max(axis=-1)
+    return steps * (rng.uniform(0.2, 0.95, count) / radius)[:, None, None]
+
+
+def test_power_sum_first_terms():
+    steps = contractive_steps(np.random.default_rng(13), 5, 3)
+    assert np.array_equal(signals.power_sum(steps, 0), np.zeros((5, 3, 3)))
+    assert np.array_equal(signals.power_sum(steps, 1), np.broadcast_to(np.eye(3), (5, 3, 3)))
+    by_hand = np.eye(3) + steps + steps @ steps + steps @ steps @ steps
+    assert np.allclose(signals.power_sum(steps, 4), by_hand, rtol=1e-14, atol=0.0)
+
+
+def test_power_sum_of_the_whole_series_is_the_large_m_limit():
+    """m=None is inv(I - step); doubling to m = 10^7 has converged at radius <= 0.95."""
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3):
+        steps = contractive_steps(rng, 20, d)
+        whole, long = signals.power_sum(steps, None), signals.power_sum(steps, 10**7)
+        scale = np.abs(long).max(axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(whole - long) <= 1e-12 * scale)
+
+
+def test_power_sum_of_a_nilpotent_step_needs_no_special_case():
+    """The oracle's step at decay 1 (q = 0): every power past the first is p^2 in one corner."""
+    p = 0.7
+    step = np.array([[p * p, 2 * p, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    whole = signals.power_sum(step, None)
+    assert np.allclose(whole, [[1 / (1 - p * p), 2 * p / (1 - p * p), 1 / (1 - p * p)],
+                               [0, 1, 0], [0, 0, 1]], rtol=1e-15, atol=0.0)
+    assert np.allclose(signals.power_sum(step, 10**6), whole, rtol=1e-14, atol=0.0)
