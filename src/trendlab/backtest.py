@@ -5,17 +5,16 @@ returns up to the previous day, and the P&L is realized against the current
 day's returns.  Weekly return sums feed the correlation estimate every
 week_len days; per-asset vols come from the daily variance EMA.
 
-The estimators run once per panel and estimator setting, and every book of
-that setting is built from the pass: a block is the days between two weekly
-rolls, over which one cleaned correlation holds.  The pass runs the panel in
-chunks of whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each
+One call runs the estimators of one setting over the panel once and builds
+every book from that pass: a block is the days between two weekly rolls,
+over which one cleaned correlation holds.  The pass runs the panel in chunks
+of whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each
 estimator recursion (signals.ema) once over the chunk's days, which gives
 the state before each day or roll and the state to carry, cleans the rolls
-that open the chunk's blocks in one stacked call and builds each book once
-over those blocks, by the portfolio constructor of its kind (then
-portfolios.vol_target if vol_scale is set).  Chunking bounds every stacked
-array at about _CHUNK_DAYS matrices.  The mix layer reads only P&L: one
-(days, m) array whose columns are aligned series.
+that open the chunk's blocks in one stacked call and builds every book on
+those blocks by its _BOOKS row (then portfolios.vol_target if vol_scale is
+set).  Chunking bounds every stacked array at about _CHUNK_DAYS matrices.
+The mix layer reads only P&L: one (days, m) array of aligned series.
 """
 
 from __future__ import annotations
@@ -34,13 +33,15 @@ from .symmat import eigendecompose
 TRADING_DAYS = 252.0
 _CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked array
 
-_BOOKS = {  # kind -> positions on a block of days, from (corr, cov, signals, vols, classes)
-    "rp": lambda c, cov, s, v, cls: portfolios.risk_parity(cov, v, cls),
-    "nm": lambda c, cov, s, v, cls: portfolios.naive_markowitz(cov, s),
-    "arp": lambda c, cov, s, v, cls: portfolios.agnostic_risk_parity(c, v, s),
-    "torp": lambda c, cov, s, v, cls: portfolios.trend_on_risk_parity(cov, v, s, cls),
-    "ew": lambda c, cov, s, v, cls: portfolios.equally_weighted(v),
-    "zero": lambda c, cov, s, v, cls: np.zeros_like(v),
+# kind -> (reads the cleaned correlation, positions on a block of days from (corr, cov,
+# signals, vols, classes)); corr and cov are None when no book of the pass reads them
+_BOOKS = {
+    "rp": (True, lambda c, cov, s, v, cls: portfolios.risk_parity(cov, v, cls)),
+    "nm": (True, lambda c, cov, s, v, cls: portfolios.naive_markowitz(cov, s)),
+    "arp": (True, lambda c, cov, s, v, cls: portfolios.agnostic_risk_parity(c, v, s)),
+    "torp": (True, lambda c, cov, s, v, cls: portfolios.trend_on_risk_parity(cov, v, s, cls)),
+    "ew": (False, lambda c, cov, s, v, cls: portfolios.equally_weighted(v)),
+    "zero": (False, lambda c, cov, s, v, cls: np.zeros_like(v)),
 }
 STRATEGY_KINDS = tuple(_BOOKS)
 
@@ -66,24 +67,30 @@ class StrategyConfig:
     warmup: int | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in _BOOKS:
             raise InvalidInput(f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
         if self.cleaner not in estimation.CLEANERS:
             raise InvalidInput(f"unknown cleaner {self.cleaner!r}")
         for name in ("signal_rate", "cov_rate", "var_rate"):
             signals.check_rate(name, getattr(self, name))
-        if self.week_len < 1:
+        if signals.check_index("week_len", self.week_len, InvalidInput) < 1:
             raise InvalidInput("week_len must be >= 1")
-        if self.warmup is not None and self.warmup < self.week_len:
+        if (self.warmup is not None
+                and signals.check_index("warmup", self.warmup, InvalidInput) < self.week_len):
             raise InvalidInput("warm-up must cover at least one weekly update")
+        if self.vol_scale is not None and not 0.0 < self.vol_scale < math.inf:
+            raise InvalidInput(f"vol_scale must be positive and finite, got {self.vol_scale}")
 
     def warmup_days(self) -> int:
         """Signal warm-up or covariance warm-up, whichever is longer."""
         if self.warmup is not None:
             return self.warmup
-        signal_days = math.ceil(2.0 / self.signal_rate)
-        cov_days = self.week_len * math.ceil(2.0 / self.cov_rate)
-        return max(signal_days, cov_days)
+        return max(math.ceil(2.0 / self.signal_rate), self.week_len * math.ceil(2.0 / self.cov_rate))
+
+    def setting(self) -> tuple:
+        """What the books of one estimator pass share: every knob but kind and vol_scale."""
+        return (self.signal_rate, self.cov_rate, self.var_rate, self.cleaner, self.week_len,
+                self.warmup_days())
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +114,6 @@ class BacktestResult:
         return float(pnl.mean()) / std * math.sqrt(TRADING_DAYS)
 
 
-def _positions(cfg: StrategyConfig, corr, cov, sig, vols, classes) -> np.ndarray:
-    """One book's positions on k blocks of w days, a (k, w, n) array: signals and vols
-    (k, w, n), the cleaned correlation of each block (k, 1, n, n) and the daily
-    covariances (k, w, n, n), both None for a book that does not read them;
-    vol_scale rescales each day that holds a position to that volatility."""
-    pos = _BOOKS[cfg.kind](corr, cov, sig, vols, classes)
-    if cfg.vol_scale is not None:
-        live = np.abs(pos).sum(axis=-1) > 0.0
-        pos[live] = portfolios.vol_target(pos[live], cov[live], cfg.vol_scale)
-    return pos
-
-
 def _segments(lo: int, hi: int, week: int):
     """Days [lo, hi) as (start, stop, blocks): the ragged end of the block lo falls
     in, the whole blocks, and the ragged start of the block hi falls in."""
@@ -132,30 +127,27 @@ def _segments(lo: int, hi: int, week: int):
 def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tuple:
     """Run the setting's estimators over the panel once and build the books from them.
 
-    A block is the days between two weekly rolls; each book's day t sees the
-    signal and vols of days < t and the correlation cleaned at the block's
-    opening roll.  A roll is cleaned only if it is the last one or if a book
-    that reads the correlation trades in the block it opens.  The panel runs
-    in chunks of whole weeks, about _CHUNK_DAYS days each, so no week
-    straddles two chunks and only the signal, the variances and the
-    covariance carry from one chunk to the next.  Each chunk runs the
-    recursions once over its days, cleans the rolls that open its blocks in
-    one stacked call and builds each book once over its blocks; the last
-    chunk adds the covariance after the last roll, which opens the ragged
-    last block, if there is one, and gives the final correlation.
-    Returns each book's positions and the final (correlation, vols).
+    Each book's day t past the warm-up sees the signal and vols of days < t and
+    the correlation cleaned at the opening roll of t's block.  A roll is cleaned
+    only if it is the last one or if a book reads the correlation (by its _BOOKS
+    row or its vol_scale) and trades in the block it opens.  Chunks are whole
+    weeks, so only the signal, the variances and the covariance carry between
+    them.  Each chunk walks its segments once: the daily covariances, if a book
+    reads them, then every book on the same blocks.  The last chunk adds the
+    covariance after the last roll, which opens the ragged last block, if any,
+    and gives the final correlation.  Returns each book's positions and the
+    final (correlation, vols).
     """
     returns = panel.returns
     n_days, n = returns.shape
-    week = setting.week_len
+    week, warmup = setting.week_len, setting.warmup_days()
     if n_days < week:
         raise DegenerateVariance("no weekly covariance yet")
     ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
-    warmups = [cfg.warmup_days() for cfg in books]
-    reads = [cfg.kind not in ("zero", "ew") or cfg.vol_scale is not None for cfg in books]
+    read = any(_BOOKS[cfg.kind][0] or cfg.vol_scale is not None for cfg in books)
     positions = [np.zeros((n_days, n)) for _ in books]
-    first_needed = min([w for w, r in zip(warmups, reads) if r] + [n_days]) // week
+    first_needed = (warmup if read else n_days) // week
 
     span = week * -(-_CHUNK_DAYS // week)
     sig, var, cov = np.zeros(n), None, None
@@ -173,20 +165,20 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         first_block = max(lo // week, first_needed)  # no reading book trades an earlier block
         opening = opening[first_block - lo // week:]
         cleaned = clean(estimation.correlation(opening), ratio) if len(opening) else None
-        covs = {}  # (start, stop) -> covariances shared by the books of that segment
-        for cfg, warmup, read, pos in zip(books, warmups, reads, positions):
-            for start, stop, blocks in _segments(max(lo, warmup), hi, week):
-                v = vols[start - lo:stop - lo].reshape(blocks, -1, n)
-                c = cov_days = None
-                if read:
-                    first = start // week - first_block
-                    c = cleaned[first:first + blocks, None]
-                    if (start, stop) not in covs:
-                        covs[start, stop] = c * (v[..., :, None] * v[..., None, :])
-                    cov_days = covs[start, stop]
-                pos[start:stop] = _positions(cfg, c, cov_days,
-                                             sigs[start - lo:stop - lo].reshape(blocks, -1, n),
-                                             v, panel.asset_classes).reshape(-1, n)
+        for start, stop, blocks in _segments(max(lo, warmup), hi, week):
+            v = vols[start - lo:stop - lo].reshape(blocks, -1, n)
+            s = sigs[start - lo:stop - lo].reshape(blocks, -1, n)
+            c = cov_days = None
+            if read:
+                first = start // week - first_block
+                c = cleaned[first:first + blocks, None]
+                cov_days = c * (v[..., :, None] * v[..., None, :])
+            for cfg, pos in zip(books, positions):
+                book = _BOOKS[cfg.kind][1](c, cov_days, s, v, panel.asset_classes)
+                if cfg.vol_scale is not None:  # rescale each day that holds a position
+                    live = np.abs(book).sum(axis=-1) > 0.0
+                    book[live] = portfolios.vol_target(book[live], cov_days[live], cfg.vol_scale)
+                pos[start:stop] = book.reshape(-1, n)
     return positions, cleaned[-1], np.sqrt(var)
 
 
@@ -196,31 +188,29 @@ def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:
 
 
 def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, np.ndarray]:
-    """One result per config, and the final (correlation, vols) of configs[0]'s pass.
+    """One result per config from one estimator pass, and its final (correlation, vols).
 
-    Configs with equal signal/cov/var rates, cleaner and week_len share one
-    estimator pass; the first error of any book aborts the call.
+    The configs may differ only in kind and vol_scale (they share one setting()),
+    else InvalidInput before the pass runs; the first error of any book aborts.
     """
     if not configs:
         raise InvalidInput("need at least one strategy")
-    groups: dict[tuple, list] = {}
-    for i, cfg in enumerate(configs):
-        if panel.n_days < cfg.warmup_days() + 2:  # realized risk needs two active days
-            raise InsufficientData(f"panel of {panel.n_days} days leaves fewer than two "
-                                   f"active days after warm-up {cfg.warmup_days()}")
-        key = (cfg.signal_rate, cfg.cov_rate, cfg.var_rate, cfg.cleaner, cfg.week_len)
-        groups.setdefault(key, []).append(i)
-    results, finals = [None] * len(configs), []
-    for members in groups.values():
-        books = [configs[i] for i in members]
-        positions, corr, vols = _estimator_pass(panel, books[0], books)
-        finals.append((corr, vols))
-        for i, cfg, pos in zip(members, books, positions):
-            warmup = cfg.warmup_days()
-            pnl = np.zeros(panel.n_days)
-            pnl[warmup:] = np.einsum("ti,ti->t", panel.returns[warmup:], pos[warmup:])
-            results[i] = BacktestResult(pnl=pnl, positions=pos, warmup=warmup, strategy=cfg.kind)
-    return results, *finals[0]
+    setting = configs[0]
+    for cfg in configs:
+        if cfg.setting() != setting.setting():
+            raise InvalidInput(f"books {setting.kind!r} and {cfg.kind!r} differ in an estimator "
+                               "setting or warm-up; one call runs one setting")
+    warmup = setting.warmup_days()
+    if panel.n_days < warmup + 2:  # realized risk needs two active days
+        raise InsufficientData(f"panel of {panel.n_days} days leaves fewer than two "
+                               f"active days after warm-up {warmup}")
+    positions, corr, vols = _estimator_pass(panel, setting, configs)
+    results = []
+    for cfg, pos in zip(configs, positions):
+        pnl = np.zeros(panel.n_days)
+        pnl[warmup:] = np.einsum("ti,ti->t", panel.returns[warmup:], pos[warmup:])
+        results.append(BacktestResult(pnl=pnl, positions=pos, warmup=warmup, strategy=cfg.kind))
+    return results, corr, vols
 
 
 def pipeline_estimates(panel: ReturnsPanel, cfg: StrategyConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -421,7 +421,7 @@ def _run_strategies(cfg: RunConfig) -> tuple:
 def _cmd_backtest(cfg: RunConfig) -> None:
     panel, names, results, corr, vols = _run_strategies(cfg)
 
-    warmup = results[0].warmup  # one for every book: they share the estimator options
+    warmup = results[0].warmup  # one for every book: run_with_estimates runs one setting
     pnl = np.column_stack([r.active_pnl for r in results])
     dates = panel.calendar()
     _write_csv(cfg.outdir / "pnl.csv", ["date"] + list(names), pnl, labels=dates[warmup:])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symmat
 from .errors import InvalidIndex, InvalidInput, InvalidModel
-from .signals import ema, power_sum
+from .signals import check_index, ema, power_sum
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
@@ -217,15 +217,14 @@ def _covariance(params: ModelParams, lag: int, shocks: int | None) -> np.ndarray
 
 def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
     """Model-implied covariance of the day-t and day-t2 return vectors (t2 <= t)."""
-    if not (isinstance(t, (int, np.integer)) and isinstance(t2, (int, np.integer))):
-        raise InvalidIndex("time indices must be integers")
+    t, t2 = check_index("t", t), check_index("t2", t2)
     if not 1 <= t2 <= t:
         raise InvalidIndex(f"need 1 <= t2 <= t, got t={t}, t2={t2}")
-    return _covariance(params, int(t - t2), int(t2) - 1)
+    return _covariance(params, t - t2, t2 - 1)
 
 
 def stationary_covariance(params: ModelParams, lag: int = 0) -> np.ndarray:
     """Large-t limit of theoretical_covariance at the given lag."""
-    if lag < 0:
+    if check_index("lag", lag) < 0:
         raise InvalidIndex(f"lag must be >= 0, got {lag}")
     return _covariance(params, lag, None)

@@ -70,7 +70,7 @@ def _kernel_products(rate: float, amp, decay, t: int | None) -> dict:
     the last decays it ran for are kept, so sizing a model's amplitude and then
     building its moments makes one pass.
     """
-    if t is not None and t < 2:
+    if t is not None and signals.check_index("t", t) < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
     signals.check_rate("rate", rate)
     amp, decay = np.broadcast_arrays(np.asarray(amp, dtype=float), np.asarray(decay, dtype=float))

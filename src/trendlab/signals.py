@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidIndex, InvalidInput
 
 
 def check_run(returns: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -29,6 +29,13 @@ def check_rate(name: str, rate: float) -> None:
     """An EMA rate must lie in (0, 1)."""
     if not 0.0 < rate < 1.0:
         raise InvalidInput(f"{name} must be in (0,1), got {rate}")
+
+
+def check_index(name: str, value, error: type = InvalidIndex) -> int:
+    """A day index or count must be an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def ema(x, shocks: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:

@@ -52,9 +52,12 @@ def test_every_book_is_a_position_array():
     vols = rng.uniform(0.5, 2.0, size=(k, w, n))
     cov = corr * (vols[..., :, None] * vols[..., None, :])
     sig = rng.standard_normal((k, w, n))
-    for kind, book in bt._BOOKS.items():
-        pos = book(corr, cov, sig, vols, ("stock", "bond", "stock", "fx"))
+    classes = ("stock", "bond", "stock", "fx")
+    for kind, (reads, book) in bt._BOOKS.items():
+        pos = book(corr, cov, sig, vols, classes)
         assert type(pos) is np.ndarray and pos.shape == (k, w, n), kind
+        if not reads:  # the pass hands a book that reads nothing corr = cov = None
+            assert np.array_equal(book(None, None, sig, vols, classes), pos), kind
 
 
 def test_panel_must_clear_warmup():
@@ -365,6 +368,12 @@ def test_strategy_config_validation():
         bt.StrategyConfig(kind="ew", cleaner="magic")
     with pytest.raises(InvalidInput):
         bt.StrategyConfig(kind="ew", warmup=2, week_len=5)
+    for bad in (dict(warmup=50.5), dict(warmup=True, week_len=1), dict(week_len=True),
+                dict(week_len=5.0), dict(week_len="5"), dict(vol_scale=0), dict(vol_scale=-0.02),
+                dict(vol_scale=math.inf), dict(vol_scale=math.nan)):
+        with pytest.raises(InvalidInput):
+            bt.StrategyConfig(kind="ew", **bad)
+    assert bt.StrategyConfig(kind="ew", week_len=np.int64(5), warmup=np.int32(50)).warmup_days() == 50
     assert bt.StrategyConfig(kind="ew").warmup_days() == 7500
     assert bt.StrategyConfig(kind="ew", signal_rate=0.01, cov_rate=0.01).warmup_days() == 1000
 
@@ -518,6 +527,10 @@ def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch, days
     stacks.clear()
     bt.pipeline_estimates(panel, bt.StrategyConfig(kind="ew", warmup=warmup, **FAST))
     assert stacks == [1]  # no book reads a correlation: only the last roll is cleaned
+    stacks.clear()
+    monkeypatch.setitem(bt._BOOKS, "signal", (False, lambda c, cov, s, v, cls: s))
+    bt.run(panel, bt.StrategyConfig(kind="signal", warmup=warmup, **FAST))
+    assert stacks == [1]  # a row that reads nothing is not cleaned for, whatever its kind
 
 
 def test_pipeline_estimates_on_panels_of_at_most_a_week(monkeypatch):
@@ -561,12 +574,9 @@ def test_blocked_engine_fails_like_per_day_constructors(panel, kind):
 
 def test_run_with_estimates_equals_one_run_per_config():
     panel = factor_panel(19, 300, ENGINE_CLASSES)
-    slow = dict(signal_rate=0.02, cov_rate=0.02, var_rate=0.02)
-    configs = [bt.StrategyConfig(kind="nm", warmup=63, **FAST),
-               bt.StrategyConfig(kind="ew", warmup=80, **slow),
-               bt.StrategyConfig(kind="arp", warmup=70, **FAST),
-               bt.StrategyConfig(kind="torp", warmup=80, **slow),
-               bt.StrategyConfig(kind="rp", warmup=63, vol_scale=0.02, **FAST)]
+    configs = [bt.StrategyConfig(kind=kind, warmup=63, vol_scale=scale, **FAST)
+               for kind, scale in (("nm", None), ("ew", None), ("arp", 0.02), ("torp", None),
+                                   ("rp", 0.02), ("zero", None), ("nm", 0.03))]
     for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         one = bt.run(panel, cfg)
         assert np.array_equal(res.positions, one.positions)
@@ -574,24 +584,28 @@ def test_run_with_estimates_equals_one_run_per_config():
         assert (res.warmup, res.strategy) == (one.warmup, one.strategy)
 
 
-def test_one_estimator_pass_per_distinct_setting(monkeypatch):
-    """Books that differ only in kind, warm-up or vol_scale share a pass; any other knob
-    is a setting of its own."""
+def test_books_of_one_call_share_one_setting(monkeypatch):
+    """Books that differ only in kind or vol_scale share the call's one pass; any other
+    knob, the warm-up included, raises before a pass runs."""
     passes = []
     estimator_pass = bt._estimator_pass
     monkeypatch.setattr(bt, "_estimator_pass", lambda panel, setting, books:
                         passes.append(len(books)) or estimator_pass(panel, setting, books))
-    panel = factor_panel(27, 120, ENGINE_CLASSES)
+    panel = factor_panel(27, 240, ENGINE_CLASSES)
     base = bt.StrategyConfig(kind="nm", warmup=20, **FAST)
     bt.run_with_estimates(panel, [base, dataclasses.replace(base, kind="ew"),
-                                  dataclasses.replace(base, warmup=40),
                                   dataclasses.replace(base, vol_scale=0.02)])
-    assert passes == [4]
+    assert passes == [3]
     passes.clear()
     others = [dict(signal_rate=0.1), dict(cov_rate=0.1), dict(var_rate=0.1),
-              dict(cleaner="clip"), dict(week_len=4)]
-    bt.run_with_estimates(panel, [base] + [dataclasses.replace(base, **knob) for knob in others])
-    assert passes == [1] * 6
+              dict(cleaner="clip"), dict(week_len=4), dict(warmup=40)]
+    for knob in others:
+        with pytest.raises(InvalidInput, match="'nm' and 'ew'"):
+            bt.run_with_estimates(panel, [base, dataclasses.replace(base, kind="ew", **knob)])
+    assert passes == []
+    default = dataclasses.replace(base, warmup=None)  # the same warm-up, spelled out or not
+    bt.run_with_estimates(panel, [default, dataclasses.replace(default, warmup=200)])
+    assert passes == [2]
 
 
 GATE_DAYS, GATE_BATCH = 300_000, 1000
@@ -613,8 +627,7 @@ def test_engine_pnl_has_the_oracle_stationary_moments(monkeypatch, model, weight
     Batches of 1000 days, 50 signal lifetimes, give the standard errors.  One-day-late
     positions put the mean at z = -7.2 (trend) and -4.6 (trend-and-drift); against an
     oracle without the drift, trend-and-drift's mean sits at z = 11."""
-    monkeypatch.setitem(bt._BOOKS, "fixed", lambda c, cov, s, v, cls: s @ weights.T)
-    monkeypatch.setattr(bt, "STRATEGY_KINDS", bt.STRATEGY_KINDS + ("fixed",))
+    monkeypatch.setitem(bt._BOOKS, "fixed", (False, lambda c, cov, s, v, cls: s @ weights.T))
     cfg = bt.StrategyConfig(kind="fixed", signal_rate=0.05, cov_rate=0.05, warmup=2000)
     pnl = bt.run(simulate(model, GATE_DAYS, 1), cfg).active_pnl
     mean, variance = so.moments(so.pnl_moment_tensors(model, cfg.signal_rate, None), weights)

@@ -219,6 +219,16 @@ def test_index_validation():
         mm.theoretical_covariance(params, 3, 0)
     with pytest.raises(InvalidIndex):
         mm.stationary_covariance(params, -1)
+    for lag in (0.5, True, 1.0, "1"):
+        with pytest.raises(InvalidIndex):
+            mm.stationary_covariance(params, lag)
+    for t, t2 in ((True, 1), (3, True), (3.0, 2), (3, "2")):
+        with pytest.raises(InvalidIndex):
+            mm.theoretical_covariance(params, t, t2)
+    assert np.array_equal(mm.theoretical_covariance(params, np.int64(3), np.int32(2)),
+                          mm.theoretical_covariance(params, 3, 2))
+    assert np.array_equal(mm.stationary_covariance(params, np.int64(1)),
+                          mm.stationary_covariance(params, 1))
 
 
 def good_model_fields(rng, n=2):

@@ -10,7 +10,7 @@ from helpers import (model_row, rand_spd, reference_oracle_payload, reference_va
 from trendlab import cli
 from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
-from trendlab.errors import DegenerateForm, InvalidInput, InvalidModel, TooEarly
+from trendlab.errors import DegenerateForm, InvalidIndex, InvalidInput, InvalidModel, TooEarly
 from trendlab.market_model import ModelParams
 
 
@@ -267,7 +267,11 @@ def test_validation_errors():
     model = strong_model(rng, 2)
     with pytest.raises(TooEarly):
         so.pnl_moment_tensors(model, 0.02, 1)
+    for t in (2.5, "7", True, 10.0):
+        with pytest.raises(InvalidIndex):
+            so.pnl_moment_tensors(model, 0.02, t)
     mm = so.pnl_moment_tensors(model, 0.02, 10)
+    assert np.array_equal(so.pnl_moment_tensors(model, 0.02, np.int64(10)).left, mm.left)
     with pytest.raises(InvalidInput):
         so.moments(mm, np.eye(3))
     with pytest.raises(InvalidInput):
