@@ -13,12 +13,17 @@ estimator recursion (signals.ema) once over the chunk's days, which gives
 the state before each day or roll and the state to carry, cleans the rolls
 that open the chunk's blocks in one stacked call and builds every book on
 those blocks by its _BOOKS row (then portfolios.vol_target if vol_scale is
-set).  Chunking bounds every stacked array at about _CHUNK_DAYS matrices.
+set).  The books of a segment share one _Segment, which builds each thing
+they share at most once, on its first read: the daily covariances, their
+symmat.System (checked and shifted once, whichever of NM, RP and ToRP solves
+first) and the raw RP book that RP finishes and ToRP trades.  Chunking bounds
+every stacked array at about _CHUNK_DAYS matrices.
 The mix layer reads only P&L: one (days, m) array of aligned series.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,20 +33,44 @@ import numpy as np
 from . import estimation, portfolios, signals
 from .errors import DegenerateResult, DegenerateVariance, InsufficientData, InvalidInput
 from .market_model import ReturnsPanel
-from .symmat import eigendecompose
+from .symmat import System, eigendecompose
 
 TRADING_DAYS = 252.0
 _CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked array
 
-# kind -> (reads the cleaned correlation, positions on a block of days from (corr, cov,
-# signals, vols, classes)); corr and cov are None when no book of the pass reads them
+
+@dataclass(eq=False)
+class _Segment:
+    """A segment's blocks of days as its books read them: signals and vols (blocks,
+    days, n), corr (blocks, 1, n, n) or None if no book reads it, and, each built
+    on its first read, the daily covariances, their system and the raw RP book."""
+
+    corr: np.ndarray | None
+    signals: np.ndarray
+    vols: np.ndarray
+    classes: tuple
+
+    @functools.cached_property
+    def cov(self) -> np.ndarray:
+        return self.corr * (self.vols[..., :, None] * self.vols[..., None, :])
+
+    @functools.cached_property
+    def system(self) -> System:
+        return System(self.cov)
+
+    @functools.cached_property
+    def rp_book(self) -> np.ndarray:
+        return portfolios.risk_parity(self.system, self.vols, self.classes, normalize=False)
+
+
+# kind -> (reads the cleaned correlation, positions on a _Segment's blocks of days)
 _BOOKS = {
-    "rp": (True, lambda c, cov, s, v, cls: portfolios.risk_parity(cov, v, cls)),
-    "nm": (True, lambda c, cov, s, v, cls: portfolios.naive_markowitz(cov, s)),
-    "arp": (True, lambda c, cov, s, v, cls: portfolios.agnostic_risk_parity(c, v, s)),
-    "torp": (True, lambda c, cov, s, v, cls: portfolios.trend_on_risk_parity(cov, v, s, cls)),
-    "ew": (False, lambda c, cov, s, v, cls: portfolios.equally_weighted(v)),
-    "zero": (False, lambda c, cov, s, v, cls: np.zeros_like(v)),
+    "rp": (True, lambda seg: portfolios.finish(seg.rp_book)),
+    "nm": (True, lambda seg: portfolios.naive_markowitz(seg.system, seg.signals)),
+    "arp": (True, lambda seg: portfolios.agnostic_risk_parity(seg.corr, seg.vols, seg.signals)),
+    "torp": (True, lambda seg: portfolios.trend_on(seg.rp_book, seg.signals)),
+    "ew": (False, lambda seg: portfolios.equally_weighted(seg.vols)),
+    "zero": (False, lambda seg: np.zeros_like(seg.vols)),
 }
 STRATEGY_KINDS = tuple(_BOOKS)
 
@@ -132,11 +161,10 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     only if it is the last one or if a book reads the correlation (by its _BOOKS
     row or its vol_scale) and trades in the block it opens.  Chunks are whole
     weeks, so only the signal, the variances and the covariance carry between
-    them.  Each chunk walks its segments once: the daily covariances, if a book
-    reads them, then every book on the same blocks.  The last chunk adds the
-    covariance after the last roll, which opens the ragged last block, if any,
-    and gives the final correlation.  Returns each book's positions and the
-    final (correlation, vols).
+    them.  Each chunk walks its segments once, every book on one _Segment.  The
+    last chunk adds the covariance after the last roll, which opens the ragged
+    last block, if any, and gives the final correlation.  Returns each book's
+    positions and the final (correlation, vols).
     """
     returns = panel.returns
     n_days, n = returns.shape
@@ -166,18 +194,17 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         opening = opening[first_block - lo // week:]
         cleaned = clean(estimation.correlation(opening), ratio) if len(opening) else None
         for start, stop, blocks in _segments(max(lo, warmup), hi, week):
-            v = vols[start - lo:stop - lo].reshape(blocks, -1, n)
-            s = sigs[start - lo:stop - lo].reshape(blocks, -1, n)
-            c = cov_days = None
+            c = None
             if read:
                 first = start // week - first_block
                 c = cleaned[first:first + blocks, None]
-                cov_days = c * (v[..., :, None] * v[..., None, :])
+            seg = _Segment(c, sigs[start - lo:stop - lo].reshape(blocks, -1, n),
+                           vols[start - lo:stop - lo].reshape(blocks, -1, n), panel.asset_classes)
             for cfg, pos in zip(books, positions):
-                book = _BOOKS[cfg.kind][1](c, cov_days, s, v, panel.asset_classes)
+                book = _BOOKS[cfg.kind][1](seg)
                 if cfg.vol_scale is not None:  # rescale each day that holds a position
                     live = np.abs(book).sum(axis=-1) > 0.0
-                    book[live] = portfolios.vol_target(book[live], cov_days[live], cfg.vol_scale)
+                    book[live] = portfolios.vol_target(book[live], seg.cov[live], cfg.vol_scale)
                 pos[start:stop] = book.reshape(-1, n)
     return positions, cleaned[-1], np.sqrt(var)
 

@@ -15,8 +15,9 @@ Every CSV goes through one writer (_write_csv) and is read back through one
 reader (_read_table): a header, then rows whose leading text columns (date,
 asset, t) are followed by numbers, printed with 12 significant digits, or at
 full precision in an exported panel.  The writer formats a block of rows per
-`%` template; the reader parses in one pass with one vectorized check, and
-re-reads row by row only to name a bad line.  Input files are read as UTF-8,
+`%` template; the reader checks the dates, parses every number cell in one
+np.loadtxt call (numpy's C reader) with one vectorized check, and re-reads
+row by row only to name a bad line.  Input files are read as UTF-8,
 and a header may not repeat a column name.
 
 Exit codes: 0 success, 2 config error (a malformed value, or sizes whose arrays
@@ -119,21 +120,19 @@ def _write_csv(path: Path, header: list, values, labels=None, number: str = _G12
 
 
 def _fast_rows(lines: list, width: int) -> tuple:
-    """(dates, values) in one pass and one vectorized check, or a ValueError on
-    any row the row-by-row rules might reject."""
-    dates, flat = [], []
-    for line in lines:
-        day, _, rest = line.partition(",")
-        cells = rest.split(",")
-        if len(cells) != width:
-            raise ValueError("ragged row")
-        dates.append(datetime.date.fromisoformat(day).isoformat())
-        if dates[-1] != day:  # a date is written YYYY-MM-DD; 3.11 also reads 20200103
-            raise ValueError("not written YYYY-MM-DD")
-        flat.extend(map(float, cells))
-    values = np.array(flat).reshape(len(dates), width)
+    """(dates, values) with the cells parsed by numpy's C reader and one vectorized
+    check, or a ValueError on any row the row-by-row rules might reject."""
+    days, _, cells = zip(*(line.partition(",") for line in lines))
+    dates = [datetime.date.fromisoformat(day).isoformat() for day in days]
+    if list(days) != dates:  # a date is written YYYY-MM-DD; 3.11 also reads 20200103
+        raise ValueError("not written YYYY-MM-DD")
+    if "" in cells:  # np.loadtxt would skip the row, and warn if it skips every row
+        raise ValueError("a row holds no cell")
+    # float() reads every cell that np.loadtxt reads, to the same value
+    values = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
     order = np.array(dates)
-    if not np.isfinite(values).all() or not (order[1:] > order[:-1]).all():
+    if (values.shape != (len(dates), width) or not np.isfinite(values).all()
+            or not (order[1:] > order[:-1]).all()):
         raise ValueError("a row breaks a rule")
     return dates, values
 
@@ -264,6 +263,12 @@ _SEED = Number(int, "[0, inf)")  # --seed, its config key and the panel sidecar'
 def _text(name: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _dirname(name: str, value) -> str:
+    if not _text(name, value):  # "" would read as unset, the default directory
+        raise ConfigError(f"{name} must not be empty")
     return value
 
 
@@ -635,7 +640,7 @@ OPTIONS = (
     Option("pair", ("mix",), _names, None, "two strategy names, comma separated (default: the first two)"),
     Option("grid", ("mix",), Number(float, "(0, 0.5]"), 0.01, "mixing weight grid step"),
     Option("seed", tuple(_COMMANDS), _SEED, 0, "random seed (default 0)"),
-    Option("outdir", tuple(_COMMANDS), _text, None, "output directory (default out/<command>)"),
+    Option("outdir", tuple(_COMMANDS), _dirname, None, "output directory (default out/<command>)"),
 )
 
 

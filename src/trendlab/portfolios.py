@@ -11,8 +11,12 @@ signal), and use vol_target to set the actual size.  Each takes one day or
 days under any leading batch shape, row by row equal to the one-day calls:
 signals and vols (..., n), covariances (..., n, n), and for ARP a
 correlation that broadcasts against them, such as (k, 1, n, n) for k blocks
-of days that share one each.  NM, RP, ToRP and the weight matrix all go
-through the one solve, symmat.solve.
+of days that share one each.  NM, RP, ToRP and the weight matrix all solve
+against the one ridge-shifted system, symmat.System.  NM, RP and ToRP also
+take a System in place of cov, so a caller that builds several books on one
+covariance checks and shifts it once.  ToRP trades RP's raw book
+(risk_parity(..., normalize=False)): trend_on is that step for a raw book in
+hand, and finish takes a raw book to positions.
 
 The weight matrix omega = inv(C) (g_t Omega + g_d mu mu^T) inv(C) is an
 array, and positions are omega @ s.  Up to scale its limits are NM
@@ -34,7 +38,8 @@ from . import symmat
 from .errors import CannotScale, DegenerateVolatility, InvalidInput, ZeroTargetVector
 
 
-def _finish(raw: np.ndarray, normalize: bool) -> np.ndarray:
+def finish(raw: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """A raw book as positions: at unit gross if normalize, and checked finite."""
     if normalize:
         gross = np.abs(raw).sum(axis=-1, keepdims=True)
         raw = raw / np.where(gross > 0.0, gross, 1.0)
@@ -55,23 +60,25 @@ def _vols_vector(vols, n: int) -> np.ndarray:
     return v
 
 
-def _risk_parity_book(cov, vols, classes, ridge) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    v = _vols_vector(vols, cov.shape[-1])
-    target = class_target(classes)
-    if not target.any():
-        raise ZeroTargetVector("all-FX universe has no risk-parity target")
-    return symmat.solve(cov, v * target, ridge)
+def _system(cov, ridge) -> symmat.System:
+    """cov as a system: a covariance array, or a symmat.System of one, which
+    carries its own ridge."""
+    return cov if isinstance(cov, symmat.System) else symmat.System(cov, ridge)
 
 
 def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> np.ndarray:
     """Static book: inverse covariance applied to the vol-weighted class target."""
-    return _finish(_risk_parity_book(cov, vols, classes, ridge), normalize)
+    system = _system(cov, ridge)
+    v = _vols_vector(vols, system.matrix.shape[-1])
+    target = class_target(classes)
+    if not target.any():
+        raise ZeroTargetVector("all-FX universe has no risk-parity target")
+    return finish(system.solve(v * target), normalize)
 
 
 def naive_markowitz(cov, signal, ridge=None, normalize=True) -> np.ndarray:
     """Inverse covariance applied to the trend signal."""
-    return _finish(symmat.solve(cov, signal, ridge), normalize)
+    return finish(_system(cov, ridge).solve(signal), normalize)
 
 
 def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.ndarray:
@@ -82,14 +89,18 @@ def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.n
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
     scaled = (np.asarray(signal, dtype=float) / v)[..., None]
     raw = (symmat.inv_sqrt(corr, ridge) @ scaled)[..., 0] / v
-    return _finish(raw, normalize)
+    return finish(raw, normalize)
 
 
 def trend_on_risk_parity(cov, vols, signal, classes, ridge=None, normalize=True) -> np.ndarray:
     """Risk-parity book traded long or short by the signal projected on it."""
-    book = _risk_parity_book(cov, vols, classes, ridge)
+    return trend_on(risk_parity(cov, vols, classes, ridge, normalize=False), signal, normalize)
+
+
+def trend_on(book, signal, normalize=True) -> np.ndarray:
+    """A raw book traded long or short by the signal projected on it."""
     projection = (book * np.asarray(signal, dtype=float)).sum(axis=-1, keepdims=True)
-    return _finish(projection * book, normalize)
+    return finish(projection * book, normalize)
 
 
 def equally_weighted(vols, normalize=True) -> np.ndarray:
@@ -97,7 +108,7 @@ def equally_weighted(vols, normalize=True) -> np.ndarray:
     v = np.asarray(vols, dtype=float)
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
-    return _finish(1.0 / v, normalize)
+    return finish(1.0 / v, normalize)
 
 
 def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, ridge=None) -> np.ndarray:
@@ -124,4 +135,4 @@ def vol_target(positions, cov, target: float) -> np.ndarray:
     variance = (p * exposure).sum(axis=-1, keepdims=True)
     if (variance <= 0.0).any():
         raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled to {target}")
-    return _finish(p * (target / np.sqrt(variance)), normalize=False)
+    return finish(p * (target / np.sqrt(variance)), normalize=False)

@@ -1,15 +1,18 @@
 """Symmetric-matrix numerics shared by the whole library.
 
 Eigendecomposition with a fixed sign convention, ridge-regularized inverse
-and inverse square root, and the ridge-shifted linear solve that every
-portfolio book and the optimal weight matrix go through.  All functions are
-pure, operate on plain numpy arrays and take one (n, n) matrix or a
-(..., n, n) stack of them; each matrix of a stack gets exactly the result of
-its own one-matrix call.
+and inverse square root, and the ridge-shifted linear system that every
+portfolio book and the optimal weight matrix solve against.  A System checks
+and shifts its matrix once, on its first solve, however many right-hand sides
+are solved against it; solve and solve_sandwich build one per matrix.  All
+functions are pure, operate on plain numpy arrays and take one (n, n) matrix
+or a (..., n, n) stack of them; each matrix of a stack gets exactly the
+result of its own one-matrix call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,32 +114,50 @@ def inv_sqrt(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
     return symmetrize((vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
-def _shifted(m: np.ndarray, ridge: float | None) -> np.ndarray:
-    """m + ridge*I, checked symmetric and positive definite, one matrix or a stack."""
-    a = check_symmetric(m)
-    n = a.shape[-1]
-    if ridge is None:
-        ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
-    elif ridge < 0.0:
-        raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
-    shifted = a + 0.0  # a copy, and the very sums a + ridge*I gives off the diagonal
-    diagonal = np.arange(n)
-    shifted[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
-    try:
-        np.linalg.cholesky(shifted)  # np.linalg.solve passes indefinite, non-singular input
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"not positive definite at ridge {np.min(ridge):.3e}") from None
-    return shifted
+class System:
+    """The system m + ridge*I of one (n, n) matrix or a (..., n, n) stack.
+
+    It is checked symmetric and positive definite on its first solve, and the
+    checked matrix is kept, so every later solve against it is one LU solve.
+    ridge=None picks 1e-8 * trace/n per matrix, inverse's default on PSD input.
+    """
+
+    def __init__(self, m, ridge: float | None = None):
+        self.matrix = np.asarray(m, dtype=float)
+        self.ridge = ridge
+
+    @functools.cached_property
+    def shifted(self) -> np.ndarray:
+        """m + ridge*I; NotPositiveDefinite if it is not positive definite."""
+        a = check_symmetric(self.matrix)
+        n, ridge = a.shape[-1], self.ridge
+        if ridge is None:
+            ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
+        elif ridge < 0.0:
+            raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
+        shifted = a + 0.0  # a copy, and the very sums a + ridge*I gives off the diagonal
+        diagonal = np.arange(n)
+        shifted[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
+        try:
+            np.linalg.cholesky(shifted)  # np.linalg.solve passes indefinite, non-singular input
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                f"not positive definite at ridge {np.min(ridge):.3e}") from None
+        return shifted
+
+    def solve(self, b) -> np.ndarray:
+        """x with (m + ridge*I) x = b; b's last axis holds the right-hand sides,
+        broadcast over the stack: (n,) or (..., n) for one per matrix."""
+        return np.linalg.solve(self.shifted, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
     """x with (m + ridge*I) x = b for an (n, n) matrix or a (..., n, n) stack.
 
-    b's last axis holds the right-hand sides, broadcast over the stack: (n,) or
-    (..., n) for one per matrix.  ridge=None picks 1e-8 * trace/n per matrix,
-    inverse's default on PSD input; NotPositiveDefinite if m + ridge*I is not.
+    System(m, ridge).solve(b); a caller that solves one matrix against several
+    right-hand sides keeps the System and checks the matrix once.
     """
-    return np.linalg.solve(_shifted(m, ridge), np.asarray(b, dtype=float)[..., None])[..., 0]
+    return System(m, ridge).solve(b)
 
 
 def solve_sandwich(left: np.ndarray, core: np.ndarray, right: np.ndarray,
@@ -147,5 +168,6 @@ def solve_sandwich(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     matrix is checked and LU-factored once: X = inv(left) core, then, right
     being symmetric, X inv(right) = (inv(right) X^T)^T.
     """
-    half = np.linalg.solve(_shifted(left, ridge), np.asarray(core, dtype=float))
-    return np.swapaxes(np.linalg.solve(_shifted(right, ridge), np.swapaxes(half, -1, -2)), -1, -2)
+    half = np.linalg.solve(System(left, ridge).shifted, np.asarray(core, dtype=float))
+    return np.swapaxes(np.linalg.solve(System(right, ridge).shifted, np.swapaxes(half, -1, -2)),
+                       -1, -2)

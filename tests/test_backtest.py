@@ -10,7 +10,8 @@ from trendlab import backtest as bt
 from trendlab import estimation, portfolios, signals, symmat
 from trendlab import sharpe_oracle as so
 from trendlab.errors import (DegenerateResult, DegenerateVariance, DegenerateVolatility,
-                             InsufficientData, InvalidInput, TrendlabError, ZeroTargetVector)
+                             InsufficientData, InvalidInput, NotPositiveDefinite, TrendlabError,
+                             ZeroTargetVector)
 from trendlab.market_model import ModelParams, ReturnsPanel, simulate
 
 FAST = dict(signal_rate=0.05, cov_rate=0.05, var_rate=0.05)
@@ -50,14 +51,13 @@ def test_every_book_is_a_position_array():
     corr = np.stack([np.corrcoef(rng.standard_normal((30, n)), rowvar=False)
                      for _ in range(k)])[:, None]
     vols = rng.uniform(0.5, 2.0, size=(k, w, n))
-    cov = corr * (vols[..., :, None] * vols[..., None, :])
     sig = rng.standard_normal((k, w, n))
     classes = ("stock", "bond", "stock", "fx")
     for kind, (reads, book) in bt._BOOKS.items():
-        pos = book(corr, cov, sig, vols, classes)
+        pos = book(bt._Segment(corr, sig, vols, classes))
         assert type(pos) is np.ndarray and pos.shape == (k, w, n), kind
-        if not reads:  # the pass hands a book that reads nothing corr = cov = None
-            assert np.array_equal(book(None, None, sig, vols, classes), pos), kind
+        if not reads:  # the pass hands a book that reads nothing corr = None
+            assert np.array_equal(book(bt._Segment(None, sig, vols, classes)), pos), kind
 
 
 def test_panel_must_clear_warmup():
@@ -528,7 +528,7 @@ def test_estimator_pass_cleans_each_needed_roll_once_per_chunk(monkeypatch, days
     bt.pipeline_estimates(panel, bt.StrategyConfig(kind="ew", warmup=warmup, **FAST))
     assert stacks == [1]  # no book reads a correlation: only the last roll is cleaned
     stacks.clear()
-    monkeypatch.setitem(bt._BOOKS, "signal", (False, lambda c, cov, s, v, cls: s))
+    monkeypatch.setitem(bt._BOOKS, "signal", (False, lambda seg: seg.signals))
     bt.run(panel, bt.StrategyConfig(kind="signal", warmup=warmup, **FAST))
     assert stacks == [1]  # a row that reads nothing is not cleaned for, whatever its kind
 
@@ -570,6 +570,65 @@ def test_blocked_engine_fails_like_per_day_constructors(panel, kind):
     bound = EQUIVALENCE_BOUND * np.abs(positions).max()
     assert np.abs(res.positions - positions).max() <= bound
     assert np.abs(res.pnl - pnl).max() <= bound
+
+
+ALL_FX_PANEL = factor_panel(18, 120, ("fx",) * 3)
+ZERO_FX_PANEL = ReturnsPanel(returns=np.zeros((120, 3)), asset_classes=("fx",) * 3)
+
+
+@pytest.mark.parametrize("panel,kinds,error", [
+    (ALL_FX_PANEL, ("nm", "ew", "torp"), ZeroTargetVector),
+    (ALL_FX_PANEL, ("arp", "nm", "ew"), None),
+    (late_listing_panel(), ("nm", "arp"), DegenerateVolatility),
+    (ZERO_FX_PANEL, ("rp", "nm"), ZeroTargetVector),
+    (ZERO_FX_PANEL, ("nm", "rp"), NotPositiveDefinite),
+    (ZERO_FX_PANEL, ("zero", "ew", "nm"), DegenerateVolatility),
+], ids=["all-fx-torp", "all-fx-no-rp-book", "late-listing-arp", "zero-fx-rp-first",
+        "zero-fx-nm-first", "zero-fx-ew-first"])
+def test_a_pass_of_several_books_fails_like_its_first_failing_book(panel, kinds, error):
+    """The first book in config order whose one-book run fails decides the pass's error,
+    though RP's class-target check and NM's positive-definite check share one system."""
+    configs = [bt.StrategyConfig(kind=kind, warmup=63, **FAST) for kind in kinds]
+    failures = []
+    for cfg in configs:
+        try:
+            bt.run(panel, cfg)
+        except TrendlabError as exc:
+            failures.append(type(exc))
+    assert (failures[0] if failures else None) is error
+    if error is not None:
+        with pytest.raises(error):
+            bt.run_with_estimates(panel, configs)
+        return
+    for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
+        assert np.array_equal(res.positions, bt.run(panel, cfg).positions), cfg.kind
+
+
+def counted_linalg(monkeypatch, name):
+    """The days of every matrix stack passed to np.linalg.<name>, one entry per call."""
+    original = getattr(np.linalg, name)
+    days = []
+    monkeypatch.setattr(np.linalg, name, lambda a, *args: days.append(math.prod(a.shape[:-2]))
+                        or original(a, *args))
+    return days
+
+
+def test_books_of_a_segment_share_one_checked_system(monkeypatch):
+    """NM, RP and ToRP solve against one Cholesky-tested covariance per segment, and
+    RP's system is solved once for both RP and ToRP; ARP, EW and zero test none."""
+    panel = factor_panel(29, 2 * bt._CHUNK_DAYS + 45, ENGINE_CLASSES)
+    warmup = 66
+    cholesky, solves = counted_linalg(monkeypatch, "cholesky"), counted_linalg(monkeypatch, "solve")
+    for kinds, systems in ((("nm", "rp", "torp"), 2), (("torp", "nm"), 2), (("rp", "torp"), 1),
+                           (("nm",), 1), (("arp", "ew", "zero"), 0)):
+        cholesky.clear()
+        solves.clear()
+        configs = [bt.StrategyConfig(kind=kind, warmup=warmup, **FAST) for kind in kinds]
+        bt.run_with_estimates(panel, configs)
+        # every active day's covariance is tested once, in one call per segment
+        assert sum(cholesky) == (panel.n_days - warmup if systems else 0), kinds
+        assert len(solves) == systems * len(cholesky), kinds
+        assert sum(solves) == systems * sum(cholesky), kinds
 
 
 def test_run_with_estimates_equals_one_run_per_config():
@@ -627,7 +686,7 @@ def test_engine_pnl_has_the_oracle_stationary_moments(monkeypatch, model, weight
     Batches of 1000 days, 50 signal lifetimes, give the standard errors.  One-day-late
     positions put the mean at z = -7.2 (trend) and -4.6 (trend-and-drift); against an
     oracle without the drift, trend-and-drift's mean sits at z = 11."""
-    monkeypatch.setitem(bt._BOOKS, "fixed", (False, lambda c, cov, s, v, cls: s @ weights.T))
+    monkeypatch.setitem(bt._BOOKS, "fixed", (False, lambda seg: seg.signals @ weights.T))
     cfg = bt.StrategyConfig(kind="fixed", signal_rate=0.05, cov_rate=0.05, warmup=2000)
     pnl = bt.run(simulate(model, GATE_DAYS, 1), cfg).active_pnl
     mean, variance = so.moments(so.pnl_moment_tensors(model, cfg.signal_rate, None), weights)

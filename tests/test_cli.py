@@ -357,12 +357,14 @@ def names_option(line, option):
      None, "jgrid"),
     (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--jgrid", "0:1e-300:1"],
      None, "jgrid"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--outdir", ""], None, "outdir"),
+    (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2"], {"outdir": ""}, "outdir"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
         "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
         "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
         "outdir-file", "outdir-under-file", "config-typo", "config-other-command",
         "config-dashed-key", "j-overflow", "jgrid-overflow", "jgrid-point-overflow",
-        "jgrid-past-numpy-size"])
+        "jgrid-past-numpy-size", "outdir-empty", "outdir-empty-in-config"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases
@@ -805,6 +807,11 @@ def test_bulk_reader_equals_the_per_cell_reader(tmp_path):
                 for case, (_, row, message) in MALFORMED_PNL_ROWS.items()}
     bad_rows.update({"short": ("2000-02-11,0.1", False), "long": ("2000-02-11,0.1,0.2,0.3", False),
                      "text": ("2000-02-11,0.1,abc", False), "repeat": (None, False)})
+    # lines and cells that a bulk parser could skip, cut at a comment or unquote
+    bad_rows.update({"blank": ("", True), "spaces": ("  \t ", True), "comment": ("# 0.1,0.2", True),
+                     "quoted": ('2000-02-11,"0.1",0.2', False),
+                     "trailing-comma": ("2000-02-11,0.1,0.2,", False),
+                     "comment-cell": ("2000-02-11,0.1,0.2#x", False)})
     expected = {}
     for case, (row, keep_date) in bad_rows.items():
         for index in (3, 3000):
