@@ -80,7 +80,7 @@ class StrategyConfig:
     """Strategy id plus every estimator knob of the pipeline.
 
     The cleaner's sample ratio is estimation.default_sample_ratio(n, cov_rate)
-    and the books use the constructors' default ridge.  vol_scale=None trades
+    and the books solve with symmat.System's default ridge.  vol_scale=None trades
     unit-gross positions (P&L scales linearly with the panel); a float
     rescales positions daily to that conditional volatility under the
     estimated covariance.

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
+from .signals import check_index
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class AgentSimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.agents, self.strategies, self.steps, self.reps) < 1:
+        if min(check_index(name, getattr(self, name), InvalidInput)
+               for name in ("agents", "strategies", "steps", "reps")) < 1:
             raise InvalidInput("agents, strategies, steps and reps must all be >= 1")
         if not 0.0 <= self.coupling < np.inf:
             raise InvalidInput(f"coupling must be finite and non-negative, got {self.coupling}")
@@ -48,7 +50,7 @@ class AgentSimParams:
         if not math.isfinite(float(self.coupling) * math.sqrt(self.strategies)):
             raise InvalidInput(f"coupling {self.coupling} times the square root of "
                                f"{self.strategies} strategies is not finite")
-        if self.seed < 0:
+        if check_index("seed", self.seed, InvalidInput) < 0:
             raise InvalidInput(f"seed must be non-negative, got {self.seed}")
 
     @property

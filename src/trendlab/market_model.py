@@ -191,8 +191,10 @@ def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:
     stationarity should drop params.burn_in() leading rows.
     """
     _one_model(params)
-    if n_days < 1:
+    if check_index("n_days", n_days, InvalidInput) < 1:
         raise InvalidInput(f"n_days must be >= 1, got {n_days}")
+    if check_index("seed", seed, InvalidInput) < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     noise_factor = _psd_factor(params.noise_cov)
     shock_factor = _psd_factor(params.trend_cov)

@@ -11,10 +11,10 @@ signal), and use vol_target to set the actual size.  Each takes one day or
 days under any leading batch shape, row by row equal to the one-day calls:
 signals and vols (..., n), covariances (..., n, n), and for ARP a
 correlation that broadcasts against them, such as (k, 1, n, n) for k blocks
-of days that share one each.  NM, RP, ToRP and the weight matrix all solve
-against the one ridge-shifted system, symmat.System.  NM, RP and ToRP also
-take a System in place of cov, so a caller that builds several books on one
-covariance checks and shifts it once.  ToRP trades RP's raw book
+of days that share one each.  NM, RP, ToRP and the weight matrix take the
+covariance as a symmat.System(cov, ridge) and solve with its ridge, so a
+caller that builds several books on one covariance checks and shifts it
+once; ARP's ridge is for its eigen route.  ToRP trades RP's raw book
 (risk_parity(..., normalize=False)): trend_on is that step for a raw book in
 hand, and finish takes a raw book to positions.
 
@@ -60,15 +60,8 @@ def _vols_vector(vols, n: int) -> np.ndarray:
     return v
 
 
-def _system(cov, ridge) -> symmat.System:
-    """cov as a system: a covariance array, or a symmat.System of one, which
-    carries its own ridge."""
-    return cov if isinstance(cov, symmat.System) else symmat.System(cov, ridge)
-
-
-def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> np.ndarray:
+def risk_parity(system: symmat.System, vols, classes, normalize=True) -> np.ndarray:
     """Static book: inverse covariance applied to the vol-weighted class target."""
-    system = _system(cov, ridge)
     v = _vols_vector(vols, system.matrix.shape[-1])
     target = class_target(classes)
     if not target.any():
@@ -76,9 +69,9 @@ def risk_parity(cov, vols, classes, ridge=None, normalize=True) -> np.ndarray:
     return finish(system.solve(v * target), normalize)
 
 
-def naive_markowitz(cov, signal, ridge=None, normalize=True) -> np.ndarray:
+def naive_markowitz(system: symmat.System, signal, normalize=True) -> np.ndarray:
     """Inverse covariance applied to the trend signal."""
-    return finish(_system(cov, ridge).solve(signal), normalize)
+    return finish(system.solve(signal), normalize)
 
 
 def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.ndarray:
@@ -92,9 +85,10 @@ def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.n
     return finish(raw, normalize)
 
 
-def trend_on_risk_parity(cov, vols, signal, classes, ridge=None, normalize=True) -> np.ndarray:
+def trend_on_risk_parity(system: symmat.System, vols, signal, classes,
+                         normalize=True) -> np.ndarray:
     """Risk-parity book traded long or short by the signal projected on it."""
-    return trend_on(risk_parity(cov, vols, classes, ridge, normalize=False), signal, normalize)
+    return trend_on(risk_parity(system, vols, classes, normalize=False), signal, normalize)
 
 
 def trend_on(book, signal, normalize=True) -> np.ndarray:
@@ -111,19 +105,19 @@ def equally_weighted(vols, normalize=True) -> np.ndarray:
     return finish(1.0 / v, normalize)
 
 
-def optimal_weight_matrix(cov, trend_cov, drift_outer, trend_gain, drift_gain, ridge=None) -> np.ndarray:
-    """Optimal signal weights inv(cov) (g_t*trend_cov + g_d*drift_outer) inv(cov).
+def optimal_weight_matrix(system: symmat.System, trend_cov, drift_outer, trend_gain,
+                          drift_gain) -> np.ndarray:
+    """Optimal signal weights inv(C) (g_t*trend_cov + g_d*drift_outer) inv(C), C = system.
 
     One (n, n) matrix, or a (..., n, n) stack for a stack of inputs; positions
-    are omega @ s.
+    are omega @ s.  The one system is both sides of the sandwich.
     """
-    cov = np.asarray(cov, dtype=float)
     trend_cov = np.asarray(trend_cov, dtype=float)
     drift_outer = np.asarray(drift_outer, dtype=float)
-    if trend_cov.shape != cov.shape or drift_outer.shape != cov.shape:
+    if trend_cov.shape != system.matrix.shape or drift_outer.shape != system.matrix.shape:
         raise InvalidInput("cov, trend_cov and drift_outer must share one shape")
     core = trend_gain * trend_cov + drift_gain * drift_outer
-    return symmat.solve_sandwich(cov, core, cov, ridge)
+    return symmat.solve_sandwich(system, core, system)
 
 
 def vol_target(positions, cov, target: float) -> np.ndarray:

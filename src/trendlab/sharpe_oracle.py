@@ -37,6 +37,7 @@ import numpy as np
 from . import estimation, portfolios, signals, symmat
 from .errors import DegenerateForm, InvalidInput, TooEarly
 from .market_model import ModelParams
+from .symmat import System
 
 # brute_force_optimal's relative residual to stop at, and its step cap (models take 1-11)
 _PCG_TOL, _PCG_MAX_STEPS = 1e-13, 100
@@ -282,6 +283,9 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     model takes its draws from rng in turn, as k one-model calls would, and the
     arithmetic and the model check then run once over the stack.
     """
+    if signals.check_index("n", n, InvalidInput) < 1 or (
+            count is not None and signals.check_index("count", count, InvalidInput) < 1):
+        raise InvalidInput(f"need n >= 1 and count None or >= 1, got n={n}, count={count}")
     draws = []
     for _ in range(1 if count is None else count):
         draws.append((
@@ -312,8 +316,8 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     """Closed-form approximate weights of mm's model(s) in the weak-trend, weak-drift regime.
 
     form="simple" is the paper's optimal weight matrix,
-    portfolios.optimal_weight_matrix with no ridge and the kernel gains of mm,
-    g_t = sig_trend_trend / sig_sig and g_d = signal_mass / sig_sig.
+    portfolios.optimal_weight_matrix on System(noise_cov, 0.0) with the kernel
+    gains of mm, g_t = sig_trend_trend / sig_sig and g_d = signal_mass / sig_sig.
     form="sandwich" keeps the first-order trend/drift corrections inside the
     two inverted factors of the same two-solve sandwich.
     """
@@ -324,7 +328,7 @@ def approx_optimal(mm: PnlMoments, form: str = "simple") -> np.ndarray:
     trend_gain = _per_model(k["sig_trend_trend"] / k["sig_sig"], 2)
     drift_gain = _per_model(k["signal_mass"] / k["sig_sig"], 2)
     if form == "simple":
-        return portfolios.optimal_weight_matrix(model.noise_cov, model.trend_cov, m, trend_gain,
-                                                drift_gain, ridge=0.0)
-    return symmat.solve_sandwich(mm.left, trend_gain * model.trend_cov + drift_gain * m,
-                                 mm.right, ridge=0.0)
+        return portfolios.optimal_weight_matrix(System(model.noise_cov, 0.0), model.trend_cov,
+                                                m, trend_gain, drift_gain)
+    core = trend_gain * model.trend_cov + drift_gain * m
+    return symmat.solve_sandwich(System(mm.left, 0.0), core, System(mm.right, 0.0))

@@ -62,7 +62,8 @@ def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.nda
 
 
 def power_sum(step: np.ndarray, m: int | None) -> np.ndarray:
-    """sum_{k<m} step**k for a (..., d, d) stack; m=None sums the series, inv(I - step).
+    """sum_{k<m} step**k for a (..., d, d) stack and an integer m >= 0 (InvalidIndex
+    otherwise); m=None sums the series, inv(I - step).
 
     Over the bits of m from the top, the partial sum and power (S, P) double to
     (S + P S, P P) and a 1 bit adds one term, (S + P, P step): O(log m) stacked
@@ -70,6 +71,8 @@ def power_sum(step: np.ndarray, m: int | None) -> np.ndarray:
     eye = np.broadcast_to(np.eye(step.shape[-1]), step.shape)
     if m is None:
         return np.linalg.inv(eye - step)
+    if check_index("m", m) < 0:
+        raise InvalidIndex(f"m must be >= 0, got {m}")
     total, power = np.zeros_like(step), eye
     for bit in bin(m)[2:]:
         total, power = total + power @ total, power @ power

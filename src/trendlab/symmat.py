@@ -1,13 +1,13 @@
 """Symmetric-matrix numerics shared by the whole library.
 
 Eigendecomposition with a fixed sign convention, ridge-regularized inverse
-and inverse square root, and the ridge-shifted linear system that every
-portfolio book and the optimal weight matrix solve against.  A System checks
+and inverse square root, and System, the ridge-shifted linear system that
+every LU solve of the library goes through (the portfolio books, the optimal
+weight matrix and the oracle's sandwich) with its own ridge.  A System checks
 and shifts its matrix once, on its first solve, however many right-hand sides
-are solved against it; solve and solve_sandwich build one per matrix.  All
-functions are pure, operate on plain numpy arrays and take one (n, n) matrix
-or a (..., n, n) stack of them; each matrix of a stack gets exactly the
-result of its own one-matrix call.
+are solved against it.  Everything here is pure and takes one (n, n) matrix
+or a (..., n, n) stack of them, as an array or, for solve_sandwich, a System;
+each matrix of a stack gets exactly the result of its own one-matrix call.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def _shifted_spectrum(m: np.ndarray, ridge: float | None) -> tuple[np.ndarray, n
     vals = pairs.eigenvalues
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * np.abs(vals).sum(axis=-1, keepdims=True) / vals.shape[-1]
-    elif ridge < 0.0:
-        raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
+    elif not 0.0 <= ridge < np.inf:
+        raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
     shifted = vals + ridge
     if shifted.min() <= 0.0:
         raise NotPositiveDefinite(
@@ -133,8 +133,8 @@ class System:
         n, ridge = a.shape[-1], self.ridge
         if ridge is None:
             ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
-        elif ridge < 0.0:
-            raise InvalidMatrix(f"ridge must be non-negative, got {ridge}")
+        elif not 0.0 <= ridge < np.inf:
+            raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
         shifted = a + 0.0  # a copy, and the very sums a + ridge*I gives off the diagonal
         diagonal = np.arange(n)
         shifted[..., diagonal, diagonal] += np.asarray(ridge)[..., None]
@@ -151,23 +151,13 @@ class System:
         return np.linalg.solve(self.shifted, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
-def solve(m: np.ndarray, b: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """x with (m + ridge*I) x = b for an (n, n) matrix or a (..., n, n) stack.
-
-    System(m, ridge).solve(b); a caller that solves one matrix against several
-    right-hand sides keeps the System and checks the matrix once.
-    """
-    return System(m, ridge).solve(b)
-
-
-def solve_sandwich(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                   ridge: float | None = None) -> np.ndarray:
-    """inv(left + ridge*I) core inv(right + ridge*I) by two solves, for one matrix or a stack.
+def solve_sandwich(left: System, core: np.ndarray, right: System) -> np.ndarray:
+    """inv(left) core inv(right) by two solves, for one system or a stack.
 
     Each solve takes a whole (n, n) matrix as its right-hand sides, so each
-    matrix is checked and LU-factored once: X = inv(left) core, then, right
-    being symmetric, X inv(right) = (inv(right) X^T)^T.
+    side is LU-factored once: X = inv(left) core, then, right being symmetric,
+    X inv(right) = (inv(right) X^T)^T.  One System passed as both sides is
+    checked once.
     """
-    half = np.linalg.solve(System(left, ridge).shifted, np.asarray(core, dtype=float))
-    return np.swapaxes(np.linalg.solve(System(right, ridge).shifted, np.swapaxes(half, -1, -2)),
-                       -1, -2)
+    half = np.linalg.solve(left.shifted, np.asarray(core, dtype=float))
+    return np.swapaxes(np.linalg.solve(right.shifted, np.swapaxes(half, -1, -2)), -1, -2)

@@ -23,6 +23,7 @@ from trendlab import backtest as bt
 from trendlab import cli, estimation, herding, portfolios as pf, sharpe_oracle as so
 from trendlab import symmat
 from trendlab.market_model import ModelParams, simulate, stationary_covariance
+from trendlab.symmat import System
 
 
 def report(num, name, ok, detail):
@@ -96,11 +97,11 @@ def test_criterion_3_portfolio_identities():
     worst_nm, worst_cos = 0.0, 1.0
     for _ in range(100):
         s = rng.standard_normal(n)
-        nm = pf.naive_markowitz(eye, s, ridge=0.0)
+        nm = pf.naive_markowitz(System(eye, 0.0), s)
         arp = pf.agnostic_risk_parity(eye, ones, s, ridge=0.0)
         worst_nm = max(worst_nm, float(np.abs(nm - arp).max()))
-        rp = pf.risk_parity(eye, ones, classes, ridge=0.0)
-        torp = pf.trend_on_risk_parity(eye, ones, s, classes, ridge=0.0)
+        rp = pf.risk_parity(System(eye, 0.0), ones, classes)
+        torp = pf.trend_on_risk_parity(System(eye, 0.0), ones, s, classes)
         cos = abs(rp @ torp) / (np.linalg.norm(rp) * np.linalg.norm(torp))
         worst_cos = min(worst_cos, cos)
     ok = worst_nm < 1e-12 and abs(worst_cos - 1.0) < 1e-10

@@ -389,7 +389,8 @@ def test_strategy_config_rejects_bad_rates(bad):
 
 def reference_book(cfg, corr, vols, sig, classes, ridge=None):
     """One day's positions by the eigen-inverse formulas the constructors used
-    before they moved to symmat.solve, so the engine is not compared with itself."""
+    before they moved to LU solves on a symmat.System, so the engine is not compared
+    with itself."""
     if cfg.kind == "zero":
         return np.zeros(len(vols))
     if cfg.kind in ("ew", "arp") and vols.min() <= 0.0:

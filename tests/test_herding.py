@@ -311,3 +311,19 @@ def test_perturbed_interleaving_keeps_the_counts(monkeypatch, seed, caller):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
+
+
+def test_counts_and_seed_must_be_integers():
+    base = dict(agents=20, strategies=4, coupling=1.0, steps=5, reps=2, seed=0)
+    for field, bad in (("agents", 2.5), ("strategies", 2.0), ("steps", 5.0), ("reps", True),
+                       ("seed", 1.5), ("seed", False), ("agents", "20")):
+        with pytest.raises(InvalidInput, match=field):
+            herding.AgentSimParams(**{**base, field: bad})
+    for field in ("agents", "strategies", "steps", "reps"):
+        with pytest.raises(InvalidInput, match="must all be >= 1"):
+            herding.AgentSimParams(**{**base, field: 0})
+    with pytest.raises(InvalidInput, match="seed must be non-negative"):
+        herding.AgentSimParams(**{**base, "seed": -1})
+    params = herding.AgentSimParams(**{**base, "agents": np.int64(20), "seed": np.int64(3)})
+    assert np.array_equal(herding.run(params).counts,
+                          herding.run(replace(params, agents=20, seed=3)).counts)

@@ -333,3 +333,13 @@ def test_one_model_functions_reject_a_stack():
                  lambda: mm.stationary_covariance(stacked)):
         with pytest.raises(InvalidInput, match="need one model, got a stack of 2"):
             call()
+
+
+def test_simulate_checks_days_and_seed_before_any_draw():
+    params = white_params()
+    for n_days, seed in ((True, 1), (2.0, 1), (0, 1), (-1, 1), (3, -1), (3, 1.5), (3, True),
+                         (3, "1")):
+        with pytest.raises(InvalidInput):
+            mm.simulate(params, n_days, seed)
+    panel = mm.simulate(params, np.int64(3), np.int64(1))
+    assert np.array_equal(panel.returns, mm.simulate(params, 3, 1).returns)

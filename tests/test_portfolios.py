@@ -11,6 +11,7 @@ from trendlab.errors import (
     NotPositiveDefinite,
     ZeroTargetVector,
 )
+from trendlab.symmat import System
 
 STOCKS3 = ("stock", "stock", "stock")
 
@@ -20,16 +21,16 @@ def cosine(a, b):
 
 
 def test_risk_parity_identity_case():
-    w = pf.risk_parity(np.eye(3), np.ones(3), STOCKS3)
+    w = pf.risk_parity(System(np.eye(3)), np.ones(3), STOCKS3)
     assert np.allclose(w, np.full(3, 1.0 / 3.0))
     assert np.abs(w).sum() == pytest.approx(1.0)
 
 
 def test_risk_parity_symmetric_two_assets():
     c = np.array([[1.0, 0.5], [0.5, 1.0]])
-    w = pf.risk_parity(c, np.ones(2), ("stock", "stock"), ridge=0.0)
+    w = pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock"))
     assert np.allclose(w, [0.5, 0.5])
-    raw = pf.risk_parity(c, np.ones(2), ("stock", "stock"), ridge=0.0, normalize=False)
+    raw = pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock"), normalize=False)
     assert np.allclose(raw, [2.0 / 3.0, 2.0 / 3.0])
 
 
@@ -38,7 +39,7 @@ def test_risk_parity_fx_couples_through_inverse():
     c = rand_spd(rng, 3)
     vols = np.array([1.0, 2.0, 0.5])
     classes = ("stock", "bond", "fx")
-    w = pf.risk_parity(c, vols, classes, ridge=0.0, normalize=False)
+    w = pf.risk_parity(System(c, 0.0), vols, classes, normalize=False)
     target = vols * np.array([1.0, 1.0, 0.0])
     want = np.linalg.solve(c, target)  # independent route
     assert np.abs(w - want).max() < 1e-9
@@ -47,19 +48,19 @@ def test_risk_parity_fx_couples_through_inverse():
 
 def test_risk_parity_all_fx_rejected():
     with pytest.raises(ZeroTargetVector):
-        pf.risk_parity(np.eye(2), np.ones(2), ("fx", "fx"))
+        pf.risk_parity(System(np.eye(2)), np.ones(2), ("fx", "fx"))
 
 
 def test_naive_markowitz_identity_and_eigenvector():
     rng = np.random.default_rng(1)
     s = rng.standard_normal(4)
-    w = pf.naive_markowitz(np.eye(4), s, ridge=0.0, normalize=False)
+    w = pf.naive_markowitz(System(np.eye(4), 0.0), s, normalize=False)
     assert np.allclose(w, s)
 
     c = rand_spd(rng, 4)
     pairs = symmat.eigendecompose(c)
     u1 = pairs.eigenvectors[:, 1]
-    w = pf.naive_markowitz(c, u1, ridge=0.0, normalize=False)
+    w = pf.naive_markowitz(System(c, 0.0), u1, normalize=False)
     assert np.abs(w - u1 / pairs.eigenvalues[1]).max() < 1e-9
 
 
@@ -72,7 +73,7 @@ def test_naive_markowitz_spectral_route():
         (pairs.eigenvectors[:, k] @ s) / pairs.eigenvalues[k] * pairs.eigenvectors[:, k]
         for k in range(5)
     )
-    w = pf.naive_markowitz(c, s, ridge=0.0, normalize=False)
+    w = pf.naive_markowitz(System(c, 0.0), s, normalize=False)
     assert np.abs(w - spectral).max() < 1e-9
 
 
@@ -82,7 +83,7 @@ def test_arp_reduces_to_markowitz_for_identity_correlation():
     vols = np.array([0.5, 1.0, 2.0, 4.0])
     w = pf.agnostic_risk_parity(np.eye(4), vols, s, ridge=0.0, normalize=False)
     assert np.allclose(w, s / vols**2)
-    nm = pf.naive_markowitz(np.eye(4), s, ridge=0.0)
+    nm = pf.naive_markowitz(System(np.eye(4), 0.0), s)
     arp = pf.agnostic_risk_parity(np.eye(4), np.ones(4), s, ridge=0.0)
     assert np.array_equal(nm, arp)
 
@@ -124,7 +125,7 @@ def test_arp_rejects_zero_volatility():
 
 def test_torp_uniform_case():
     s = np.array([0.3, -0.1, 0.5])
-    w = pf.trend_on_risk_parity(np.eye(3), np.ones(3), s, STOCKS3, ridge=0.0, normalize=False)
+    w = pf.trend_on_risk_parity(System(np.eye(3), 0.0), np.ones(3), s, STOCKS3, normalize=False)
     assert np.allclose(w, s.sum() * np.ones(3))
 
 
@@ -135,7 +136,7 @@ def test_torp_orthogonal_signal_is_flat():
     book = np.linalg.solve(c, vols)  # the projection pairs s with inv(C) Sigma m
     s = rng.standard_normal(3)
     s = s - (s @ book) / (book @ book) * book
-    w = pf.trend_on_risk_parity(c, vols, s, STOCKS3, ridge=0.0, normalize=False)
+    w = pf.trend_on_risk_parity(System(c, 0.0), vols, s, STOCKS3, normalize=False)
     assert np.abs(w).max() < 1e-9
 
 
@@ -145,15 +146,15 @@ def test_torp_collinear_with_risk_parity():
         c = rand_spd(rng, 3)
         vols = rng.uniform(0.5, 2.0, size=3)
         s = rng.standard_normal(3)
-        rp = pf.risk_parity(c, vols, STOCKS3, ridge=0.0)
-        torp = pf.trend_on_risk_parity(c, vols, s, STOCKS3, ridge=0.0)
+        rp = pf.risk_parity(System(c, 0.0), vols, STOCKS3)
+        torp = pf.trend_on_risk_parity(System(c, 0.0), vols, s, STOCKS3)
         assert abs(abs(cosine(rp, torp)) - 1.0) < 1e-10
 
 
 def test_torp_sign_follows_projection():
     c = np.eye(2)
-    up = pf.trend_on_risk_parity(c, np.ones(2), np.array([1.0, 1.0]), ("stock", "stock"), ridge=0.0)
-    down = pf.trend_on_risk_parity(c, np.ones(2), np.array([-1.0, -1.0]), ("stock", "stock"), ridge=0.0)
+    up = pf.trend_on_risk_parity(System(c, 0.0), np.ones(2), np.array([1.0, 1.0]), ("stock", "stock"))
+    down = pf.trend_on_risk_parity(System(c, 0.0), np.ones(2), np.array([-1.0, -1.0]), ("stock", "stock"))
     assert np.allclose(up, -down)
     assert up[0] > 0.0
 
@@ -172,10 +173,10 @@ def test_equally_weighted():
 def test_weight_matrix_markowitz_limit():
     rng = np.random.default_rng(9)
     c = rand_spd(rng, 3)
-    omega = pf.optimal_weight_matrix(c, c, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
+    omega = pf.optimal_weight_matrix(System(c, 0.0), c, np.zeros((3, 3)), 1.0, 0.0)
     assert np.abs(omega - symmat.inverse(c, 0.0)).max() < 1e-9
     s = rng.standard_normal(3)
-    nm = pf.naive_markowitz(c, s, ridge=0.0, normalize=False)
+    nm = pf.naive_markowitz(System(c, 0.0), s, normalize=False)
     assert np.abs(omega @ s - nm).max() < 1e-9
 
 
@@ -183,7 +184,7 @@ def test_weight_matrix_rank_one_drift():
     rng = np.random.default_rng(10)
     c = rand_spd(rng, 3)
     mu = rng.standard_normal(3)
-    omega = pf.optimal_weight_matrix(c, np.zeros((3, 3)), np.outer(mu, mu), 1.0, 0.7, ridge=0.0)
+    omega = pf.optimal_weight_matrix(System(c, 0.0), np.zeros((3, 3)), np.outer(mu, mu), 1.0, 0.7)
     pi = np.linalg.solve(c, mu)
     assert np.abs(omega - 0.7 * np.outer(pi, pi)).max() < 1e-9
     assert np.linalg.matrix_rank(omega, tol=1e-10) == 1
@@ -200,7 +201,7 @@ def test_weight_matrix_rank_one_trend_matches_conditional_route():
     u1 = pairs.eigenvectors[:, 0]
     cov = corr * np.outer(vols, vols)
     trend_cov = np.outer(vols * u1, vols * u1)
-    omega = pf.optimal_weight_matrix(cov, trend_cov, np.zeros((4, 4)), 1.0, 0.0, ridge=0.0)
+    omega = pf.optimal_weight_matrix(System(cov, 0.0), trend_cov, np.zeros((4, 4)), 1.0, 0.0)
     s = rng.standard_normal(4)
     v1 = np.linalg.solve(corr, u1)
     assert abs(abs(cosine(omega @ s, v1 / vols)) - 1.0) < 1e-10
@@ -210,10 +211,10 @@ def test_weight_matrix_linearity():
     rng = np.random.default_rng(12)
     c = rand_spd(rng, 3)
     cx1, cx2 = rand_spd(rng, 3), rand_spd(rng, 3)
-    a = pf.optimal_weight_matrix(c, cx1, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
-    b = pf.optimal_weight_matrix(c, cx2, np.zeros((3, 3)), 1.0, 0.0, ridge=0.0)
-    both = pf.optimal_weight_matrix(c, 0.25 * cx1 + 0.75 * cx2, np.zeros((3, 3)),
-                                    1.0, 0.0, ridge=0.0)
+    a = pf.optimal_weight_matrix(System(c, 0.0), cx1, np.zeros((3, 3)), 1.0, 0.0)
+    b = pf.optimal_weight_matrix(System(c, 0.0), cx2, np.zeros((3, 3)), 1.0, 0.0)
+    both = pf.optimal_weight_matrix(System(c, 0.0), 0.25 * cx1 + 0.75 * cx2, np.zeros((3, 3)),
+                                    1.0, 0.0)
     assert np.abs(both - (0.25 * a + 0.75 * b)).max() < 1e-12
 
 
@@ -240,14 +241,14 @@ def test_weight_matrix_limits_are_the_books():
         corr_3_2 = (pairs.eigenvectors * pairs.eigenvalues**1.5) @ pairs.eigenvectors.T
         mu = vols * pf.class_target(classes)
         limits = {
-            "nm": (cov, zero, pf.naive_markowitz(cov, s, ridge=0.0)),
+            "nm": (cov, zero, pf.naive_markowitz(System(cov, 0.0), s)),
             "arp": (corr_3_2 * np.outer(vols, vols), zero,
                     pf.agnostic_risk_parity(corr, vols, s, ridge=0.0)),
             "torp": (zero, np.outer(mu, mu),
-                     pf.trend_on_risk_parity(cov, vols, s, classes, ridge=0.0)),
+                     pf.trend_on_risk_parity(System(cov, 0.0), vols, s, classes)),
         }
         for kind, (trend_cov, drift_outer, book) in limits.items():
-            omega = pf.optimal_weight_matrix(cov, trend_cov, drift_outer, 0.8, 1.7, ridge=0.0)
+            omega = pf.optimal_weight_matrix(System(cov, 0.0), trend_cov, drift_outer, 0.8, 1.7)
             pos = omega @ s
             assert np.abs(pos / np.abs(pos).sum() - book).max() < 1e-12, (case, kind)
 
@@ -275,7 +276,7 @@ def test_non_finite_positions_are_rejected():
     """The solve overflows to inf, and unit gross turns that into nan: neither comes out."""
     for normalize in (True, False):
         with pytest.raises(InvalidInput, match="non-finite"):
-            pf.naive_markowitz(1e-300 * np.eye(2), np.array([1e300, 1e300]), ridge=0.0,
+            pf.naive_markowitz(System(1e-300 * np.eye(2), 0.0), np.array([1e300, 1e300]),
                                normalize=normalize)
     # a finite book whose scale overflows (numpy warns of it), and a non-finite book
     with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="non-finite"):
@@ -294,10 +295,10 @@ def test_signal_scaling_properties():
     s = rng.standard_normal(4)
     c = 3.7
     for build in (
-        lambda sig, norm: pf.naive_markowitz(cov, sig, ridge=0.0, normalize=norm),
+        lambda sig, norm: pf.naive_markowitz(System(cov, 0.0), sig, normalize=norm),
         lambda sig, norm: pf.agnostic_risk_parity(corr, vols, sig, ridge=0.0, normalize=norm),
-        lambda sig, norm: pf.trend_on_risk_parity(cov, vols, sig, STOCKS3 + ("stock",),
-                                                  ridge=0.0, normalize=norm),
+        lambda sig, norm: pf.trend_on_risk_parity(System(cov, 0.0), vols, sig, STOCKS3 + ("stock",),
+                                                  normalize=norm),
     ):
         raw1 = build(s, False)
         raw2 = build(c * s, False)
@@ -308,7 +309,7 @@ def test_signal_scaling_properties():
 
 
 def test_zero_signal_keeps_zero_positions():
-    w = pf.naive_markowitz(np.eye(3), np.zeros(3), ridge=0.0)
+    w = pf.naive_markowitz(System(np.eye(3), 0.0), np.zeros(3))
     assert np.abs(w).sum() == 0.0
     assert np.array_equal(w, np.zeros(3))
 
@@ -335,9 +336,9 @@ def test_flat_asset_books_equal_the_listed_solve():
         nm = np.zeros(4)
         nm[listed] = np.linalg.solve(shifted, s[listed])
         wants = {"nm": nm, "rp": rp, "torp": (rp @ s) * rp}
-        gots = {"nm": pf.naive_markowitz(cov, s, normalize=False),
-                "rp": pf.risk_parity(cov, vols, classes, normalize=False),
-                "torp": pf.trend_on_risk_parity(cov, vols, s, classes, normalize=False)}
+        gots = {"nm": pf.naive_markowitz(System(cov), s, normalize=False),
+                "rp": pf.risk_parity(System(cov), vols, classes, normalize=False),
+                "torp": pf.trend_on_risk_parity(System(cov), vols, s, classes, normalize=False)}
         for kind, want in wants.items():
             got = gots[kind]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, kind)
@@ -356,10 +357,11 @@ def test_block_equals_one_day_calls():
     cov = corr * (vols[:, :, None] * vols[:, None, :])
     for normalize in (True, False):
         builds = {
-            "rp": lambda c, v, s, r: pf.risk_parity(c, v, classes, r, normalize),
-            "nm": lambda c, v, s, r: pf.naive_markowitz(c, s, r, normalize),
+            "rp": lambda c, v, s, r: pf.risk_parity(System(c, r), v, classes, normalize),
+            "nm": lambda c, v, s, r: pf.naive_markowitz(System(c, r), s, normalize),
             "arp": lambda c, v, s, r: pf.agnostic_risk_parity(corr, v, s, r, normalize),
-            "torp": lambda c, v, s, r: pf.trend_on_risk_parity(c, v, s, classes, r, normalize),
+            "torp": lambda c, v, s, r: pf.trend_on_risk_parity(System(c, r), v, s, classes,
+                                                               normalize),
             "ew": lambda c, v, s, r: pf.equally_weighted(v, normalize),
         }
         for kind, build in builds.items():
@@ -385,13 +387,14 @@ def test_blocks_of_days_equal_one_day_calls():
     sig = rng.standard_normal((k, w, n))
     cov = corr[:, None] * (vols[..., :, None] * vols[..., None, :])
     builds = {
-        "rp": lambda c, cv, v, s: pf.risk_parity(cv, v, classes),
-        "nm": lambda c, cv, v, s: pf.naive_markowitz(cv, s),
+        "rp": lambda c, cv, v, s: pf.risk_parity(System(cv), v, classes),
+        "nm": lambda c, cv, v, s: pf.naive_markowitz(System(cv), s),
         "arp": lambda c, cv, v, s: pf.agnostic_risk_parity(c, v, s),
-        "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(cv, v, s, classes),
+        "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(System(cv), v, s, classes),
         "ew": lambda c, cv, v, s: pf.equally_weighted(v),
         "omega": lambda c, cv, v, s: (pf.optimal_weight_matrix(
-            cv, np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :], 1.0, 0.5)
+            System(cv), np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :],
+            1.0, 0.5)
             @ s[..., None])[..., 0],
     }
     for kind, build in builds.items():
@@ -410,9 +413,50 @@ def test_blocks_of_days_equal_one_day_calls():
 def test_indefinite_covariance_is_not_positive_definite():
     cov = np.diag([1.0, -0.5, 2.0])  # non-singular, so a bare solve would pass it
     s, vols = np.ones(3), np.ones(3)
-    for build in (lambda: pf.naive_markowitz(cov, s),
-                  lambda: pf.risk_parity(cov, vols, STOCKS3),
-                  lambda: pf.trend_on_risk_parity(cov, vols, s, STOCKS3),
-                  lambda: pf.optimal_weight_matrix(cov, np.eye(3), np.zeros((3, 3)), 1.0, 0.0)):
+    for build in (lambda: pf.naive_markowitz(System(cov), s),
+                  lambda: pf.risk_parity(System(cov), vols, STOCKS3),
+                  lambda: pf.trend_on_risk_parity(System(cov), vols, s, STOCKS3),
+                  lambda: pf.optimal_weight_matrix(System(cov), np.eye(3), np.zeros((3, 3)),
+                                                   1.0, 0.0)):
         with pytest.raises(NotPositiveDefinite):
             build()
+
+
+def test_the_system_ridge_is_the_one_every_book_solves_with():
+    """NM, RP, ToRP and omega solve (c + ridge*I) with the System's ridge; none takes a
+    ridge of its own beside it."""
+    c, s, vols = np.array([[1.0, 0.3], [0.3, 0.8]]), np.array([1.0, -0.5]), np.array([1.0, 2.0])
+    shifted = c + 0.5 * np.eye(2)
+    system = System(c, 0.5)
+    nm = pf.naive_markowitz(system, s, normalize=False)
+    assert np.allclose(nm, np.linalg.solve(shifted, s), rtol=1e-14, atol=0.0)
+    assert np.allclose(nm, [0.780, -0.565], atol=5e-4)
+    rp = np.linalg.solve(shifted, vols)
+    assert np.allclose(pf.risk_parity(system, vols, ("stock", "bond"), normalize=False), rp,
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(pf.trend_on_risk_parity(system, vols, s, ("stock", "bond"),
+                                               normalize=False), (rp @ s) * rp,
+                       rtol=1e-14, atol=0.0)
+    inv = np.linalg.inv(shifted)
+    omega = pf.optimal_weight_matrix(system, c, np.zeros((2, 2)), 1.0, 0.0)
+    assert np.allclose(omega, inv @ c @ inv, rtol=1e-13, atol=0.0)
+    for call in (lambda: pf.naive_markowitz(System(c), s, ridge=0.5),
+                 lambda: pf.risk_parity(System(c), vols, ("stock", "bond"), ridge=0.5),
+                 lambda: pf.trend_on_risk_parity(System(c), vols, s, ("stock", "bond"), ridge=0.5),
+                 lambda: pf.optimal_weight_matrix(System(c), c, np.zeros((2, 2)), 1.0, 0.0,
+                                                  ridge=0.5),
+                 lambda: symmat.solve_sandwich(System(c), c, System(c), ridge=0.5)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_weight_matrix_checks_its_one_system_once(monkeypatch):
+    """Both sides of the sandwich are the one System: C is Cholesky-tested once."""
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    rng = np.random.default_rng(25)
+    c = np.stack([rand_spd(rng, 3) for _ in range(4)])
+    omega = pf.optimal_weight_matrix(System(c, 0.0), c, np.zeros((4, 3, 3)), 1.0, 0.0)
+    assert calls == [(4, 3, 3)]
+    assert np.allclose(omega, np.linalg.inv(c), rtol=1e-9, atol=1e-12)

@@ -12,6 +12,7 @@ from trendlab import portfolios as pf
 from trendlab import sharpe_oracle as so
 from trendlab.errors import DegenerateForm, InvalidIndex, InvalidInput, InvalidModel, TooEarly
 from trendlab.market_model import ModelParams
+from trendlab.symmat import System
 
 
 def strong_model(rng, n):
@@ -237,7 +238,7 @@ def test_proportional_trend_reduces_to_markowitz_weights():
     for _ in range(5):
         s = rng.standard_normal(2)
         pos = best @ s
-        nm = pf.naive_markowitz(ce, s, ridge=0.0, normalize=False)
+        nm = pf.naive_markowitz(System(ce, 0.0), s, normalize=False)
         cos = (pos @ nm) / (np.linalg.norm(pos) * np.linalg.norm(nm))
         assert abs(abs(cos) - 1.0) < 1e-8
 
@@ -318,10 +319,10 @@ def test_closed_forms_equal_the_inverse_route(n):
         model = so.sample_weak_trend_model(rng, n, rate=rate, t=t)
         mm = so.pnl_moment_tensors(model, rate, t)
         k = mm.kernels
-        omega = pf.optimal_weight_matrix(model.noise_cov, model.trend_cov,
+        omega = pf.optimal_weight_matrix(System(model.noise_cov, 0.0), model.trend_cov,
                                          np.outer(model.drift, model.drift),
                                          k["sig_trend_trend"] / k["sig_sig"],
-                                         k["signal_mass"] / k["sig_sig"], ridge=0.0)
+                                         k["signal_mass"] / k["sig_sig"])
         assert np.array_equal(so.approx_optimal(mm, form="simple"), omega)
         for form in ("simple", "sandwich"):
             w = so.approx_optimal(mm, form=form)
@@ -629,3 +630,15 @@ def test_stationary_moments_are_the_long_run_moments():
         assert np.all(np.abs(got - want) <= 1e-14 * scale), name
     with pytest.raises(TooEarly):
         so.pnl_moment_tensors(models, 0.01, 1)
+
+
+def test_sampler_checks_size_and_count_before_drawing():
+    rng = np.random.default_rng(31)
+    state = rng.bit_generator.state
+    for n, count in ((0, None), (-1, None), (True, None), (2.0, None), (2, 0), (2, -2),
+                     (2, True), (2, 1.0)):
+        with pytest.raises(InvalidInput):
+            so.sample_weak_trend_model(rng, n, count=count)
+        assert rng.bit_generator.state == state, (n, count)
+    one = so.sample_weak_trend_model(np.random.default_rng(31), 2, count=np.int64(1))
+    assert np.array_equal(one.noise_cov, so.sample_weak_trend_model(rng, 2, count=1).noise_cov)

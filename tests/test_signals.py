@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trendlab import signals
-from trendlab.errors import InvalidInput
+from trendlab.errors import InvalidIndex, InvalidInput
 
 
 def run_series(rate, series):
@@ -103,3 +103,11 @@ def test_power_sum_of_a_nilpotent_step_needs_no_special_case():
     assert np.allclose(whole, [[1 / (1 - p * p), 2 * p / (1 - p * p), 1 / (1 - p * p)],
                                [0, 1, 0], [0, 0, 1]], rtol=1e-15, atol=0.0)
     assert np.allclose(signals.power_sum(step, 10**6), whole, rtol=1e-14, atol=0.0)
+
+
+def test_power_sum_takes_a_non_negative_integer_count():
+    steps = contractive_steps(np.random.default_rng(15), 2, 3)
+    assert np.array_equal(signals.power_sum(steps, np.int64(3)), signals.power_sum(steps, 3))
+    for m in (-3, -1, True, False, 2.0, 1.5, "3"):
+        with pytest.raises(InvalidIndex):
+            signals.power_sum(steps, m)

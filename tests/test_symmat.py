@@ -4,6 +4,7 @@ import pytest
 from helpers import correlation_cases, rand_spd
 from trendlab import symmat
 from trendlab.errors import InvalidMatrix, NotPositiveDefinite
+from trendlab.symmat import System
 
 
 def test_eigendecompose_identity():
@@ -115,36 +116,36 @@ def test_solve_matches_the_shifted_inverse():
     rng = np.random.default_rng(7)
     stack = np.stack([rand_spd(rng, 5, scale=k + 1.0) for k in range(4)])
     b = rng.standard_normal((4, 5))
-    got = symmat.solve(stack, b)  # default ridge, one per matrix
+    got = System(stack).solve(b)  # default ridge, one per matrix
     for k in range(4):
         want = symmat.inverse(stack[k]) @ b[k]
         assert np.abs(got[k] - want).max() < 1e-12 * np.abs(want).max()
-        assert np.array_equal(got[k], symmat.solve(stack[k], b[k]))
-    rows = symmat.solve(stack[0], b, ridge=0.3)  # one matrix, one right-hand side per row
+        assert np.array_equal(got[k], System(stack[k]).solve(b[k]))
+    rows = System(stack[0], 0.3).solve(b)  # one matrix, one right-hand side per row
     assert np.abs(rows - b @ symmat.inverse(stack[0], 0.3)).max() < 1e-12
 
 
 def test_solve_error_contract():
     stack = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])])
     with pytest.raises(NotPositiveDefinite):
-        symmat.solve(stack, np.ones((2, 3)), ridge=0.0)
-    assert np.allclose(symmat.solve(stack, np.ones((2, 3)), ridge=0.5)[1], [1 / 1.5, 2.0, 0.4])
+        System(stack, 0.0).solve(np.ones((2, 3)))
+    assert np.allclose(System(stack, 0.5).solve(np.ones((2, 3)))[1], [1 / 1.5, 2.0, 0.4])
     with pytest.raises(NotPositiveDefinite):  # indefinite but not singular
-        symmat.solve(np.diag([1.0, -0.5, 2.0]), np.ones(3))
+        System(np.diag([1.0, -0.5, 2.0])).solve(np.ones(3))
     with pytest.raises(InvalidMatrix):
-        symmat.solve(np.eye(2), np.ones(2), ridge=-1.0)
+        System(np.eye(2), -1.0).solve(np.ones(2))
     asymmetric = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.2, 1.0]])])
     with pytest.raises(InvalidMatrix):
-        symmat.solve(asymmetric, np.ones((2, 2)))
+        System(asymmetric).solve(np.ones((2, 2)))
     with pytest.raises(InvalidMatrix):
-        symmat.solve(np.ones((2, 3)), np.ones(2))
+        System(np.ones((2, 3))).solve(np.ones(2))
 
 
 def row_broadcast_sandwich(left, core, right, ridge):
     """Reference: inv(left) core inv(right) with each matrix broadcast over the
     rows of its core, so that every row is a solve of its own."""
-    half = symmat.solve(right[..., None, :, :], core, ridge)  # core inv(right)
-    rows = symmat.solve(left[..., None, :, :], np.swapaxes(half, -1, -2), ridge)
+    half = System(right[..., None, :, :], ridge).solve(core)  # core inv(right)
+    rows = System(left[..., None, :, :], ridge).solve(np.swapaxes(half, -1, -2))
     return np.swapaxes(rows, -1, -2)
 
 
@@ -155,16 +156,18 @@ def test_sandwich_solves_whole_matrices(n):
     right = np.stack([rand_spd(rng, n, scale=1.0 / (k + 1.0)) for k in range(6)])
     core = rng.standard_normal((6, n, n))
     for ridge in (None, 0.0, 0.1):
-        got = symmat.solve_sandwich(left, core, right, ridge)
-        blocks = symmat.solve_sandwich(left.reshape(2, 3, n, n), core.reshape(2, 3, n, n),
-                                       right.reshape(2, 3, n, n), ridge)
+        got = symmat.solve_sandwich(System(left, ridge), core, System(right, ridge))
+        blocks = symmat.solve_sandwich(System(left.reshape(2, 3, n, n), ridge),
+                                       core.reshape(2, 3, n, n),
+                                       System(right.reshape(2, 3, n, n), ridge))
         assert np.array_equal(blocks.reshape(got.shape), got)
         for k in range(6):
-            assert np.array_equal(got[k], symmat.solve_sandwich(left[k], core[k], right[k], ridge)), k
+            one = symmat.solve_sandwich(System(left[k], ridge), core[k], System(right[k], ridge))
+            assert np.array_equal(got[k], one), k
         old = row_broadcast_sandwich(left, core, right, ridge)
         assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
     exact = np.linalg.inv(left) @ core @ np.linalg.inv(right)
-    got = symmat.solve_sandwich(left, core, right, ridge=0.0)
+    got = symmat.solve_sandwich(System(left, 0.0), core, System(right, 0.0))
     assert np.abs(got - exact).max() < 1e-12 * np.abs(exact).max()
 
 
@@ -173,12 +176,12 @@ def test_sandwich_error_contract():
     asymmetric = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for left, right in ((indefinite, spd), (spd, indefinite)):
         with pytest.raises(NotPositiveDefinite):
-            symmat.solve_sandwich(left, np.ones((3, 3)), right)
+            symmat.solve_sandwich(System(left), np.ones((3, 3)), System(right))
     for left, right in ((asymmetric, spd), (spd, asymmetric)):
         with pytest.raises(InvalidMatrix):
-            symmat.solve_sandwich(left, np.ones((3, 3)), right)
+            symmat.solve_sandwich(System(left), np.ones((3, 3)), System(right))
     with pytest.raises(InvalidMatrix):
-        symmat.solve_sandwich(spd, np.ones((3, 3)), spd, ridge=-1.0)
+        symmat.solve_sandwich(System(spd, -1.0), np.ones((3, 3)), System(spd, -1.0))
 
 
 def loop_eigendecompose(m):
@@ -242,11 +245,20 @@ def test_stacked_calls_equal_one_matrix_calls():
 def test_stacked_symmetry_check_judges_each_matrix_on_its_own_scale():
     small = np.array([[1e-6, 2e-7], [0.0, 1e-6]])
     with pytest.raises(InvalidMatrix):
-        symmat.solve(small, np.ones(2))
+        System(small).solve(np.ones(2))
     with pytest.raises(InvalidMatrix):  # a large neighbour must not widen the tolerance
-        symmat.solve(np.stack([small, 1e6 * np.eye(2)]), np.ones((2, 2)))
+        System(np.stack([small, 1e6 * np.eye(2)])).solve(np.ones((2, 2)))
     with pytest.raises(InvalidMatrix):
         symmat.eigendecompose(np.stack([1e6 * np.eye(2), small]))
     rounded = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])  # round-off stays tolerated
-    got = symmat.solve(np.stack([rounded, 1e-6 * np.eye(2)]), np.ones((2, 2)))
-    assert np.array_equal(got[0], symmat.solve(rounded, np.ones(2)))
+    got = System(np.stack([rounded, 1e-6 * np.eye(2)])).solve(np.ones((2, 2)))
+    assert np.array_equal(got[0], System(rounded).solve(np.ones(2)))
+
+
+def test_a_ridge_must_be_finite_and_non_negative():
+    m = np.array([[1.0, 0.3], [0.3, 0.8]])
+    for ridge in (-1.0, np.nan, np.inf):
+        for call in (lambda: System(m, ridge).solve(np.ones(2)),
+                     lambda: symmat.inverse(m, ridge), lambda: symmat.inv_sqrt(m, ridge)):
+            with pytest.raises(InvalidMatrix, match="ridge"):
+                call()
