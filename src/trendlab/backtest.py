@@ -6,18 +6,18 @@ day's returns.  Weekly return sums feed the correlation estimate every
 week_len days; per-asset vols come from the daily variance EMA.
 
 One call runs the estimators of one setting over the panel once and builds
-every book from that pass: a block is the days between two weekly rolls,
-over which one cleaned correlation holds.  The pass runs the panel in chunks
-of whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each
-estimator recursion (signals.ema) once over the chunk's days, which gives
-the state before each day or roll and the state to carry, cleans the rolls
-that open the chunk's blocks in one stacked call and builds every book on
-those blocks by its _BOOKS row (then portfolios.vol_target if vol_scale is
-set).  The books of a segment share one _Segment, which builds each thing
-they share at most once, on its first read: the daily covariances, their
-symmat.System (checked and shifted once, whichever of NM, RP and ToRP solves
-first) and the raw RP book that RP finishes and ToRP trades.  Chunking bounds
-every stacked array at about _CHUNK_DAYS matrices.
+every book from that pass: a block is the days between two weekly rolls, over
+which one cleaned correlation holds.  The pass runs the panel in chunks of
+whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each estimator
+recursion (signals.ema) once over the chunk's days, which gives the state
+before each day or roll and the state to carry, cleans the rolls that open the
+chunk's blocks in one stacked call and builds every book on those blocks by
+its _BOOKS row, which sizes it (finish for unit gross; the engine trades a raw
+row as it is), then vol_target if vol_scale is set.  The books of a segment
+share one _Segment, which builds each thing they share at most once, on its
+first read: the daily covariances, their symmat.System (checked and shifted
+once, by the first solve) and the raw RP book that RP finishes and ToRP
+trades.  Chunking bounds every stacked array at about _CHUNK_DAYS matrices.
 The mix layer reads only P&L: one (days, m) array of aligned series.
 """
 
@@ -33,6 +33,7 @@ import numpy as np
 from . import estimation, portfolios, signals
 from .errors import DegenerateResult, DegenerateVariance, InsufficientData, InvalidInput
 from .market_model import ReturnsPanel
+from .portfolios import finish
 from .symmat import System, eigendecompose
 
 TRADING_DAYS = 252.0
@@ -60,16 +61,16 @@ class _Segment:
 
     @functools.cached_property
     def rp_book(self) -> np.ndarray:
-        return portfolios.risk_parity(self.system, self.vols, self.classes, normalize=False)
+        return portfolios.risk_parity(self.system, self.vols, self.classes)
 
 
-# kind -> (reads the cleaned correlation, positions on a _Segment's blocks of days)
+# kind -> (reads the cleaned correlation, positions on a _Segment's blocks at the row's size)
 _BOOKS = {
-    "rp": (True, lambda seg: portfolios.finish(seg.rp_book)),
-    "nm": (True, lambda seg: portfolios.naive_markowitz(seg.system, seg.signals)),
-    "arp": (True, lambda seg: portfolios.agnostic_risk_parity(seg.corr, seg.vols, seg.signals)),
-    "torp": (True, lambda seg: portfolios.trend_on(seg.rp_book, seg.signals)),
-    "ew": (False, lambda seg: portfolios.equally_weighted(seg.vols)),
+    "rp": (True, lambda seg: finish(seg.rp_book)),
+    "nm": (True, lambda seg: finish(portfolios.naive_markowitz(seg.system, seg.signals))),
+    "arp": (True, lambda seg: finish(portfolios.agnostic_risk_parity(seg.corr, seg.vols, seg.signals))),
+    "torp": (True, lambda seg: finish(portfolios.trend_on(seg.rp_book, seg.signals))),
+    "ew": (False, lambda seg: finish(portfolios.equally_weighted(seg.vols))),
     "zero": (False, lambda seg: np.zeros_like(seg.vols)),
 }
 STRATEGY_KINDS = tuple(_BOOKS)
@@ -81,9 +82,9 @@ class StrategyConfig:
 
     The cleaner's sample ratio is estimation.default_sample_ratio(n, cov_rate)
     and the books solve with symmat.System's default ridge.  vol_scale=None trades
-    unit-gross positions (P&L scales linearly with the panel); a float
-    rescales positions daily to that conditional volatility under the
-    estimated covariance.
+    each book at its _BOOKS row's size, unit gross for the five books (P&L
+    scales linearly with the panel); a float rescales positions daily to
+    that conditional volatility under the estimated covariance.
     """
 
     kind: str
@@ -107,7 +108,8 @@ class StrategyConfig:
         if (self.warmup is not None
                 and signals.check_index("warmup", self.warmup, InvalidInput) < self.week_len):
             raise InvalidInput("warm-up must cover at least one weekly update")
-        if self.vol_scale is not None and not 0.0 < self.vol_scale < math.inf:
+        if (self.vol_scale is not None
+                and not 0.0 < signals.check_real("vol_scale", self.vol_scale) < math.inf):
             raise InvalidInput(f"vol_scale must be positive and finite, got {self.vol_scale}")
 
     def warmup_days(self) -> int:
@@ -194,10 +196,8 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         opening = opening[first_block - lo // week:]
         cleaned = clean(estimation.correlation(opening), ratio) if len(opening) else None
         for start, stop, blocks in _segments(max(lo, warmup), hi, week):
-            c = None
-            if read:
-                first = start // week - first_block
-                c = cleaned[first:first + blocks, None]
+            first = start // week - first_block
+            c = cleaned[first:first + blocks, None] if read else None
             seg = _Segment(c, sigs[start - lo:stop - lo].reshape(blocks, -1, n),
                            vols[start - lo:stop - lo].reshape(blocks, -1, n), panel.asset_classes)
             for cfg, pos in zip(books, positions):
@@ -347,7 +347,7 @@ def sweep_mix_curve(pnl: np.ndarray, step: float = 0.01) -> tuple[np.ndarray, np
     the second one: every multiple of step below 1, and 1 itself."""
     if pnl.shape[1] != 2:
         raise InvalidInput("sweep needs exactly two strategies")
-    if not 0.0 < step <= 0.5:
+    if not 0.0 < signals.check_real("grid step", step) <= 0.5:
         raise InvalidInput(f"grid step must be in (0, 0.5], got {step}")
     x = _unit_vol(pnl)
     grid = np.arange(0.0, 1.0, step)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symmat
 from .errors import DegenerateVariance, InvalidInput
-from .signals import check_rate, check_run, ema
+from .signals import check_rate, check_real, check_run, ema
 
 DEFAULT_COV_RATE = 1.0 / 750.0
 DEFAULT_VAR_RATE = 1.0 / 100.0
@@ -86,6 +86,14 @@ def _check_correlation(corr: np.ndarray) -> np.ndarray:
     return c
 
 
+def _cleaner_spectrum(corr: np.ndarray, sample_ratio: float) -> symmat.EigenPairs:
+    """The eigenpairs of a checked correlation, once sample_ratio is a positive real."""
+    c = _check_correlation(corr)
+    if not 0.0 < check_real("sample_ratio", sample_ratio) < np.inf:
+        raise InvalidInput(f"sample_ratio must be positive and finite, got {sample_ratio}")
+    return symmat.eigendecompose(c)
+
+
 def _rebuild_unit_diag(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     m = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     diagonal = np.arange(m.shape[-1])
@@ -103,10 +111,7 @@ def rie_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:
     spectrum and eta = dim^(-1/2).  The result is floored at zero and
     rescaled back to unit diagonal.
     """
-    c = _check_correlation(corr)
-    if sample_ratio <= 0.0:
-        raise InvalidInput(f"sample_ratio must be positive, got {sample_ratio}")
-    pairs = symmat.eigendecompose(c)
+    pairs = _cleaner_spectrum(corr, sample_ratio)
     lam = pairs.eigenvalues
     dim = lam.shape[-1]
     eta = dim ** -0.5
@@ -119,10 +124,7 @@ def rie_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:
 
 def clip_clean(corr: np.ndarray, sample_ratio: float) -> np.ndarray:
     """Fallback cleaner: average out eigenvalues below the Marchenko-Pastur edge."""
-    c = _check_correlation(corr)
-    if sample_ratio <= 0.0:
-        raise InvalidInput(f"sample_ratio must be positive, got {sample_ratio}")
-    pairs = symmat.eigendecompose(c)
+    pairs = _cleaner_spectrum(corr, sample_ratio)
     lam = pairs.eigenvalues.copy()
     edge = (1.0 + np.sqrt(sample_ratio)) ** 2
     for row in lam.reshape(-1, lam.shape[-1]):  # the bulk mean of each matrix on its own

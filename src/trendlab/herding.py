@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .signals import check_index
+from .signals import check_index, check_real
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class AgentSimParams:
         if min(check_index(name, getattr(self, name), InvalidInput)
                for name in ("agents", "strategies", "steps", "reps")) < 1:
             raise InvalidInput("agents, strategies, steps and reps must all be >= 1")
-        if not 0.0 <= self.coupling < np.inf:
+        if not 0.0 <= check_real("coupling", self.coupling) < np.inf:
             raise InvalidInput(f"coupling must be finite and non-negative, got {self.coupling}")
         # j*sqrt(N) bounds the coupling term c*counts; Python floats overflow to inf silently
         if not math.isfinite(float(self.coupling) * math.sqrt(self.strategies)):

@@ -2,21 +2,20 @@
 
 Five basic books (risk parity, naive Markowitz, agnostic risk parity,
 trend-on-risk-parity, equally weighted), the paper's optimal signal-weight
-matrix and volatility targeting.  A book is a plain float array of
-positions: (n,) for one day, (..., n) for days under a batch shape.  The
-constructors and vol_target return one, and raise InvalidInput rather than
-return a non-finite entry.  Constructors return unit-gross positions by
-default; pass normalize=False for the raw linear form (linear in the
-signal), and use vol_target to set the actual size.  Each takes one day or
-days under any leading batch shape, row by row equal to the one-day calls:
-signals and vols (..., n), covariances (..., n, n), and for ARP a
-correlation that broadcasts against them, such as (k, 1, n, n) for k blocks
-of days that share one each.  NM, RP, ToRP and the weight matrix take the
-covariance as a symmat.System(cov, ridge) and solve with its ridge, so a
-caller that builds several books on one covariance checks and shifts it
-once; ARP's ridge is for its eigen route.  ToRP trades RP's raw book
-(risk_parity(..., normalize=False)): trend_on is that step for a raw book in
-hand, and finish takes a raw book to positions.
+matrix and volatility targeting.  A book is a plain float array of positions:
+(n,) for one day, (..., n) for days under a batch shape.  Each constructor
+returns its raw book, linear in the signal (static for RP and EW), and raises
+InvalidInput rather than return a non-finite entry; a book has no size of its
+own.  finish takes a raw book to unit gross and vol_target to a target
+volatility, and those two are the only sizing steps.  Each constructor takes
+one day or days under any leading batch shape, row by row equal to the
+one-day calls: signals and vols (..., n), covariances (..., n, n), and for
+ARP a correlation that broadcasts against them, such as (k, 1, n, n) for k
+blocks of days that share one each.  NM, RP, ToRP and the weight matrix take
+the covariance as a symmat.System(cov, ridge) and solve with its ridge, so a
+caller that builds several books on one covariance checks and shifts it once;
+ARP's ridge is for its eigen route.  ToRP is trend_on of RP's book, and
+trend_on is that step for a raw book in hand.
 
 The weight matrix omega = inv(C) (g_t Omega + g_d mu mu^T) inv(C) is an
 array, and positions are omega @ s.  Up to scale its limits are NM
@@ -34,18 +33,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import symmat
+from . import signals, symmat
 from .errors import CannotScale, DegenerateVolatility, InvalidInput, ZeroTargetVector
 
 
-def finish(raw: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """A raw book as positions: at unit gross if normalize, and checked finite."""
-    if normalize:
-        gross = np.abs(raw).sum(axis=-1, keepdims=True)
-        raw = raw / np.where(gross > 0.0, gross, 1.0)
-    if not np.isfinite(raw).all():
+def _finite(book: np.ndarray) -> np.ndarray:
+    if not np.isfinite(book).all():
         raise InvalidInput("positions contain non-finite entries")
-    return raw
+    return book
+
+
+def finish(raw) -> np.ndarray:
+    """A finite raw book at unit gross day by day; a zero day stays zero."""
+    gross = np.abs(_finite(raw)).sum(axis=-1, keepdims=True)
+    return raw / np.where(gross > 0.0, gross, 1.0)
 
 
 def class_target(classes) -> np.ndarray:
@@ -60,49 +61,47 @@ def _vols_vector(vols, n: int) -> np.ndarray:
     return v
 
 
-def risk_parity(system: symmat.System, vols, classes, normalize=True) -> np.ndarray:
+def risk_parity(system: symmat.System, vols, classes) -> np.ndarray:
     """Static book: inverse covariance applied to the vol-weighted class target."""
     v = _vols_vector(vols, system.matrix.shape[-1])
     target = class_target(classes)
     if not target.any():
         raise ZeroTargetVector("all-FX universe has no risk-parity target")
-    return finish(system.solve(v * target), normalize)
+    return _finite(system.solve(v * target))
 
 
-def naive_markowitz(system: symmat.System, signal, normalize=True) -> np.ndarray:
+def naive_markowitz(system: symmat.System, signal) -> np.ndarray:
     """Inverse covariance applied to the trend signal."""
-    return finish(system.solve(signal), normalize)
+    return _finite(system.solve(signal))
 
 
-def agnostic_risk_parity(corr, vols, signal, ridge=None, normalize=True) -> np.ndarray:
+def agnostic_risk_parity(corr, vols, signal, ridge=None) -> np.ndarray:
     """Inverse-vol sandwich around the inverse square root of the correlation."""
     corr = np.asarray(corr, dtype=float)
     v = _vols_vector(vols, corr.shape[-1])
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
     scaled = (np.asarray(signal, dtype=float) / v)[..., None]
-    raw = (symmat.inv_sqrt(corr, ridge) @ scaled)[..., 0] / v
-    return finish(raw, normalize)
+    return _finite((symmat.inv_sqrt(corr, ridge) @ scaled)[..., 0] / v)
 
 
-def trend_on_risk_parity(system: symmat.System, vols, signal, classes,
-                         normalize=True) -> np.ndarray:
+def trend_on_risk_parity(system: symmat.System, vols, signal, classes) -> np.ndarray:
     """Risk-parity book traded long or short by the signal projected on it."""
-    return trend_on(risk_parity(system, vols, classes, normalize=False), signal, normalize)
+    return trend_on(risk_parity(system, vols, classes), signal)
 
 
-def trend_on(book, signal, normalize=True) -> np.ndarray:
+def trend_on(book, signal) -> np.ndarray:
     """A raw book traded long or short by the signal projected on it."""
     projection = (book * np.asarray(signal, dtype=float)).sum(axis=-1, keepdims=True)
-    return finish(projection * book, normalize)
+    return _finite(projection * book)
 
 
-def equally_weighted(vols, normalize=True) -> np.ndarray:
+def equally_weighted(vols) -> np.ndarray:
     """Equal volatility-adjusted exposure on every asset, FX included."""
     v = np.asarray(vols, dtype=float)
     if v.min() <= 0.0:
         raise DegenerateVolatility(f"non-positive volatility {v.min():.3e}")
-    return finish(1.0 / v, normalize)
+    return _finite(1.0 / v)
 
 
 def optimal_weight_matrix(system: symmat.System, trend_cov, drift_outer, trend_gain,
@@ -122,11 +121,11 @@ def optimal_weight_matrix(system: symmat.System, trend_cov, drift_outer, trend_g
 
 def vol_target(positions, cov, target: float) -> np.ndarray:
     """Rescale positions so the portfolio volatility under cov equals target, day by day."""
-    if target <= 0.0:
-        raise InvalidInput(f"target must be positive, got {target}")
+    if not 0.0 < signals.check_real("target", target) < np.inf:
+        raise InvalidInput(f"target must be positive and finite, got {target}")
     p = np.asarray(positions, dtype=float)
     exposure = (np.asarray(cov, dtype=float) @ p[..., None])[..., 0]
     variance = (p * exposure).sum(axis=-1, keepdims=True)
     if (variance <= 0.0).any():
         raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled to {target}")
-    return finish(p * (target / np.sqrt(variance)), normalize=False)
+    return _finite(p * (target / np.sqrt(variance)))

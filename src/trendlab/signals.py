@@ -26,9 +26,16 @@ def check_run(returns: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def check_rate(name: str, rate: float) -> None:
-    """An EMA rate must lie in (0, 1)."""
-    if not 0.0 < rate < 1.0:
+    """An EMA rate must be a real number in (0, 1)."""
+    if not 0.0 < check_real(name, rate) < 1.0:
         raise InvalidInput(f"{name} must be in (0,1), got {rate}")
+
+
+def check_real(name: str, value, error: type = InvalidInput) -> float:
+    """A real-valued knob must be an int, a float or a numpy real, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_index(name: str, value, error: type = InvalidIndex) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, NotPositiveDefinite
+from .signals import check_real
 
 # Relative ridge applied when the caller does not pass one explicitly.
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -87,13 +88,19 @@ def eigendecompose(m: np.ndarray) -> EigenPairs:
     return EigenPairs(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _check_ridge(ridge: float | None) -> float | None:
+    """None (the default per matrix) or a finite, non-negative real; InvalidMatrix otherwise."""
+    if ridge is not None and not 0.0 <= check_real("ridge", ridge, InvalidMatrix) < np.inf:
+        raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
+    return ridge
+
+
 def _shifted_spectrum(m: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np.ndarray]:
+    ridge = _check_ridge(ridge)
     pairs = eigendecompose(m)
     vals = pairs.eigenvalues
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * np.abs(vals).sum(axis=-1, keepdims=True) / vals.shape[-1]
-    elif not 0.0 <= ridge < np.inf:
-        raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
     shifted = vals + ridge
     if shifted.min() <= 0.0:
         raise NotPositiveDefinite(
@@ -117,14 +124,15 @@ def inv_sqrt(m: np.ndarray, ridge: float | None = None) -> np.ndarray:
 class System:
     """The system m + ridge*I of one (n, n) matrix or a (..., n, n) stack.
 
-    It is checked symmetric and positive definite on its first solve, and the
-    checked matrix is kept, so every later solve against it is one LU solve.
-    ridge=None picks 1e-8 * trace/n per matrix, inverse's default on PSD input.
+    It checks its ridge when built and its matrix, symmetric and positive
+    definite, on its first solve; the checked matrix is kept, so every later
+    solve is one LU solve.  ridge=None picks 1e-8 * trace/n per matrix,
+    inverse's default on PSD input.
     """
 
     def __init__(self, m, ridge: float | None = None):
         self.matrix = np.asarray(m, dtype=float)
-        self.ridge = ridge
+        self.ridge = _check_ridge(ridge)
 
     @functools.cached_property
     def shifted(self) -> np.ndarray:
@@ -133,8 +141,6 @@ class System:
         n, ridge = a.shape[-1], self.ridge
         if ridge is None:
             ridge = DEFAULT_RIDGE_SCALE * np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1) / n
-        elif not 0.0 <= ridge < np.inf:
-            raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
         shifted = a + 0.0  # a copy, and the very sums a + ridge*I gives off the diagonal
         diagonal = np.arange(n)
         shifted[..., diagonal, diagonal] += np.asarray(ridge)[..., None]

@@ -96,7 +96,7 @@ def test_backtest_positions_match_portfolio_constructors():
     res = bt.run(panel, cfg)
     positions, _, _ = reference_run(
         panel, cfg, lambda cfg, corr, vols, sig, classes:
-        portfolios.agnostic_risk_parity(corr, vols, sig))
+        portfolios.finish(portfolios.agnostic_risk_parity(corr, vols, sig)))
     assert np.abs(positions[50:] - res.positions[50:]).max() < 1e-12
 
 
@@ -347,7 +347,7 @@ def test_sweep_mix_curve():
         assert sharpes[-1] == pytest.approx(sharpe_of(b), rel=1e-12)
     with pytest.raises(InvalidInput):
         bt.sweep_mix_curve(np.column_stack([a, b, a]))
-    for step in (0.0, 0.6):
+    for step in (0.0, 0.6, "0.1", True):
         with pytest.raises(InvalidInput):
             bt.sweep_mix_curve(pair, step=step)
     with pytest.raises(DegenerateResult):
@@ -370,7 +370,8 @@ def test_strategy_config_validation():
         bt.StrategyConfig(kind="ew", warmup=2, week_len=5)
     for bad in (dict(warmup=50.5), dict(warmup=True, week_len=1), dict(week_len=True),
                 dict(week_len=5.0), dict(week_len="5"), dict(vol_scale=0), dict(vol_scale=-0.02),
-                dict(vol_scale=math.inf), dict(vol_scale=math.nan)):
+                dict(vol_scale=math.inf), dict(vol_scale=math.nan), dict(vol_scale="1"),
+                dict(vol_scale=True)):
         with pytest.raises(InvalidInput):
             bt.StrategyConfig(kind="ew", **bad)
     assert bt.StrategyConfig(kind="ew", week_len=np.int64(5), warmup=np.int32(50)).warmup_days() == 50
@@ -380,7 +381,8 @@ def test_strategy_config_validation():
 
 @pytest.mark.parametrize("bad", [
     dict(signal_rate=0.0), dict(signal_rate=1.0), dict(cov_rate=0.0), dict(cov_rate=2.0, warmup=50),
-    dict(var_rate=0.0), dict(var_rate=-0.1), dict(var_rate=1.0),
+    dict(var_rate=0.0), dict(var_rate=-0.1), dict(var_rate=1.0), dict(signal_rate="0.01"),
+    dict(cov_rate=True, warmup=50),
 ], ids=str)
 def test_strategy_config_rejects_bad_rates(bad):
     with pytest.raises(InvalidInput):

@@ -212,8 +212,10 @@ def test_clip_keeps_spike_above_edge():
 def test_cleaner_input_validation():
     with pytest.raises(InvalidInput):
         est.rie_clean(np.diag([2.0, 1.0]), 0.3)
-    with pytest.raises(InvalidInput):
-        est.rie_clean(np.eye(3), 0.0)
+    for ratio in (0.0, np.inf, np.nan, "0.1", True):
+        for clean in (est.rie_clean, est.clip_clean):
+            with pytest.raises(InvalidInput):
+                clean(np.eye(3), ratio)
 
 
 def test_default_sample_ratio():

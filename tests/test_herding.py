@@ -121,7 +121,8 @@ def test_state_validation():
         herding.AgentSimParams(agents=0, strategies=5, coupling=1.0, steps=5, reps=1)
     with pytest.raises(InvalidInput):
         herding.AgentSimParams(agents=5, strategies=5, coupling=-1.0, steps=5, reps=1)
-    for coupling in (np.nan, np.inf):  # an all-NaN score row would argmax to strategy 0
+    # an all-NaN score row would argmax to strategy 0; a string or a bool is no real number
+    for coupling in (np.nan, np.inf, "1", True):
         with pytest.raises(InvalidInput, match="coupling"):
             herding.AgentSimParams(agents=20, strategies=4, coupling=coupling, steps=5, reps=2)
     with pytest.raises(InvalidInput, match="seed"):

@@ -21,16 +21,16 @@ def cosine(a, b):
 
 
 def test_risk_parity_identity_case():
-    w = pf.risk_parity(System(np.eye(3)), np.ones(3), STOCKS3)
+    w = pf.finish(pf.risk_parity(System(np.eye(3)), np.ones(3), STOCKS3))
     assert np.allclose(w, np.full(3, 1.0 / 3.0))
     assert np.abs(w).sum() == pytest.approx(1.0)
 
 
 def test_risk_parity_symmetric_two_assets():
     c = np.array([[1.0, 0.5], [0.5, 1.0]])
-    w = pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock"))
+    w = pf.finish(pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock")))
     assert np.allclose(w, [0.5, 0.5])
-    raw = pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock"), normalize=False)
+    raw = pf.risk_parity(System(c, 0.0), np.ones(2), ("stock", "stock"))
     assert np.allclose(raw, [2.0 / 3.0, 2.0 / 3.0])
 
 
@@ -39,7 +39,7 @@ def test_risk_parity_fx_couples_through_inverse():
     c = rand_spd(rng, 3)
     vols = np.array([1.0, 2.0, 0.5])
     classes = ("stock", "bond", "fx")
-    w = pf.risk_parity(System(c, 0.0), vols, classes, normalize=False)
+    w = pf.risk_parity(System(c, 0.0), vols, classes)
     target = vols * np.array([1.0, 1.0, 0.0])
     want = np.linalg.solve(c, target)  # independent route
     assert np.abs(w - want).max() < 1e-9
@@ -54,13 +54,13 @@ def test_risk_parity_all_fx_rejected():
 def test_naive_markowitz_identity_and_eigenvector():
     rng = np.random.default_rng(1)
     s = rng.standard_normal(4)
-    w = pf.naive_markowitz(System(np.eye(4), 0.0), s, normalize=False)
+    w = pf.naive_markowitz(System(np.eye(4), 0.0), s)
     assert np.allclose(w, s)
 
     c = rand_spd(rng, 4)
     pairs = symmat.eigendecompose(c)
     u1 = pairs.eigenvectors[:, 1]
-    w = pf.naive_markowitz(System(c, 0.0), u1, normalize=False)
+    w = pf.naive_markowitz(System(c, 0.0), u1)
     assert np.abs(w - u1 / pairs.eigenvalues[1]).max() < 1e-9
 
 
@@ -73,7 +73,7 @@ def test_naive_markowitz_spectral_route():
         (pairs.eigenvectors[:, k] @ s) / pairs.eigenvalues[k] * pairs.eigenvectors[:, k]
         for k in range(5)
     )
-    w = pf.naive_markowitz(System(c, 0.0), s, normalize=False)
+    w = pf.naive_markowitz(System(c, 0.0), s)
     assert np.abs(w - spectral).max() < 1e-9
 
 
@@ -81,10 +81,10 @@ def test_arp_reduces_to_markowitz_for_identity_correlation():
     rng = np.random.default_rng(3)
     s = rng.standard_normal(4)
     vols = np.array([0.5, 1.0, 2.0, 4.0])
-    w = pf.agnostic_risk_parity(np.eye(4), vols, s, ridge=0.0, normalize=False)
+    w = pf.agnostic_risk_parity(np.eye(4), vols, s, ridge=0.0)
     assert np.allclose(w, s / vols**2)
-    nm = pf.naive_markowitz(System(np.eye(4), 0.0), s)
-    arp = pf.agnostic_risk_parity(np.eye(4), np.ones(4), s, ridge=0.0)
+    nm = pf.finish(pf.naive_markowitz(System(np.eye(4), 0.0), s))
+    arp = pf.finish(pf.agnostic_risk_parity(np.eye(4), np.ones(4), s, ridge=0.0))
     assert np.array_equal(nm, arp)
 
 
@@ -96,7 +96,7 @@ def test_arp_eigen_action():
     np.fill_diagonal(corr, 1.0)
     pairs = symmat.eigendecompose(corr)
     u2 = pairs.eigenvectors[:, 2]
-    w = pf.agnostic_risk_parity(corr, np.ones(5), u2, ridge=0.0, normalize=False)
+    w = pf.agnostic_risk_parity(corr, np.ones(5), u2, ridge=0.0)
     assert np.abs(w - u2 / np.sqrt(pairs.eigenvalues[2])).max() < 1e-9
 
 
@@ -125,7 +125,7 @@ def test_arp_rejects_zero_volatility():
 
 def test_torp_uniform_case():
     s = np.array([0.3, -0.1, 0.5])
-    w = pf.trend_on_risk_parity(System(np.eye(3), 0.0), np.ones(3), s, STOCKS3, normalize=False)
+    w = pf.trend_on_risk_parity(System(np.eye(3), 0.0), np.ones(3), s, STOCKS3)
     assert np.allclose(w, s.sum() * np.ones(3))
 
 
@@ -136,7 +136,7 @@ def test_torp_orthogonal_signal_is_flat():
     book = np.linalg.solve(c, vols)  # the projection pairs s with inv(C) Sigma m
     s = rng.standard_normal(3)
     s = s - (s @ book) / (book @ book) * book
-    w = pf.trend_on_risk_parity(System(c, 0.0), vols, s, STOCKS3, normalize=False)
+    w = pf.trend_on_risk_parity(System(c, 0.0), vols, s, STOCKS3)
     assert np.abs(w).max() < 1e-9
 
 
@@ -160,12 +160,12 @@ def test_torp_sign_follows_projection():
 
 
 def test_equally_weighted():
-    assert np.allclose(pf.equally_weighted(np.ones(4)), np.full(4, 0.25))
-    w = pf.equally_weighted(np.array([1.0, 2.0]))
+    assert np.allclose(pf.finish(pf.equally_weighted(np.ones(4))), np.full(4, 0.25))
+    w = pf.finish(pf.equally_weighted(np.array([1.0, 2.0])))
     assert np.allclose(w, np.array([1.0, 0.5]) / 1.5)
     rng = np.random.default_rng(8)
     vols = rng.uniform(0.1, 3.0, size=6)
-    assert np.abs(pf.equally_weighted(vols)).sum() == pytest.approx(1.0)
+    assert np.abs(pf.finish(pf.equally_weighted(vols))).sum() == pytest.approx(1.0)
     with pytest.raises(DegenerateVolatility):
         pf.equally_weighted(np.array([1.0, 0.0]))
 
@@ -176,7 +176,7 @@ def test_weight_matrix_markowitz_limit():
     omega = pf.optimal_weight_matrix(System(c, 0.0), c, np.zeros((3, 3)), 1.0, 0.0)
     assert np.abs(omega - symmat.inverse(c, 0.0)).max() < 1e-9
     s = rng.standard_normal(3)
-    nm = pf.naive_markowitz(System(c, 0.0), s, normalize=False)
+    nm = pf.naive_markowitz(System(c, 0.0), s)
     assert np.abs(omega @ s - nm).max() < 1e-9
 
 
@@ -241,11 +241,11 @@ def test_weight_matrix_limits_are_the_books():
         corr_3_2 = (pairs.eigenvectors * pairs.eigenvalues**1.5) @ pairs.eigenvectors.T
         mu = vols * pf.class_target(classes)
         limits = {
-            "nm": (cov, zero, pf.naive_markowitz(System(cov, 0.0), s)),
+            "nm": (cov, zero, pf.finish(pf.naive_markowitz(System(cov, 0.0), s))),
             "arp": (corr_3_2 * np.outer(vols, vols), zero,
-                    pf.agnostic_risk_parity(corr, vols, s, ridge=0.0)),
+                    pf.finish(pf.agnostic_risk_parity(corr, vols, s, ridge=0.0))),
             "torp": (zero, np.outer(mu, mu),
-                     pf.trend_on_risk_parity(System(cov, 0.0), vols, s, classes)),
+                     pf.finish(pf.trend_on_risk_parity(System(cov, 0.0), vols, s, classes))),
         }
         for kind, (trend_cov, drift_outer, book) in limits.items():
             omega = pf.optimal_weight_matrix(System(cov, 0.0), trend_cov, drift_outer, 0.8, 1.7)
@@ -268,21 +268,41 @@ def test_vol_target():
     assert abs(np.sqrt(out @ cov @ out) - 0.37) < 1e-10
     with pytest.raises(CannotScale):
         pf.vol_target(np.zeros(5), cov, 1.0)
-    with pytest.raises(InvalidInput):
-        pf.vol_target(w, cov, 0.0)
+    for target in (0.0, np.inf, np.nan, "1", True):
+        with pytest.raises(InvalidInput, match="target"):
+            pf.vol_target(w, cov, target)
 
 
 def test_non_finite_positions_are_rejected():
-    """The solve overflows to inf, and unit gross turns that into nan: neither comes out."""
-    for normalize in (True, False):
-        with pytest.raises(InvalidInput, match="non-finite"):
-            pf.naive_markowitz(System(1e-300 * np.eye(2), 0.0), np.array([1e300, 1e300]),
-                               normalize=normalize)
+    """A raw book whose solve overflows to inf does not come out, nor does a non-finite
+    vol-targeted one."""
+    with pytest.raises(InvalidInput, match="non-finite"):
+        pf.naive_markowitz(System(1e-300 * np.eye(2), 0.0), np.array([1e300, 1e300]))
     # a finite book whose scale overflows (numpy warns of it), and a non-finite book
     with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="non-finite"):
         pf.vol_target(np.ones(1), np.array([[1e-300]]), 1e200)
     with pytest.raises(InvalidInput, match="non-finite"):
         pf.vol_target(np.array([np.nan, 1.0]), np.eye(2), 1.0)
+
+
+def test_finish_puts_each_day_at_unit_gross():
+    """finish is the one unit-gross step: each day of a (k, days, n) stack at gross 1, a
+    zero day left exactly zero, the same positions for any positive rescale of the book."""
+    rng = np.random.default_rng(26)
+    raw = rng.standard_normal((3, 4, 5))
+    raw[1, 2] = 0.0
+    got = pf.finish(raw)
+    assert got.shape == raw.shape
+    gross = np.abs(got).sum(axis=-1)
+    assert np.array_equal(got[1, 2], np.zeros(5)) and gross[1, 2] == 0.0
+    gross[1, 2] = 1.0
+    assert np.allclose(gross, 1.0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(pf.finish(0.25 * raw), got)  # a power of two rescales exactly
+    assert np.allclose(pf.finish(3.7 * raw), got, rtol=0.0, atol=1e-15)
+    for bad in (np.nan, np.inf):
+        raw[2, 1, 3] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            pf.finish(raw)
 
 
 def test_signal_scaling_properties():
@@ -295,21 +315,20 @@ def test_signal_scaling_properties():
     s = rng.standard_normal(4)
     c = 3.7
     for build in (
-        lambda sig, norm: pf.naive_markowitz(System(cov, 0.0), sig, normalize=norm),
-        lambda sig, norm: pf.agnostic_risk_parity(corr, vols, sig, ridge=0.0, normalize=norm),
-        lambda sig, norm: pf.trend_on_risk_parity(System(cov, 0.0), vols, sig, STOCKS3 + ("stock",),
-                                                  normalize=norm),
+        lambda sig: pf.naive_markowitz(System(cov, 0.0), sig),
+        lambda sig: pf.agnostic_risk_parity(corr, vols, sig, ridge=0.0),
+        lambda sig: pf.trend_on_risk_parity(System(cov, 0.0), vols, sig, STOCKS3 + ("stock",)),
     ):
-        raw1 = build(s, False)
-        raw2 = build(c * s, False)
+        raw1 = build(s)
+        raw2 = build(c * s)
         assert np.abs(raw2 - c * raw1).max() < 1e-9 * np.abs(raw2).max()
-        vt1 = pf.vol_target(build(s, True), cov, 1.0)
-        vt2 = pf.vol_target(build(c * s, True), cov, 1.0)
+        vt1 = pf.vol_target(pf.finish(build(s)), cov, 1.0)
+        vt2 = pf.vol_target(pf.finish(build(c * s)), cov, 1.0)
         assert np.abs(vt1 - vt2).max() < 1e-10
 
 
 def test_zero_signal_keeps_zero_positions():
-    w = pf.naive_markowitz(System(np.eye(3), 0.0), np.zeros(3))
+    w = pf.finish(pf.naive_markowitz(System(np.eye(3), 0.0), np.zeros(3)))
     assert np.abs(w).sum() == 0.0
     assert np.array_equal(w, np.zeros(3))
 
@@ -336,9 +355,9 @@ def test_flat_asset_books_equal_the_listed_solve():
         nm = np.zeros(4)
         nm[listed] = np.linalg.solve(shifted, s[listed])
         wants = {"nm": nm, "rp": rp, "torp": (rp @ s) * rp}
-        gots = {"nm": pf.naive_markowitz(System(cov), s, normalize=False),
-                "rp": pf.risk_parity(System(cov), vols, classes, normalize=False),
-                "torp": pf.trend_on_risk_parity(System(cov), vols, s, classes, normalize=False)}
+        gots = {"nm": pf.naive_markowitz(System(cov), s),
+                "rp": pf.risk_parity(System(cov), vols, classes),
+                "torp": pf.trend_on_risk_parity(System(cov), vols, s, classes)}
         for kind, want in wants.items():
             got = gots[kind]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, kind)
@@ -355,14 +374,13 @@ def test_block_equals_one_day_calls():
     sig = rng.standard_normal((m, n))
     sig[2] = 0.0  # a flat day inside the block
     cov = corr * (vols[:, :, None] * vols[:, None, :])
-    for normalize in (True, False):
+    for size in (pf.finish, lambda raw: raw):
         builds = {
-            "rp": lambda c, v, s, r: pf.risk_parity(System(c, r), v, classes, normalize),
-            "nm": lambda c, v, s, r: pf.naive_markowitz(System(c, r), s, normalize),
-            "arp": lambda c, v, s, r: pf.agnostic_risk_parity(corr, v, s, r, normalize),
-            "torp": lambda c, v, s, r: pf.trend_on_risk_parity(System(c, r), v, s, classes,
-                                                               normalize),
-            "ew": lambda c, v, s, r: pf.equally_weighted(v, normalize),
+            "rp": lambda c, v, s, r: size(pf.risk_parity(System(c, r), v, classes)),
+            "nm": lambda c, v, s, r: size(pf.naive_markowitz(System(c, r), s)),
+            "arp": lambda c, v, s, r: size(pf.agnostic_risk_parity(corr, v, s, r)),
+            "torp": lambda c, v, s, r: size(pf.trend_on_risk_parity(System(c, r), v, s, classes)),
+            "ew": lambda c, v, s, r: size(pf.equally_weighted(v)),
         }
         for kind, build in builds.items():
             for ridge in (None, 0.0, 1e-3):
@@ -387,11 +405,11 @@ def test_blocks_of_days_equal_one_day_calls():
     sig = rng.standard_normal((k, w, n))
     cov = corr[:, None] * (vols[..., :, None] * vols[..., None, :])
     builds = {
-        "rp": lambda c, cv, v, s: pf.risk_parity(System(cv), v, classes),
-        "nm": lambda c, cv, v, s: pf.naive_markowitz(System(cv), s),
-        "arp": lambda c, cv, v, s: pf.agnostic_risk_parity(c, v, s),
-        "torp": lambda c, cv, v, s: pf.trend_on_risk_parity(System(cv), v, s, classes),
-        "ew": lambda c, cv, v, s: pf.equally_weighted(v),
+        "rp": lambda c, cv, v, s: pf.finish(pf.risk_parity(System(cv), v, classes)),
+        "nm": lambda c, cv, v, s: pf.finish(pf.naive_markowitz(System(cv), s)),
+        "arp": lambda c, cv, v, s: pf.finish(pf.agnostic_risk_parity(c, v, s)),
+        "torp": lambda c, cv, v, s: pf.finish(pf.trend_on_risk_parity(System(cv), v, s, classes)),
+        "ew": lambda c, cv, v, s: pf.finish(pf.equally_weighted(v)),
         "omega": lambda c, cv, v, s: (pf.optimal_weight_matrix(
             System(cv), np.broadcast_to(c, cv.shape), v[..., :, None] * v[..., None, :],
             1.0, 0.5)
@@ -428,14 +446,13 @@ def test_the_system_ridge_is_the_one_every_book_solves_with():
     c, s, vols = np.array([[1.0, 0.3], [0.3, 0.8]]), np.array([1.0, -0.5]), np.array([1.0, 2.0])
     shifted = c + 0.5 * np.eye(2)
     system = System(c, 0.5)
-    nm = pf.naive_markowitz(system, s, normalize=False)
+    nm = pf.naive_markowitz(system, s)
     assert np.allclose(nm, np.linalg.solve(shifted, s), rtol=1e-14, atol=0.0)
     assert np.allclose(nm, [0.780, -0.565], atol=5e-4)
     rp = np.linalg.solve(shifted, vols)
-    assert np.allclose(pf.risk_parity(system, vols, ("stock", "bond"), normalize=False), rp,
+    assert np.allclose(pf.risk_parity(system, vols, ("stock", "bond")), rp,
                        rtol=1e-14, atol=0.0)
-    assert np.allclose(pf.trend_on_risk_parity(system, vols, s, ("stock", "bond"),
-                                               normalize=False), (rp @ s) * rp,
+    assert np.allclose(pf.trend_on_risk_parity(system, vols, s, ("stock", "bond")), (rp @ s) * rp,
                        rtol=1e-14, atol=0.0)
     inv = np.linalg.inv(shifted)
     omega = pf.optimal_weight_matrix(system, c, np.zeros((2, 2)), 1.0, 0.0)
@@ -445,7 +462,16 @@ def test_the_system_ridge_is_the_one_every_book_solves_with():
                  lambda: pf.trend_on_risk_parity(System(c), vols, s, ("stock", "bond"), ridge=0.5),
                  lambda: pf.optimal_weight_matrix(System(c), c, np.zeros((2, 2)), 1.0, 0.0,
                                                   ridge=0.5),
-                 lambda: symmat.solve_sandwich(System(c), c, System(c), ridge=0.5)):
+                 lambda: symmat.solve_sandwich(System(c), c, System(c), ridge=0.5),
+                 # a book has no size of its own: finish and vol_target are the sizing steps
+                 lambda: pf.naive_markowitz(System(c), s, normalize=True),
+                 lambda: pf.risk_parity(System(c), vols, ("stock", "bond"), normalize=True),
+                 lambda: pf.agnostic_risk_parity(c, vols, s, normalize=True),
+                 lambda: pf.trend_on_risk_parity(System(c), vols, s, ("stock", "bond"),
+                                                 normalize=True),
+                 lambda: pf.trend_on(rp, s, normalize=True),
+                 lambda: pf.equally_weighted(vols, normalize=True),
+                 lambda: pf.finish(nm, normalize=True)):
         with pytest.raises(TypeError):
             call()
 

@@ -238,7 +238,7 @@ def test_proportional_trend_reduces_to_markowitz_weights():
     for _ in range(5):
         s = rng.standard_normal(2)
         pos = best @ s
-        nm = pf.naive_markowitz(System(ce, 0.0), s, normalize=False)
+        nm = pf.naive_markowitz(System(ce, 0.0), s)
         cos = (pos @ nm) / (np.linalg.norm(pos) * np.linalg.norm(nm))
         assert abs(abs(cos) - 1.0) < 1e-8
 

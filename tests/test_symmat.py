@@ -257,7 +257,7 @@ def test_stacked_symmetry_check_judges_each_matrix_on_its_own_scale():
 
 def test_a_ridge_must_be_finite_and_non_negative():
     m = np.array([[1.0, 0.3], [0.3, 0.8]])
-    for ridge in (-1.0, np.nan, np.inf):
+    for ridge in (-1.0, np.nan, np.inf, True, "0.5"):
         for call in (lambda: System(m, ridge).solve(np.ones(2)),
                      lambda: symmat.inverse(m, ridge), lambda: symmat.inv_sqrt(m, ridge)):
             with pytest.raises(InvalidMatrix, match="ridge"):
