@@ -287,13 +287,16 @@ def _choice(*allowed: str) -> Callable:
 
 
 def _names(name: str, value) -> tuple:
-    """Comma list; blank items are dropped."""
-    return tuple(s.strip() for s in _text(name, value).split(",") if s.strip())
+    """Comma list; blank items are dropped, and a list of none is an error, not unset."""
+    names = tuple(s.strip() for s in _text(name, value).split(",") if s.strip())
+    if not names:
+        raise ConfigError(f"{name} must not be empty")
+    return names
 
 
 def _strategies(name: str, value) -> list:
     names = list(_names(name, value))
-    if not names or len(set(names)) < len(names) or set(names) - set(backtest.STRATEGY_KINDS):
+    if len(set(names)) < len(names) or set(names) - set(backtest.STRATEGY_KINDS):
         raise ConfigError(f"{name} must list distinct names from "
                           f"{','.join(backtest.STRATEGY_KINDS)}, got {value!r}")
     return names

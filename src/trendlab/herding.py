@@ -166,10 +166,6 @@ def transition_curve(params: AgentSimParams, coupling_grid) -> TransitionCurve:
         finals[i, rep] = path[-1]
 
     _simulate(params, couplings, keep)
-    maxima = np.empty(grid.size)
-    stderr = np.empty(grid.size)
-    for i in range(grid.size):
-        per_run = (finals[i] / params.agents).max(axis=1)
-        maxima[i] = per_run.mean()
-        stderr[i] = per_run.std(ddof=1) / np.sqrt(params.reps) if params.reps > 1 else 0.0
-    return TransitionCurve(couplings=grid, max_fraction=maxima, stderr=stderr)
+    per_run = (finals / params.agents).max(axis=2)  # (grid, M); one run's spread is 0
+    stderr = per_run.std(axis=1, ddof=1 if params.reps > 1 else 0) / np.sqrt(params.reps)
+    return TransitionCurve(couplings=grid, max_fraction=per_run.mean(axis=1), stderr=stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symmat
-from .errors import InvalidIndex, InvalidInput, InvalidModel
+from .errors import InvalidIndex, InvalidInput, InvalidMatrix, InvalidModel
 from .signals import check_index, ema, power_sum
 
 ASSET_CLASSES = ("stock", "bond", "fx")
@@ -29,40 +29,19 @@ ASSET_CLASSES = ("stock", "bond", "fx")
 _EPOCH = datetime.date(2000, 1, 3)  # a Monday; panels without dates get weekday dates
 
 
-class _Faults:
-    """The checks of a stack of models in one-model check order: each check adds the
-    models it rejects and the message a rejected model i raises."""
-
-    def __init__(self, count: int):
-        self.count, self.masks, self.messages = count, [], []
-
-    def add(self, bad, message) -> None:
-        self.masks.append(np.broadcast_to(bad, (self.count,)))
-        self.messages.append(message)
-        if self.masks[-1].all():  # model 0 fails here or earlier: no later check matters
-            self.raise_first()
-
-    def raise_first(self) -> None:
-        """InvalidModel for the first rejected model, with its first failed check."""
-        bad = np.array(self.masks)
-        if bad.any():
-            i = int(bad.any(axis=0).argmax())
-            raise InvalidModel(self.messages[int(bad[:, i].argmax())](i))
-
-
-def _as_psd(name: str, a: np.ndarray, n: int, faults: _Faults) -> np.ndarray:
-    """A stack of (n, n) covariances, one per model, symmetrized where round-off
-    left them asymmetric."""
-    faults.add(a.shape[1:] != (n, n),
-               lambda i: f"{name} must have shape ({n},{n}), got {a.shape[1:]}")
-    a, symmetry = symmat.symmetry_faults(a)
-    for message, bad in symmetry.items():
-        faults.add(bad, lambda i, message=message: f"{name}: {message}")
-    rejected = np.logical_or.reduce(list(symmetry.values()))[:, None, None]
-    vals = np.linalg.eigvalsh(np.where(rejected, 0.0, a))
+def _check_psd(name: str, a: np.ndarray, n: int) -> np.ndarray:
+    """z (n, n) covariances, symmetrized where round-off left them asymmetric."""
+    if a.shape[1:] != (n, n):
+        raise InvalidModel(f"{name} must have shape ({n},{n}), got {a.shape[1:]}")
+    try:
+        a = symmat.check_symmetric(a)
+    except InvalidMatrix as exc:
+        raise InvalidModel(f"{name}: {exc}") from None
+    vals = np.linalg.eigvalsh(a)
     low = vals.min(axis=-1)
-    faults.add(low < -1e-10 * np.maximum(1.0, vals.max(axis=-1)),
-               lambda i: f"{name} is not positive semi-definite (min eig {low[i]:.3e})")
+    bad = low < -1e-10 * np.maximum(1.0, vals.max(axis=-1))
+    if bad.any():
+        raise InvalidModel(f"{name} is not positive semi-definite (min eig {low[bad][0]:.3e})")
     return a
 
 
@@ -71,27 +50,27 @@ _MODEL_FIELDS = ("drift", "noise_cov", "trend_cov", "trend_amp", "trend_decay")
 
 
 def _check_models(n: int, drift, noise_cov, trend_cov, amp, decay, asset_classes) -> tuple:
-    """Validate z models of n assets at once: float arrays of (z, n) drifts,
-    (z, n, n) covariances and z amplitudes and decays, and asset classes shared
-    by all.  Returns the five fields, covariances symmetrized, and the classes;
-    the first rejected model raises the InvalidModel its own ModelParams would."""
+    """Validate z models of n assets in one vectorized pass: float arrays of (z, n)
+    drifts, (z, n, n) covariances and z amplitudes and decays, and asset classes
+    shared by all.  Returns the five fields, covariances symmetrized, and the
+    classes.  Each check raises InvalidModel as soon as any model fails it."""
     if n < 1:
         raise InvalidModel("need at least one asset")
     z = len(decay)
     if z == 0 or any(x.shape[:1] != (z,) for x in (drift, noise_cov, trend_cov, amp)):
         raise InvalidModel("a stack needs one or more models and one entry of each field per model")
-    faults = _Faults(z)
-    faults.add(drift.shape[1:] != (n,) or ~np.isfinite(drift).all(axis=1),
-               lambda i: f"drift must be a finite vector of length {n}")
-    noise_cov = _as_psd("noise_cov", noise_cov, n, faults)
-    trend_cov = _as_psd("trend_cov", trend_cov, n, faults)
-    faults.add(~(amp >= 0.0), lambda i: f"trend_amp must be non-negative, got {amp[i]}")
-    faults.add(~((0.0 < decay) & (decay <= 1.0)),
-               lambda i: f"trend_decay must be in (0,1], got {decay[i]}")
+    if drift.shape[1:] != (n,) or not np.isfinite(drift).all():
+        raise InvalidModel(f"drift must be a finite vector of length {n}")
+    noise_cov = _check_psd("noise_cov", noise_cov, n)
+    trend_cov = _check_psd("trend_cov", trend_cov, n)
+    if not (amp >= 0.0).all():  # the least amplitude (or a nan) is a failing one
+        raise InvalidModel(f"trend_amp must be non-negative, got {amp.min()}")
+    bad = ~((0.0 < decay) & (decay <= 1.0))
+    if bad.any():
+        raise InvalidModel(f"trend_decay must be in (0,1], got {decay[bad][0]}")
     classes = tuple(asset_classes) or ("stock",) * n
-    faults.add(len(classes) != n or any(c not in ASSET_CLASSES for c in classes),
-               lambda i: f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
-    faults.raise_first()
+    if len(classes) != n or any(c not in ASSET_CLASSES for c in classes):
+        raise InvalidModel(f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
     return drift, noise_cov, trend_cov, amp, decay, classes
 
 
@@ -108,9 +87,10 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
 class ModelParams:
     """Full specification of the generative return model: one model, or a stack of
     models of one size n with (z, n) drifts, (z, n, n) covariances and z amplitudes
-    and decays.  A stack is checked in one pass, and its first rejected model raises
-    what its own one-model ModelParams would.  simulate, burn_in and the
-    covariances, which read no signal rate, take one model."""
+    and decays.  A valid stack is checked in one vectorized pass; only when that
+    pass fails is the stack re-checked model by model, so that its first rejected
+    model raises what its own one-model ModelParams would.  simulate, burn_in and
+    the covariances, which read no signal rate, take one model."""
 
     n: int
     drift: np.ndarray
@@ -125,7 +105,12 @@ class ModelParams:
         fields = [np.asarray(getattr(self, name), dtype=float) for name in _MODEL_FIELDS]
         if one:
             fields = [x[None] for x in fields]
-        *checked, classes = _check_models(self.n, *fields, self.asset_classes)
+        try:
+            *checked, classes = _check_models(self.n, *fields, self.asset_classes)
+        except InvalidModel:  # re-check model by model: the first rejected one raises its own
+            for i in range(len(fields[-1])):
+                _check_models(self.n, *(x[i:i + 1] for x in fields), self.asset_classes)
+            raise  # no one model fails: the stack itself is malformed
         for name, value in zip(_MODEL_FIELDS, checked):
             object.__setattr__(self, name, value[0] if one else value)
         object.__setattr__(self, "asset_classes", classes)

@@ -38,32 +38,22 @@ class EigenPairs:
 
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate a dense symmetric matrix or a stack of them; returns it as a float array."""
+    """Validate a dense symmetric matrix or a stack of them; returns it as a float
+    array with round-off asymmetry removed."""
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    a, faults = symmetry_faults(a)
-    for message, bad in faults.items():
-        if bad.any():
-            raise InvalidMatrix(message)
-    return a
-
-
-def symmetry_faults(a: np.ndarray) -> tuple[np.ndarray, dict]:
-    """A float stack of square matrices with round-off asymmetry removed, and the
-    matrices that fail each check, by message, in check order."""
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    structural = np.zeros(a.shape[:-2], dtype=bool)
-    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("matrix has non-finite entries")
+    t = np.swapaxes(a, -1, -2)
+    if not np.array_equal(a, t):
         # tolerate round-off asymmetry, reject anything structural; each matrix
-        # of a stack is judged against its own scale (a non-finite one is judged as
-        # zeros, and kept as it is)
-        keep = finite[..., None, None]
-        b = np.where(keep, a, 0.0)
-        scale = np.maximum(1.0, np.abs(b).max(axis=(-2, -1), keepdims=True))
-        structural = (np.abs(b - np.swapaxes(b, -1, -2)) > 1e-12 * scale).any(axis=(-2, -1))
-        a = np.where(keep, symmetrize(b), a)
-    return a, {"matrix has non-finite entries": ~finite, "matrix is not symmetric": structural}
+        # of a stack is judged against its own scale
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+        if (np.abs(a - t) > 1e-12 * scale).any():
+            raise InvalidMatrix("matrix is not symmetric")
+        a = symmetrize(a)
+    return a
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -359,12 +359,17 @@ def names_option(line, option):
      None, "jgrid"),
     (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2", "--outdir", ""], None, "outdir"),
     (["agents", "--A", "5", "--N", "2", "--T", "2", "--M", "2"], {"outdir": ""}, "outdir"),
+    (["simulate", "--n", "3", "--T", "10", "--classes", ""], None, "classes"),
+    (["simulate", "--n", "3", "--T", "10"], {"classes": ""}, "classes"),
+    (["mix", "--pnl", "taken", "--pair", ""], None, "pair"),
+    (["mix", "--pnl", "taken", "--pair", ","], None, "pair"),
 ], ids=["no-n", "seed-abc", "simulate-seed", "oracle-seed", "agents-seed", "noise_cov",
         "drift", "outdir", "j", "jgrid", "jgrid-infinite", "jgrid-unallocatable", "oracle-t",
         "drift-count", "noise-corr", "trend-structure", "jgrid-two-parts", "config-list",
         "outdir-file", "outdir-under-file", "config-typo", "config-other-command",
         "config-dashed-key", "j-overflow", "jgrid-overflow", "jgrid-point-overflow",
-        "jgrid-past-numpy-size", "outdir-empty", "outdir-empty-in-config"])
+        "jgrid-past-numpy-size", "outdir-empty", "outdir-empty-in-config", "classes-empty",
+        "classes-empty-in-config", "pair-empty", "pair-only-comma"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # a file, not a directory, for the outdir cases

@@ -314,6 +314,39 @@ def test_stacked_models_equal_one_model_construction():
             (want.n, want.trend_amp, want.trend_decay, want.asset_classes)
 
 
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name, still running the real one."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_a_valid_stack_is_checked_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(37)
+    fields = stack_fields([good_model_fields(rng) for _ in range(300)])
+    eig = counting(monkeypatch, np.linalg, "eigvalsh")
+    symmetric = counting(monkeypatch, mm.symmat, "check_symmetric")
+    mm.ModelParams(n=2, **fields)
+    assert len(eig) == len(symmetric) == 2  # one per covariance field, each on all 300
+
+
+def test_a_failed_stack_is_rechecked_up_to_its_first_bad_model(monkeypatch):
+    rng = np.random.default_rng(38)
+    models = [good_model_fields(rng) for _ in range(300)]
+    models[7].update(BAD_FIELDS["not-psd"])
+    models[200].update(BAD_FIELDS["drift-nan"])  # an earlier check, on a later model
+    want = one_model_message(models[7])
+    checks = counting(monkeypatch, mm, "_check_models")
+    with pytest.raises(InvalidModel) as caught:
+        mm.ModelParams(n=2, **stack_fields(models))
+    assert str(caught.value) == want
+    assert len(checks) == 1 + 8  # the stack, then models 0..7 one at a time
+
+
 def test_empty_or_ragged_stack_is_rejected():
     rng = np.random.default_rng(35)
     fields = stack_fields([good_model_fields(rng) for _ in range(3)])

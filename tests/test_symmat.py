@@ -250,6 +250,9 @@ def test_stacked_symmetry_check_judges_each_matrix_on_its_own_scale():
         System(np.stack([small, 1e6 * np.eye(2)])).solve(np.ones((2, 2)))
     with pytest.raises(InvalidMatrix):
         symmat.eigendecompose(np.stack([1e6 * np.eye(2), small]))
+    inf = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidMatrix, match="matrix has non-finite entries"):  # checked first
+        symmat.check_symmetric(np.stack([small, inf]))
     rounded = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])  # round-off stays tolerated
     got = System(np.stack([rounded, 1e-6 * np.eye(2)])).solve(np.ones((2, 2)))
     assert np.array_equal(got[0], System(rounded).solve(np.ones(2)))
