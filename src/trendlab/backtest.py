@@ -102,15 +102,13 @@ class StrategyConfig:
         if self.cleaner not in estimation.CLEANERS:
             raise InvalidInput(f"unknown cleaner {self.cleaner!r}")
         for name in ("signal_rate", "cov_rate", "var_rate"):
-            signals.check_rate(name, getattr(self, name))
-        if signals.check_index("week_len", self.week_len, InvalidInput) < 1:
-            raise InvalidInput("week_len must be >= 1")
+            signals.check_number(name, getattr(self, name), "(0, 1)")
+        signals.check_number("week_len", self.week_len, "[1, inf)", int)
         if (self.warmup is not None
-                and signals.check_index("warmup", self.warmup, InvalidInput) < self.week_len):
+                and signals.check_number("warmup", self.warmup, kind=int) < self.week_len):
             raise InvalidInput("warm-up must cover at least one weekly update")
-        if (self.vol_scale is not None
-                and not 0.0 < signals.check_real("vol_scale", self.vol_scale) < math.inf):
-            raise InvalidInput(f"vol_scale must be positive and finite, got {self.vol_scale}")
+        if self.vol_scale is not None:
+            signals.check_number("vol_scale", self.vol_scale, "(0, inf)")
 
     def warmup_days(self) -> int:
         """Signal warm-up or covariance warm-up, whichever is longer."""
@@ -347,8 +345,7 @@ def sweep_mix_curve(pnl: np.ndarray, step: float = 0.01) -> tuple[np.ndarray, np
     the second one: every multiple of step below 1, and 1 itself."""
     if pnl.shape[1] != 2:
         raise InvalidInput("sweep needs exactly two strategies")
-    if not 0.0 < signals.check_real("grid step", step) <= 0.5:
-        raise InvalidInput(f"grid step must be in (0, 0.5], got {step}")
+    signals.check_number("grid step", step, "(0, 0.5]")
     x = _unit_vol(pnl)
     grid = np.arange(0.0, 1.0, step)
     grid = np.append(grid[grid < 1.0 - 1e-12], 1.0)  # a multiple within round-off of 1 is 1

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, backtest, estimation, herding, market_model, sharpe_oracle
+from . import __version__, backtest, estimation, herding, market_model, sharpe_oracle, signals
 from .errors import DegenerateResult, IngestError, InsufficientData, InvalidInput, TrendlabError
 from .market_model import ASSET_CLASSES, ModelParams, ReturnsPanel
 
@@ -232,7 +232,7 @@ def ingest_csv(path) -> ReturnsPanel:
 
 @dataclass(frozen=True)
 class Number:
-    """An int or a finite float in the interval `bounds`, written like "(0, 0.5]"."""
+    """An int or a finite float from flag text or JSON, in `bounds` by signals.check_number."""
 
     kind: type
     bounds: str = "(-inf, inf)"
@@ -247,11 +247,7 @@ class Number:
         if not valid:
             what = "an integer" if self.kind is int else "a finite number"
             raise ConfigError(f"{name} must be {what}, got {value!r}")
-        low, high = (float(x) for x in self.bounds[1:-1].split(","))
-        if not ((out > low if self.bounds[0] == "(" else out >= low)
-                and (out < high if self.bounds[-1] == ")" else out <= high)):
-            raise ConfigError(f"{name} must be in {self.bounds}, got {out}")
-        return out
+        return signals.check_number(name, out, self.bounds, self.kind, ConfigError)
 
 
 _REAL = Number(float)

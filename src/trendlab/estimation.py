@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symmat
 from .errors import DegenerateVariance, InvalidInput
-from .signals import check_rate, check_real, check_run, ema
+from .signals import check_number, check_run, ema
 
 DEFAULT_COV_RATE = 1.0 / 750.0
 DEFAULT_VAR_RATE = 1.0 / 100.0
@@ -31,7 +31,7 @@ def update_daily(variances: np.ndarray | None, returns: np.ndarray,
     the first day seeds the variances with r*r.  Returns the path, whose row i
     holds the variances before day i, and the variances after the last day.
     """
-    check_rate("var_rate", var_rate)
+    check_number("var_rate", var_rate, "(0, 1)")
     if variances is not None and np.ndim(variances) != 1:
         raise InvalidInput("variances must be a vector")
     returns = check_run(returns, None if variances is None else len(variances))
@@ -50,7 +50,7 @@ def roll_week(cov: np.ndarray | None, weekly_sums: np.ndarray,
     into an identity scaled to its own magnitude, which keeps every later
     estimate covariant under rescaling the returns, and that seed is row 0.
     """
-    check_rate("cov_rate", cov_rate)
+    check_number("cov_rate", cov_rate, "(0, 1)")
     weekly_sums = check_run(weekly_sums, None if cov is None else len(cov))
     k, n = weekly_sums.shape
     if cov is not None and np.shape(cov) != (n, n):
@@ -89,8 +89,7 @@ def _check_correlation(corr: np.ndarray) -> np.ndarray:
 def _cleaner_spectrum(corr: np.ndarray, sample_ratio: float) -> symmat.EigenPairs:
     """The eigenpairs of a checked correlation, once sample_ratio is a positive real."""
     c = _check_correlation(corr)
-    if not 0.0 < check_real("sample_ratio", sample_ratio) < np.inf:
-        raise InvalidInput(f"sample_ratio must be positive and finite, got {sample_ratio}")
+    check_number("sample_ratio", sample_ratio, "(0, inf)")
     return symmat.eigendecompose(c)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .signals import check_index, check_real
+from .signals import check_number
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,14 @@ class AgentSimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(check_index(name, getattr(self, name), InvalidInput)
-               for name in ("agents", "strategies", "steps", "reps")) < 1:
-            raise InvalidInput("agents, strategies, steps and reps must all be >= 1")
-        if not 0.0 <= check_real("coupling", self.coupling) < np.inf:
-            raise InvalidInput(f"coupling must be finite and non-negative, got {self.coupling}")
+        for name in ("agents", "strategies", "steps", "reps"):
+            check_number(name, getattr(self, name), "[1, inf)", int)
+        check_number("coupling", self.coupling, "[0, inf)")
         # j*sqrt(N) bounds the coupling term c*counts; Python floats overflow to inf silently
         if not math.isfinite(float(self.coupling) * math.sqrt(self.strategies)):
             raise InvalidInput(f"coupling {self.coupling} times the square root of "
                                f"{self.strategies} strategies is not finite")
-        if check_index("seed", self.seed, InvalidInput) < 0:
-            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
+        check_number("seed", self.seed, "[0, inf)", int)
 
     @property
     def per_adopter_coupling(self) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symmat
 from .errors import InvalidIndex, InvalidInput, InvalidMatrix, InvalidModel
-from .signals import check_index, ema, power_sum
+from .signals import check_number, ema, power_sum
 
 ASSET_CLASSES = ("stock", "bond", "fx")
 
@@ -54,8 +54,7 @@ def _check_models(n: int, drift, noise_cov, trend_cov, amp, decay, asset_classes
     drifts, (z, n, n) covariances and z amplitudes and decays, and asset classes
     shared by all.  Returns the five fields, covariances symmetrized, and the
     classes.  Each check raises InvalidModel as soon as any model fails it."""
-    if n < 1:
-        raise InvalidModel("need at least one asset")
+    check_number("n", n, "[1, inf)", int, InvalidModel)
     z = len(decay)
     if z == 0 or any(x.shape[:1] != (z,) for x in (drift, noise_cov, trend_cov, amp)):
         raise InvalidModel("a stack needs one or more models and one entry of each field per model")
@@ -70,7 +69,7 @@ def _check_models(n: int, drift, noise_cov, trend_cov, amp, decay, asset_classes
         raise InvalidModel(f"trend_decay must be in (0,1], got {decay[bad][0]}")
     classes = tuple(asset_classes) or ("stock",) * n
     if len(classes) != n or any(c not in ASSET_CLASSES for c in classes):
-        raise InvalidModel(f"asset_classes must be {len(classes)} of {ASSET_CLASSES}")
+        raise InvalidModel(f"asset_classes must be {n} of {ASSET_CLASSES}")
     return drift, noise_cov, trend_cov, amp, decay, classes
 
 
@@ -102,7 +101,11 @@ class ModelParams:
 
     def __post_init__(self):
         one = np.ndim(self.trend_decay) == 0  # one model is checked as a stack of one
-        fields = [np.asarray(getattr(self, name), dtype=float) for name in _MODEL_FIELDS]
+        fields = [np.asarray(getattr(self, name)) for name in _MODEL_FIELDS]
+        for name, x in zip(_MODEL_FIELDS, fields):
+            if x.dtype.kind not in "iuf":  # a bool, a string or an object is no real number
+                raise InvalidModel(f"{name} must hold real numbers, got dtype {x.dtype}")
+        fields = [x.astype(float, copy=False) for x in fields]
         if one:
             fields = [x[None] for x in fields]
         try:
@@ -176,10 +179,8 @@ def simulate(params: ModelParams, n_days: int, seed: int) -> ReturnsPanel:
     stationarity should drop params.burn_in() leading rows.
     """
     _one_model(params)
-    if check_index("n_days", n_days, InvalidInput) < 1:
-        raise InvalidInput(f"n_days must be >= 1, got {n_days}")
-    if check_index("seed", seed, InvalidInput) < 0:
-        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    check_number("n_days", n_days, "[1, inf)", int)
+    check_number("seed", seed, "[0, inf)", int)
     rng = np.random.default_rng(seed)
     noise_factor = _psd_factor(params.noise_cov)
     shock_factor = _psd_factor(params.trend_cov)
@@ -204,7 +205,8 @@ def _covariance(params: ModelParams, lag: int, shocks: int | None) -> np.ndarray
 
 def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
     """Model-implied covariance of the day-t and day-t2 return vectors (t2 <= t)."""
-    t, t2 = check_index("t", t), check_index("t2", t2)
+    t = check_number("t", t, kind=int, error=InvalidIndex)
+    t2 = check_number("t2", t2, kind=int, error=InvalidIndex)
     if not 1 <= t2 <= t:
         raise InvalidIndex(f"need 1 <= t2 <= t, got t={t}, t2={t2}")
     return _covariance(params, t - t2, t2 - 1)
@@ -212,6 +214,5 @@ def theoretical_covariance(params: ModelParams, t: int, t2: int) -> np.ndarray:
 
 def stationary_covariance(params: ModelParams, lag: int = 0) -> np.ndarray:
     """Large-t limit of theoretical_covariance at the given lag."""
-    if check_index("lag", lag) < 0:
-        raise InvalidIndex(f"lag must be >= 0, got {lag}")
+    check_number("lag", lag, "[0, inf)", int, InvalidIndex)
     return _covariance(params, lag, None)

@@ -121,8 +121,7 @@ def optimal_weight_matrix(system: symmat.System, trend_cov, drift_outer, trend_g
 
 def vol_target(positions, cov, target: float) -> np.ndarray:
     """Rescale positions so the portfolio volatility under cov equals target, day by day."""
-    if not 0.0 < signals.check_real("target", target) < np.inf:
-        raise InvalidInput(f"target must be positive and finite, got {target}")
+    signals.check_number("target", target, "(0, inf)")
     p = np.asarray(positions, dtype=float)
     exposure = (np.asarray(cov, dtype=float) @ p[..., None])[..., 0]
     variance = (p * exposure).sum(axis=-1, keepdims=True)

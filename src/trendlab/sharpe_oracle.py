@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation, portfolios, signals, symmat
-from .errors import DegenerateForm, InvalidInput, TooEarly
+from .errors import DegenerateForm, InvalidIndex, InvalidInput, TooEarly
 from .market_model import ModelParams
 from .symmat import System
 
@@ -71,9 +71,9 @@ def _kernel_products(rate: float, amp, decay, t: int | None) -> dict:
     the last decays it ran for are kept, so sizing a model's amplitude and then
     building its moments makes one pass.
     """
-    if t is not None and signals.check_index("t", t) < 2:
+    if t is not None and signals.check_number("t", t, kind=int, error=InvalidIndex) < 2:
         raise TooEarly(f"moments need t >= 2, got {t}")
-    signals.check_rate("rate", rate)
+    signals.check_number("rate", rate, "(0, 1)")
     amp, decay = np.broadcast_arrays(np.asarray(amp, dtype=float), np.asarray(decay, dtype=float))
     bad = ~((0.0 < decay) & (decay <= 1.0))
     if bad.any():
@@ -283,9 +283,9 @@ def sample_weak_trend_model(rng: np.random.Generator, n: int, rate: float = 0.01
     model takes its draws from rng in turn, as k one-model calls would, and the
     arithmetic and the model check then run once over the stack.
     """
-    if signals.check_index("n", n, InvalidInput) < 1 or (
-            count is not None and signals.check_index("count", count, InvalidInput) < 1):
-        raise InvalidInput(f"need n >= 1 and count None or >= 1, got n={n}, count={count}")
+    signals.check_number("n", n, "[1, inf)", int)
+    if count is not None:
+        signals.check_number("count", count, "[1, inf)", int)
     draws = []
     for _ in range(1 if count is None else count):
         draws.append((

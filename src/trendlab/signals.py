@@ -6,6 +6,7 @@ sum_{t'<t} (1-rate)^(t-t'-1) r_{t'}, so a signal never sees the return it will
 be traded against; one day is a run of length 1, and feeding a run in pieces
 gives the same path as feeding it whole.  `power_sum` is the one sum of kernel
 powers, the oracle's and the generator's, at any t and at t = infinity.
+`check_number` checks every scalar knob, the CLI's too, against an interval.
 """
 
 from __future__ import annotations
@@ -25,24 +26,21 @@ def check_run(returns: np.ndarray, n: int | None = None) -> np.ndarray:
     return returns
 
 
-def check_rate(name: str, rate: float) -> None:
-    """An EMA rate must be a real number in (0, 1)."""
-    if not 0.0 < check_real(name, rate) < 1.0:
-        raise InvalidInput(f"{name} must be in (0,1), got {rate}")
-
-
-def check_real(name: str, value, error: type = InvalidInput) -> float:
-    """A real-valued knob must be an int, a float or a numpy real, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def check_index(name: str, value, error: type = InvalidIndex) -> int:
-    """A day index or count must be an int or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_number(name: str, value, bounds: str = "(-inf, inf)", kind: type = float,
+                 error: type = InvalidInput):
+    """value as `kind` if it lies in `bounds`, an interval like "(0, 0.5]" or "[1, inf)"
+    that holds no nan or +-inf, else `error`: a float knob takes any int, float or
+    numpy real, an int knob only an int or numpy integer, and neither takes a bool."""
+    real = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real):
+        what = "an integer" if kind is int else "a real number"
+        raise error(f"{name} must be {what}, got {value!r}")
+    low, high = (float(x) for x in bounds[1:-1].split(","))
+    if not (-np.inf < value < np.inf
+            and (low < value if bounds[0] == "(" else low <= value)
+            and (value < high if bounds[-1] == ")" else value <= high)):
+        raise error(f"{name} must be in {bounds}, got {value}")
+    return kind(value)
 
 
 def ema(x, shocks: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +59,7 @@ def update(values: np.ndarray, returns: np.ndarray, rate: float) -> tuple[np.nda
     Returns the signal path, whose row i is the signal before day i's return,
     and the signal after the last day, to carry into the next run.
     """
-    check_rate("rate", rate)
+    check_number("rate", rate, "(0, 1)")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or not np.isfinite(x).all():
         raise InvalidInput("signal values must be a finite vector")
@@ -78,8 +76,7 @@ def power_sum(step: np.ndarray, m: int | None) -> np.ndarray:
     eye = np.broadcast_to(np.eye(step.shape[-1]), step.shape)
     if m is None:
         return np.linalg.inv(eye - step)
-    if check_index("m", m) < 0:
-        raise InvalidIndex(f"m must be >= 0, got {m}")
+    m = check_number("m", m, "[0, inf)", int, InvalidIndex)
     total, power = np.zeros_like(step), eye
     for bit in bin(m)[2:]:
         total, power = total + power @ total, power @ power

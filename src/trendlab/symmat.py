@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, NotPositiveDefinite
-from .signals import check_real
+from .signals import check_number
 
 # Relative ridge applied when the caller does not pass one explicitly.
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -80,9 +80,7 @@ def eigendecompose(m: np.ndarray) -> EigenPairs:
 
 def _check_ridge(ridge: float | None) -> float | None:
     """None (the default per matrix) or a finite, non-negative real; InvalidMatrix otherwise."""
-    if ridge is not None and not 0.0 <= check_real("ridge", ridge, InvalidMatrix) < np.inf:
-        raise InvalidMatrix(f"ridge must be finite and non-negative, got {ridge}")
-    return ridge
+    return ridge if ridge is None else check_number("ridge", ridge, "[0, inf)", error=InvalidMatrix)
 
 
 def _shifted_spectrum(m: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np.ndarray]:

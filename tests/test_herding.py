@@ -321,9 +321,9 @@ def test_counts_and_seed_must_be_integers():
         with pytest.raises(InvalidInput, match=field):
             herding.AgentSimParams(**{**base, field: bad})
     for field in ("agents", "strategies", "steps", "reps"):
-        with pytest.raises(InvalidInput, match="must all be >= 1"):
+        with pytest.raises(InvalidInput, match=rf"^{field} must be in \[1, inf\), got 0$"):
             herding.AgentSimParams(**{**base, field: 0})
-    with pytest.raises(InvalidInput, match="seed must be non-negative"):
+    with pytest.raises(InvalidInput, match=r"^seed must be in \[0, inf\), got -1$"):
         herding.AgentSimParams(**{**base, "seed": -1})
     params = herding.AgentSimParams(**{**base, "agents": np.int64(20), "seed": np.int64(3)})
     assert np.array_equal(herding.run(params).counts,

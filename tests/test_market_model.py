@@ -209,6 +209,11 @@ def test_model_validation():
         mm.ModelParams(n=2, drift=np.zeros(2), noise_cov=np.eye(2),
                        trend_cov=np.zeros((2, 2)), trend_amp=0.1, trend_decay=0.5,
                        asset_classes=("stock", "cash"))
+    for n in ("2", 2.0, True):
+        with pytest.raises(InvalidModel) as caught:
+            mm.ModelParams(n=n, drift=np.zeros(2), noise_cov=np.eye(2),
+                           trend_cov=np.zeros((2, 2)), trend_amp=0.1, trend_decay=0.5)
+        assert str(caught.value) == f"n must be an integer, got {n!r}"
 
 
 def test_index_validation():
@@ -295,6 +300,30 @@ def test_stacked_check_rejects_shared_faults_as_one_model(fields, classes):
     with pytest.raises(InvalidModel) as caught:
         mm.ModelParams(n=2, **stack_fields(models), asset_classes=classes)
     assert str(caught.value) == one_model_message(models[0], classes)
+
+
+def test_asset_class_message_names_the_count_needed():
+    rng = np.random.default_rng(39)
+    models = [good_model_fields(rng, n=3) for _ in range(3)]
+    for fields in (models[0], stack_fields(models)):
+        with pytest.raises(InvalidModel) as caught:
+            mm.ModelParams(n=3, asset_classes=("stock", "bond"), **fields)
+        assert str(caught.value) == "asset_classes must be 3 of ('stock', 'bond', 'fx')"
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("trend_amp", "0.1"), ("trend_amp", True), ("trend_decay", True),
+    ("drift", [True, False]), ("noise_cov", np.eye(2, dtype=bool)), ("trend_decay", None),
+])
+def test_model_fields_must_hold_real_numbers(name, bad):
+    rng = np.random.default_rng(40)
+    models = [good_model_fields(rng) for _ in range(3)]
+    stacked = {**stack_fields(models), name: np.array([bad] * 3)}
+    for fields in ({**models[0], name: bad}, stacked):
+        with pytest.raises(InvalidModel) as caught:
+            mm.ModelParams(n=2, **fields)
+        dtype = np.asarray(fields[name]).dtype
+        assert str(caught.value) == f"{name} must hold real numbers, got dtype {dtype}"
 
 
 def test_stacked_models_equal_one_model_construction():

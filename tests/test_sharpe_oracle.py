@@ -281,7 +281,7 @@ def test_validation_errors():
         so.stationarity_residual(mm, np.zeros((2, 2)))
     with pytest.raises(InvalidInput):
         so.approx_optimal(mm, form="other")
-    with pytest.raises(InvalidInput, match=r"^rate must be in \(0,1\), got 1.5$"):
+    with pytest.raises(InvalidInput, match=r"^rate must be in \(0, 1\), got 1.5$"):
         so._kernel_products(1.5, 0.5, 0.02, 10)
 
 

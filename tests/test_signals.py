@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from trendlab import signals
-from trendlab.errors import InvalidIndex, InvalidInput
+from trendlab import cli, signals
+from trendlab.errors import InvalidIndex, InvalidInput, InvalidModel
 
 
 def run_series(rate, series):
@@ -111,3 +113,60 @@ def test_power_sum_takes_a_non_negative_integer_count():
     for m in (-3, -1, True, False, 2.0, 1.5, "3"):
         with pytest.raises(InvalidIndex):
             signals.power_sum(steps, m)
+
+
+@pytest.mark.parametrize("bounds, inside, outside", [
+    ("(0, 1)", [0.5], [0, 1, -0.5, 1.5]),
+    ("[0, 1]", [0, 0.5, 1], [-0.5, 1.5]),
+    ("(0, 1]", [0.5, 1], [0, 1.5]),
+    ("[0, 1)", [0, 0.5], [1, -0.5]),
+    ("[1, inf)", [1, 1e308], [0.5, np.inf]),
+    ("(-inf, inf)", [-1e308, 0, 1e308], [np.nan, np.inf, -np.inf]),
+    ("[-inf, inf]", [0], [np.nan, np.inf, -np.inf]),  # nan and +-inf lie in no interval
+])
+def test_check_number_tests_each_end_of_the_interval(bounds, inside, outside):
+    for value in inside:
+        assert signals.check_number("x", value, bounds) == value
+    for value in outside:
+        with pytest.raises(InvalidInput) as caught:
+            signals.check_number("x", value, bounds)
+        assert str(caught.value) == f"x must be in {bounds}, got {value}"
+
+
+@pytest.mark.parametrize("kind, what", [(float, "a real number"), (int, "an integer")])
+@pytest.mark.parametrize("value", [True, False, np.True_, "1", None, [1], 1j])
+def test_check_number_rejects_what_is_not_a_number(value, kind, what):
+    with pytest.raises(InvalidInput) as caught:
+        signals.check_number("x", value, kind=kind)
+    assert str(caught.value) == f"x must be {what}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2), 2.5])
+def test_an_int_knob_rejects_a_float(value):
+    with pytest.raises(InvalidInput, match=re.escape(f"x must be an integer, got {value!r}")):
+        signals.check_number("x", value, "[1, inf)", int)
+
+
+@pytest.mark.parametrize("value, kind, want", [
+    (2, float, 2.0), (np.int64(2), float, 2.0), (np.float64(0.5), float, 0.5),
+    (np.float32(0.5), float, 0.5), (3, int, 3), (np.int64(3), int, 3), (np.uint8(3), int, 3),
+])
+def test_check_number_returns_a_python_number_of_its_kind(value, kind, want):
+    out = signals.check_number("x", value, "(0, inf)", kind)
+    assert type(out) is kind and out == want
+
+
+@pytest.mark.parametrize("error", [InvalidIndex, InvalidModel, cli.ConfigError])
+@pytest.mark.parametrize("value", ["1", -1], ids=["type", "range"])
+def test_check_number_raises_the_given_error(error, value):
+    with pytest.raises(error) as caught:
+        signals.check_number("x", value, "[0, inf)", int, error)
+    assert type(caught.value) is error
+
+
+def test_the_cli_and_the_library_word_a_range_failure_alike():
+    with pytest.raises(cli.ConfigError) as flag:
+        cli._RATE("eta", "1.5")
+    with pytest.raises(InvalidInput) as library:
+        signals.check_number("eta", 1.5, "(0, 1)")
+    assert str(flag.value) == str(library.value) == "eta must be in (0, 1), got 1.5"
