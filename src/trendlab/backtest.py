@@ -12,13 +12,13 @@ whole weeks, about _CHUNK_DAYS days each.  Per chunk it runs each estimator
 recursion (signals.ema) once over the chunk's days, which gives the state
 before each day or roll and the state to carry, cleans the rolls that open the
 chunk's blocks in one stacked call and builds every book on those blocks by
-its _BOOKS row, which sizes it (finish for unit gross; the engine trades a raw
-row as it is), then vol_target if vol_scale is set.  The books of a segment
-share one _Segment, which builds each thing they share at most once, on its
-first read: the daily covariances, their symmat.System (checked and shifted
-once, by the first solve) and the raw RP book that RP finishes and ToRP
-trades.  Chunking bounds every stacked array at about _CHUNK_DAYS matrices.
-The mix layer reads only P&L: one (days, m) array of aligned series.
+its _BOOKS row alone, which also sizes it (finish for unit gross; the engine
+trades a raw row as it is).  The books of a segment share one _Segment, which
+builds each thing they share at most once, on its first read: the daily
+covariances' symmat.System (checked and shifted once, by the first solve) and
+the raw RP book that RP finishes and ToRP trades.  Chunking bounds every
+stacked array at about _CHUNK_DAYS matrices.  The mix layer reads only P&L:
+one (days, m) array of aligned series.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _CHUNK_DAYS = 256  # days per flush of the estimator pass: bounds every stacked 
 class _Segment:
     """A segment's blocks of days as its books read them: signals and vols (blocks,
     days, n), corr (blocks, 1, n, n) or None if no book reads it, and, each built
-    on its first read, the daily covariances, their system and the raw RP book."""
+    on its first read, the system of the daily covariances and the raw RP book."""
 
     corr: np.ndarray | None
     signals: np.ndarray
@@ -52,12 +52,8 @@ class _Segment:
     classes: tuple
 
     @functools.cached_property
-    def cov(self) -> np.ndarray:
-        return self.corr * (self.vols[..., :, None] * self.vols[..., None, :])
-
-    @functools.cached_property
     def system(self) -> System:
-        return System(self.cov)
+        return System(self.corr * (self.vols[..., :, None] * self.vols[..., None, :]))
 
     @functools.cached_property
     def rp_book(self) -> np.ndarray:
@@ -81,10 +77,9 @@ class StrategyConfig:
     """Strategy id plus every estimator knob of the pipeline.
 
     The cleaner's sample ratio is estimation.default_sample_ratio(n, cov_rate)
-    and the books solve with symmat.System's default ridge.  vol_scale=None trades
-    each book at its _BOOKS row's size, unit gross for the five books (P&L
-    scales linearly with the panel); a float rescales positions daily to
-    that conditional volatility under the estimated covariance.
+    and the books solve with symmat.System's default ridge.  Each book trades at
+    its _BOOKS row's size, unit gross for the five books, so P&L scales
+    linearly with the panel.
     """
 
     kind: str
@@ -92,7 +87,6 @@ class StrategyConfig:
     cov_rate: float = estimation.DEFAULT_COV_RATE
     var_rate: float = estimation.DEFAULT_VAR_RATE
     cleaner: str = "rie"
-    vol_scale: float | None = None
     week_len: int = 5
     warmup: int | None = None
 
@@ -107,8 +101,6 @@ class StrategyConfig:
         if (self.warmup is not None
                 and signals.check_number("warmup", self.warmup, kind=int) < self.week_len):
             raise InvalidInput("warm-up must cover at least one weekly update")
-        if self.vol_scale is not None:
-            signals.check_number("vol_scale", self.vol_scale, "(0, inf)")
 
     def warmup_days(self) -> int:
         """Signal warm-up or covariance warm-up, whichever is longer."""
@@ -117,7 +109,7 @@ class StrategyConfig:
         return max(math.ceil(2.0 / self.signal_rate), self.week_len * math.ceil(2.0 / self.cov_rate))
 
     def setting(self) -> tuple:
-        """What the books of one estimator pass share: every knob but kind and vol_scale."""
+        """What the books of one estimator pass share: every knob but kind."""
         return (self.signal_rate, self.cov_rate, self.var_rate, self.cleaner, self.week_len,
                 self.warmup_days())
 
@@ -159,12 +151,12 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
     Each book's day t past the warm-up sees the signal and vols of days < t and
     the correlation cleaned at the opening roll of t's block.  A roll is cleaned
     only if it is the last one or if a book reads the correlation (by its _BOOKS
-    row or its vol_scale) and trades in the block it opens.  Chunks are whole
-    weeks, so only the signal, the variances and the covariance carry between
-    them.  Each chunk walks its segments once, every book on one _Segment.  The
-    last chunk adds the covariance after the last roll, which opens the ragged
-    last block, if any, and gives the final correlation.  Returns each book's
-    positions and the final (correlation, vols).
+    row) and trades in the block it opens.  Chunks are whole weeks, so only the
+    signal, the variances and the covariance carry between them.  Each chunk
+    walks its segments once, every book on one _Segment.  The last chunk adds
+    the covariance after the last roll, which opens the ragged last block, if
+    any, and gives the final correlation.  Returns each book's positions and
+    the final (correlation, vols).
     """
     returns = panel.returns
     n_days, n = returns.shape
@@ -173,7 +165,7 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
         raise DegenerateVariance("no weekly covariance yet")
     ratio = estimation.default_sample_ratio(n, setting.cov_rate)
     clean = estimation.CLEANERS[setting.cleaner]
-    read = any(_BOOKS[cfg.kind][0] or cfg.vol_scale is not None for cfg in books)
+    read = any(_BOOKS[cfg.kind][0] for cfg in books)
     positions = [np.zeros((n_days, n)) for _ in books]
     first_needed = (warmup if read else n_days) // week
 
@@ -199,11 +191,7 @@ def _estimator_pass(panel: ReturnsPanel, setting: StrategyConfig, books) -> tupl
             seg = _Segment(c, sigs[start - lo:stop - lo].reshape(blocks, -1, n),
                            vols[start - lo:stop - lo].reshape(blocks, -1, n), panel.asset_classes)
             for cfg, pos in zip(books, positions):
-                book = _BOOKS[cfg.kind][1](seg)
-                if cfg.vol_scale is not None:  # rescale each day that holds a position
-                    live = np.abs(book).sum(axis=-1) > 0.0
-                    book[live] = portfolios.vol_target(book[live], seg.cov[live], cfg.vol_scale)
-                pos[start:stop] = book.reshape(-1, n)
+                pos[start:stop] = _BOOKS[cfg.kind][1](seg).reshape(-1, n)
     return positions, cleaned[-1], np.sqrt(var)
 
 
@@ -215,7 +203,7 @@ def run(panel: ReturnsPanel, cfg: StrategyConfig) -> BacktestResult:
 def run_with_estimates(panel: ReturnsPanel, configs) -> tuple[list, np.ndarray, np.ndarray]:
     """One result per config from one estimator pass, and its final (correlation, vols).
 
-    The configs may differ only in kind and vol_scale (they share one setting()),
+    The configs may differ only in kind (they share one setting()),
     else InvalidInput before the pass runs; the first error of any book aborts.
     """
     if not configs:

@@ -37,10 +37,6 @@ class DegenerateVolatility(TrendlabError):
     """A volatility needed for inversion is zero or negative."""
 
 
-class CannotScale(TrendlabError):
-    """Position cannot be scaled to the requested risk target."""
-
-
 class InsufficientData(TrendlabError):
     """Panel that leaves fewer than two days after the warm-up window."""
 

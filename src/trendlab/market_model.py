@@ -101,11 +101,15 @@ class ModelParams:
 
     def __post_init__(self):
         one = np.ndim(self.trend_decay) == 0  # one model is checked as a stack of one
-        fields = [np.asarray(getattr(self, name)) for name in _MODEL_FIELDS]
-        for name, x in zip(_MODEL_FIELDS, fields):
+        fields = []
+        for name in _MODEL_FIELDS:
+            try:
+                x = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged nested list
+                raise InvalidModel(f"{name} must be a rectangular array") from None
             if x.dtype.kind not in "iuf":  # a bool, a string or an object is no real number
                 raise InvalidModel(f"{name} must hold real numbers, got dtype {x.dtype}")
-        fields = [x.astype(float, copy=False) for x in fields]
+            fields.append(x.astype(float, copy=False))
         if one:
             fields = [x[None] for x in fields]
         try:

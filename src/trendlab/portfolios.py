@@ -1,17 +1,16 @@
 """Portfolio constructors.
 
 Five basic books (risk parity, naive Markowitz, agnostic risk parity,
-trend-on-risk-parity, equally weighted), the paper's optimal signal-weight
-matrix and volatility targeting.  A book is a plain float array of positions:
-(n,) for one day, (..., n) for days under a batch shape.  Each constructor
-returns its raw book, linear in the signal (static for RP and EW), and raises
-InvalidInput rather than return a non-finite entry; a book has no size of its
-own.  finish takes a raw book to unit gross and vol_target to a target
-volatility, and those two are the only sizing steps.  Each constructor takes
-one day or days under any leading batch shape, row by row equal to the
-one-day calls: signals and vols (..., n), covariances (..., n, n), and for
-ARP a correlation that broadcasts against them, such as (k, 1, n, n) for k
-blocks of days that share one each.  NM, RP, ToRP and the weight matrix take
+trend-on-risk-parity, equally weighted) and the paper's optimal signal-weight
+matrix.  A book is a plain float array of positions: (n,) for one day,
+(..., n) for days under a batch shape.  Each constructor returns its raw
+book, linear in the signal (static for RP and EW), and raises InvalidInput
+rather than return a non-finite entry; a book has no size of its own.
+finish, which takes a raw book to unit gross, is the one sizing step.  Each
+constructor takes one day or days under any leading batch shape, row by row
+equal to the one-day calls: signals and vols (..., n), covariances
+(..., n, n), and for ARP a correlation that broadcasts against them, such as
+(k, 1, n, n) for k blocks of days that share one each.  NM, RP, ToRP and the weight matrix take
 the covariance as a symmat.System(cov, ridge) and solve with its ridge, so a
 caller that builds several books on one covariance checks and shifts it once;
 ARP's ridge is for its eigen route.  ToRP is trend_on of RP's book, and
@@ -33,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import signals, symmat
-from .errors import CannotScale, DegenerateVolatility, InvalidInput, ZeroTargetVector
+from . import symmat
+from .errors import DegenerateVolatility, InvalidInput, ZeroTargetVector
 
 
 def _finite(book: np.ndarray) -> np.ndarray:
@@ -117,14 +116,3 @@ def optimal_weight_matrix(system: symmat.System, trend_cov, drift_outer, trend_g
         raise InvalidInput("cov, trend_cov and drift_outer must share one shape")
     core = trend_gain * trend_cov + drift_gain * drift_outer
     return symmat.solve_sandwich(system, core, system)
-
-
-def vol_target(positions, cov, target: float) -> np.ndarray:
-    """Rescale positions so the portfolio volatility under cov equals target, day by day."""
-    signals.check_number("target", target, "(0, inf)")
-    p = np.asarray(positions, dtype=float)
-    exposure = (np.asarray(cov, dtype=float) @ p[..., None])[..., 0]
-    variance = (p * exposure).sum(axis=-1, keepdims=True)
-    if (variance <= 0.0).any():
-        raise CannotScale(f"portfolio variance {variance.min():.3e} cannot be scaled to {target}")
-    return _finite(p * (target / np.sqrt(variance)))

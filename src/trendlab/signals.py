@@ -35,21 +35,28 @@ def check_number(name: str, value, bounds: str = "(-inf, inf)", kind: type = flo
     if isinstance(value, bool) or not isinstance(value, real):
         what = "an integer" if kind is int else "a real number"
         raise error(f"{name} must be {what}, got {value!r}")
+    try:
+        number = kind(value)
+    except OverflowError:  # an int past the largest float
+        raise error(f"{name} must be in {bounds}, got an int too large for a float") from None
     low, high = (float(x) for x in bounds[1:-1].split(","))
-    if not (-np.inf < value < np.inf
-            and (low < value if bounds[0] == "(" else low <= value)
-            and (value < high if bounds[-1] == ")" else value <= high)):
+    if not (-np.inf < number < np.inf
+            and (low < number if bounds[0] == "(" else low <= number)
+            and (number < high if bounds[-1] == ")" else number <= high)):
         raise error(f"{name} must be in {bounds}, got {value}")
-    return kind(value)
+    return number
 
 
 def ema(x, shocks: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
     """x <- decay*x + shock over the rows of `shocks`: the path, whose row i is the
     state before shock i, and the state after the last shock."""
     path = np.empty_like(shocks)
-    for i, shock in enumerate(shocks):
-        path[i] = x
-        x = decay * x + shock
+    if len(shocks):
+        path[0] = x
+        for row, shock, next_row in zip(path, shocks, path[1:]):  # in place: no temporaries
+            np.multiply(row, decay, out=next_row)
+            np.add(next_row, shock, out=next_row)
+        x = decay * path[-1] + shocks[-1]
     return path, x
 
 

@@ -100,25 +100,6 @@ def test_backtest_positions_match_portfolio_constructors():
     assert np.abs(positions[50:] - res.positions[50:]).max() < 1e-12
 
 
-def test_vol_scaled_run_hits_conditional_target():
-    panel = white_panel(6, 300, 2)
-    cfg = bt.StrategyConfig(kind="ew", warmup=50, vol_scale=0.02, **FAST)
-    res = bt.run(panel, cfg)
-    active = res.positions[50:]
-    assert (np.abs(active).sum(axis=1) > 0).all()
-    # per-day conditional risk under the estimated covariance equals the target
-    covs = []
-
-    def record(cfg, corr, vols, sig, classes):  # each active day's estimated covariance
-        covs.append(corr * np.outer(vols, vols))
-        return np.zeros(2)
-
-    reference_run(panel, cfg, record)
-    assert len(covs) == len(active)
-    for p, c in zip(active, covs):
-        assert np.sqrt(p @ c @ p) == pytest.approx(0.02, rel=1e-10)
-
-
 def test_trend_on_market_mode_beats_markowitz():
     params = market_trend_model()
     wins = 0
@@ -369,9 +350,7 @@ def test_strategy_config_validation():
     with pytest.raises(InvalidInput):
         bt.StrategyConfig(kind="ew", warmup=2, week_len=5)
     for bad in (dict(warmup=50.5), dict(warmup=True, week_len=1), dict(week_len=True),
-                dict(week_len=5.0), dict(week_len="5"), dict(vol_scale=0), dict(vol_scale=-0.02),
-                dict(vol_scale=math.inf), dict(vol_scale=math.nan), dict(vol_scale="1"),
-                dict(vol_scale=True)):
+                dict(week_len=5.0), dict(week_len="5")):
         with pytest.raises(InvalidInput):
             bt.StrategyConfig(kind="ew", **bad)
     assert bt.StrategyConfig(kind="ew", week_len=np.int64(5), warmup=np.int32(50)).warmup_days() == 50
@@ -411,10 +390,7 @@ def reference_book(cfg, corr, vols, sig, classes, ridge=None):
         raw = {"nm": inv @ sig, "rp": inv @ target,
                "torp": float(target @ inv @ sig) * (inv @ target)}[cfg.kind]
     gross = np.abs(raw).sum()
-    positions = raw / gross if gross > 0.0 else raw
-    if cfg.vol_scale is not None and gross > 0.0:
-        positions = positions * (cfg.vol_scale / np.sqrt(float(positions @ cov @ positions)))
-    return positions
+    return raw / gross if gross > 0.0 else raw
 
 
 def listed_book(cfg, corr, vols, sig, classes):
@@ -473,11 +449,9 @@ ENGINE_CLASSES = ("stock", "stock", "bond", "fx")
 
 @pytest.mark.parametrize("cleaner", ["rie", "clip", "none"])
 @pytest.mark.parametrize("week_len", [1, 5])
-@pytest.mark.parametrize("vol_scale", [None, 0.02])
-def test_blocked_engine_matches_per_day_constructors(cleaner, week_len, vol_scale):
+def test_blocked_engine_matches_per_day_constructors(cleaner, week_len):
     panel = factor_panel(16, 240, ENGINE_CLASSES)
-    configs = [bt.StrategyConfig(kind=kind, cleaner=cleaner, week_len=week_len,
-                                 vol_scale=vol_scale, warmup=63, **FAST)
+    configs = [bt.StrategyConfig(kind=kind, cleaner=cleaner, week_len=week_len, warmup=63, **FAST)
                for kind in bt.STRATEGY_KINDS]
     for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         positions, pnl, _ = reference_run(panel, cfg)
@@ -496,8 +470,6 @@ def test_chunked_engine_matches_per_day_constructors(week_len):
     panel = factor_panel(25, 2 * bt._CHUNK_DAYS + 45, ENGINE_CLASSES)
     configs = [bt.StrategyConfig(kind=kind, week_len=week_len, warmup=66, **FAST)
                for kind in bt.STRATEGY_KINDS]
-    configs += [bt.StrategyConfig(kind=kind, week_len=week_len, warmup=66, vol_scale=0.02, **FAST)
-                for kind in ("nm", "ew")]
     for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         positions, pnl, _ = reference_run(panel, cfg)
         bound = EQUIVALENCE_BOUND * np.abs(positions).max()
@@ -636,9 +608,8 @@ def test_books_of_a_segment_share_one_checked_system(monkeypatch):
 
 def test_run_with_estimates_equals_one_run_per_config():
     panel = factor_panel(19, 300, ENGINE_CLASSES)
-    configs = [bt.StrategyConfig(kind=kind, warmup=63, vol_scale=scale, **FAST)
-               for kind, scale in (("nm", None), ("ew", None), ("arp", 0.02), ("torp", None),
-                                   ("rp", 0.02), ("zero", None), ("nm", 0.03))]
+    configs = [bt.StrategyConfig(kind=kind, warmup=63, **FAST)
+               for kind in ("nm", "ew", "arp", "torp", "rp", "zero", "nm")]
     for cfg, res in zip(configs, bt.run_with_estimates(panel, configs)[0]):
         one = bt.run(panel, cfg)
         assert np.array_equal(res.positions, one.positions)
@@ -647,17 +618,16 @@ def test_run_with_estimates_equals_one_run_per_config():
 
 
 def test_books_of_one_call_share_one_setting(monkeypatch):
-    """Books that differ only in kind or vol_scale share the call's one pass; any other
-    knob, the warm-up included, raises before a pass runs."""
+    """Books that differ only in kind share the call's one pass; any other knob, the
+    warm-up included, raises before a pass runs."""
     passes = []
     estimator_pass = bt._estimator_pass
     monkeypatch.setattr(bt, "_estimator_pass", lambda panel, setting, books:
                         passes.append(len(books)) or estimator_pass(panel, setting, books))
     panel = factor_panel(27, 240, ENGINE_CLASSES)
     base = bt.StrategyConfig(kind="nm", warmup=20, **FAST)
-    bt.run_with_estimates(panel, [base, dataclasses.replace(base, kind="ew"),
-                                  dataclasses.replace(base, vol_scale=0.02)])
-    assert passes == [3]
+    bt.run_with_estimates(panel, [base, dataclasses.replace(base, kind="ew")])
+    assert passes == [2]
     passes.clear()
     others = [dict(signal_rate=0.1), dict(cov_rate=0.1), dict(var_rate=0.1),
               dict(cleaner="clip"), dict(week_len=4), dict(warmup=40)]

@@ -2,6 +2,10 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,24 @@ def write_panel(tmp_path, rows, classes=("stock", "bond"), name="panel.csv"):
 
 def read_rows(path):
     return path.read_text().splitlines()
+
+
+# numpy and every stdlib module that src/ names; importing the CLI after them may add
+# only trendlab's own modules, so a new dependency shows up here as a failing test
+PRELOADED = ("numpy", "__future__", "argparse", "dataclasses", "datetime", "functools", "hashlib",
+             "itertools", "json", "math", "os", "pathlib", "threading", "typing")
+
+
+def test_importing_the_cli_loads_only_trendlab_modules():
+    code = (f"import sys, {', '.join(PRELOADED)}\n"
+            "before = set(sys.modules)\n"
+            "import trendlab.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True).stdout.split()
+    assert "trendlab.cli" in added
+    assert [name for name in added if name.split(".")[0] != "trendlab"] == []
 
 
 def test_ingest_well_formed(tmp_path):

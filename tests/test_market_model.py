@@ -326,6 +326,21 @@ def test_model_fields_must_hold_real_numbers(name, bad):
         assert str(caught.value) == f"{name} must hold real numbers, got dtype {dtype}"
 
 
+def test_a_ragged_field_is_an_invalid_model():
+    rng = np.random.default_rng(41)
+    one = {**good_model_fields(rng), "noise_cov": [[1.0, 0.0], [0.0]]}
+    with pytest.raises(InvalidModel, match="^noise_cov must be a rectangular array$"):
+        mm.ModelParams(n=2, **one)
+
+
+def test_a_ragged_field_of_a_stack_is_an_invalid_model():
+    rng = np.random.default_rng(42)
+    stacked = {**stack_fields([good_model_fields(rng) for _ in range(2)]),
+               "drift": [[0.0, 0.0], [0.0]]}
+    with pytest.raises(InvalidModel, match="^drift must be a rectangular array$"):
+        mm.ModelParams(n=2, **stacked)
+
+
 def test_stacked_models_equal_one_model_construction():
     rng = np.random.default_rng(34)
     models = [good_model_fields(rng) for _ in range(4)]

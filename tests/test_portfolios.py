@@ -5,7 +5,6 @@ from helpers import rand_spd
 from trendlab import portfolios as pf
 from trendlab import symmat
 from trendlab.errors import (
-    CannotScale,
     DegenerateVolatility,
     InvalidInput,
     NotPositiveDefinite,
@@ -253,36 +252,10 @@ def test_weight_matrix_limits_are_the_books():
             assert np.abs(pos / np.abs(pos).sum() - book).max() < 1e-12, (case, kind)
 
 
-def test_vol_target():
-    c = np.eye(2)
-    w = np.array([2.0, 0.0])
-    scaled = pf.vol_target(w, c, 1.0)  # variance 4 -> scale by 0.5
-    assert np.allclose(scaled, [1.0, 0.0])
-    again = pf.vol_target(scaled, c, 1.0)
-    assert np.array_equal(again, scaled)
-
-    rng = np.random.default_rng(14)
-    cov = rand_spd(rng, 5)
-    w = rng.standard_normal(5)
-    out = pf.vol_target(w, cov, 0.37)
-    assert abs(np.sqrt(out @ cov @ out) - 0.37) < 1e-10
-    with pytest.raises(CannotScale):
-        pf.vol_target(np.zeros(5), cov, 1.0)
-    for target in (0.0, np.inf, np.nan, "1", True):
-        with pytest.raises(InvalidInput, match="target"):
-            pf.vol_target(w, cov, target)
-
-
 def test_non_finite_positions_are_rejected():
-    """A raw book whose solve overflows to inf does not come out, nor does a non-finite
-    vol-targeted one."""
+    """A raw book whose solve overflows to inf does not come out."""
     with pytest.raises(InvalidInput, match="non-finite"):
         pf.naive_markowitz(System(1e-300 * np.eye(2), 0.0), np.array([1e300, 1e300]))
-    # a finite book whose scale overflows (numpy warns of it), and a non-finite book
-    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="non-finite"):
-        pf.vol_target(np.ones(1), np.array([[1e-300]]), 1e200)
-    with pytest.raises(InvalidInput, match="non-finite"):
-        pf.vol_target(np.array([np.nan, 1.0]), np.eye(2), 1.0)
 
 
 def test_finish_puts_each_day_at_unit_gross():
@@ -322,9 +295,6 @@ def test_signal_scaling_properties():
         raw1 = build(s)
         raw2 = build(c * s)
         assert np.abs(raw2 - c * raw1).max() < 1e-9 * np.abs(raw2).max()
-        vt1 = pf.vol_target(pf.finish(build(s)), cov, 1.0)
-        vt2 = pf.vol_target(pf.finish(build(c * s)), cov, 1.0)
-        assert np.abs(vt1 - vt2).max() < 1e-10
 
 
 def test_zero_signal_keeps_zero_positions():
@@ -388,11 +358,6 @@ def test_block_equals_one_day_calls():
                 days = [build(cov[t], vols[t], sig[t], ridge) for t in range(m)]
                 assert type(block) is np.ndarray and block.shape == (m, n), kind
                 assert np.array_equal(block, np.stack(days))
-            live = np.abs(block).sum(-1) > 0.0
-            scaled = pf.vol_target(block[live], cov[live], 0.3)
-            one_day = [pf.vol_target(b, cov[t], 0.3)
-                       for t, b in enumerate(days) if np.abs(b).sum() > 0.0]
-            assert np.array_equal(scaled, np.stack(one_day))
 
 
 def test_blocks_of_days_equal_one_day_calls():
@@ -422,10 +387,6 @@ def test_blocks_of_days_equal_one_day_calls():
             for t in range(w):
                 day = build(corr[b], cov[b, t], vols[b, t], sig[b, t])
                 assert np.array_equal(blocks[b, t], day), (kind, b, t)
-        scaled = pf.vol_target(blocks, cov, 0.3)
-        assert type(scaled) is np.ndarray
-        assert np.array_equal(scaled[1, 2], pf.vol_target(
-            build(corr[1], cov[1, 2], vols[1, 2], sig[1, 2]), cov[1, 2], 0.3))
 
 
 def test_indefinite_covariance_is_not_positive_definite():
@@ -463,7 +424,7 @@ def test_the_system_ridge_is_the_one_every_book_solves_with():
                  lambda: pf.optimal_weight_matrix(System(c), c, np.zeros((2, 2)), 1.0, 0.0,
                                                   ridge=0.5),
                  lambda: symmat.solve_sandwich(System(c), c, System(c), ridge=0.5),
-                 # a book has no size of its own: finish and vol_target are the sizing steps
+                 # a book has no size of its own: finish is the one sizing step
                  lambda: pf.naive_markowitz(System(c), s, normalize=True),
                  lambda: pf.risk_parity(System(c), vols, ("stock", "bond"), normalize=True),
                  lambda: pf.agnostic_risk_parity(c, vols, s, normalize=True),

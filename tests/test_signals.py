@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from trendlab import cli, signals
-from trendlab.errors import InvalidIndex, InvalidInput, InvalidModel
+from trendlab import cli, herding, signals, symmat
+from trendlab.errors import InvalidIndex, InvalidInput, InvalidMatrix, InvalidModel
 
 
 def run_series(rate, series):
@@ -150,10 +150,23 @@ def test_an_int_knob_rejects_a_float(value):
 @pytest.mark.parametrize("value, kind, want", [
     (2, float, 2.0), (np.int64(2), float, 2.0), (np.float64(0.5), float, 0.5),
     (np.float32(0.5), float, 0.5), (3, int, 3), (np.int64(3), int, 3), (np.uint8(3), int, 3),
+    pytest.param(10**400, int, 10**400, id="int-past-the-largest-float"),
 ])
 def test_check_number_returns_a_python_number_of_its_kind(value, kind, want):
     out = signals.check_number("x", value, "(0, inf)", kind)
     assert type(out) is kind and out == want
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: signals.check_number("x", 10**400), InvalidInput, "x must be in (-inf, inf)"),
+    (lambda: herding.AgentSimParams(10, 5, 10**400, 5, 2), InvalidInput,
+     "coupling must be in [0, inf)"),
+    (lambda: symmat.System(np.eye(2), 10**400), InvalidMatrix, "ridge must be in [0, inf)"),
+], ids=["check_number", "coupling", "ridge"])
+def test_a_float_knob_rejects_an_int_past_the_largest_float(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == f"{message}, got an int too large for a float"
 
 
 @pytest.mark.parametrize("error", [InvalidIndex, InvalidModel, cli.ConfigError])
@@ -170,3 +183,23 @@ def test_the_cli_and_the_library_word_a_range_failure_alike():
     with pytest.raises(InvalidInput) as library:
         signals.check_number("eta", 1.5, "(0, 1)")
     assert str(flag.value) == str(library.value) == "eta must be in (0, 1), got 1.5"
+
+
+def loop_ema(x, shocks, decay):
+    """The recursion as a plain loop: a fresh array per step."""
+    path = np.empty_like(shocks)
+    for i, shock in enumerate(shocks):
+        path[i] = x
+        x = decay * x + shock
+    return path, x
+
+
+@pytest.mark.parametrize("k", [0, 1, 257])
+@pytest.mark.parametrize("shape", [(4,), (4, 4)], ids=["vectors", "matrices"])
+def test_ema_equals_the_plain_loop(k, shape):
+    rng = np.random.default_rng(43)
+    x, shocks = rng.standard_normal(shape), rng.standard_normal((k, *shape))
+    path, state = signals.ema(x, shocks, 0.97)
+    want_path, want_state = loop_ema(x, shocks, 0.97)
+    assert path.shape == shocks.shape
+    assert np.array_equal(path, want_path) and np.array_equal(state, want_state)
